@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .arrangement import AffineForm, Arrangement, ProjForm, decone, validate
+from .arrangement import AffineChart, AffineForm, Arrangement, decone, validate
 from .errors import (
     InconsistentSystemError,
     NotLogarithmicError,
@@ -168,10 +168,16 @@ class FiberContext:
 
     Carries the extended projective arrangement, exact affine forms in the
     chart of the infinity hyperplane, the rewriting context, and the affine
-    circuit table used by partial fractions.
+    circuit table used by partial fractions.  ``warn_rerank`` is passed on
+    to the :class:`MatroidContext`.
     """
 
-    def __init__(self, base: Arrangement, params: Sequence[Rat] | None = None):
+    def __init__(
+        self,
+        base: Arrangement,
+        params: Sequence[Rat] | None = None,
+        warn_rerank: bool = True,
+    ):
         self.base = base
         self.params = None if params is None else tuple(Fraction(v) for v in params)
         finite = base.finite_indices
@@ -182,17 +188,7 @@ class FiberContext:
             if len(self.params) != base.n:
                 raise ValueError("parameter point must have one value per dimension")
             moving = AffineForm.make(1, self.params)
-            inf_coeffs = base.hyperplanes[base.infinity_index].coeffs
-            drop = next(i for i, c in enumerate(inf_coeffs) if c != 0)
-            proj_coeffs = [Fraction(0)] * (base.n + 1)
-            proj_coeffs[drop] = Fraction(1)
-            k = 0
-            for j in range(base.n + 1):
-                if j == drop:
-                    continue
-                proj_coeffs[j] = self.params[k]
-                k += 1
-            forms.append(ProjForm.make(proj_coeffs))
+            forms.append(AffineChart.of(base).projective(moving))
             self.moving_index: int | None = len(forms) - 1
             affine[self.moving_index] = moving
         else:
@@ -202,9 +198,10 @@ class FiberContext:
         except Exception as exc:  # duplicate moving hyperplane etc.
             raise SampleRejectedError(f"degenerate parameter point: {exc}") from exc
         self.affine = affine
-        self.matroid = MatroidContext(self.arr)
+        self.matroid = MatroidContext(self.arr, warn_rerank)
         self.os = OSContext(self.arr, self.matroid)
         self._nbc_cache: dict[int, list[tuple[int, ...]]] = {}
+        self._top_coordinates: dict[ExtElem, list[Fraction]] = {}
         self._affine_circuits: list[AffineCircuit] | None = None
 
     # -- basics -------------------------------------------------------------
@@ -221,6 +218,18 @@ class FiberContext:
         if p not in self._nbc_cache:
             self._nbc_cache[p] = self.matroid.nbc_sets(p)
         return self._nbc_cache[p]
+
+    def top_coordinates(self, g: ExtElem) -> list[Fraction]:
+        """Coordinates of the normal form of a top-degree g over ``nbc(n)``.
+
+        They do not depend on the weights, so they are kept for every
+        reducer of this fiber.
+        """
+        coords = self._top_coordinates.get(g)
+        if coords is None:
+            coords = self.os.nbc_coordinates(g, self.nbc(self.n))
+            self._top_coordinates[g] = coords
+        return coords
 
     def lin_rows(self, indices: Sequence[int]) -> list[list[Fraction]]:
         return [list(self.affine[i].lin) for i in indices]
@@ -552,17 +561,23 @@ def _split_by_circuit(
 class ClassReducer:
     """Solves g = sum c_J e_J + omega ^ xi in the top degree of one fiber.
 
-    J runs over the nbc bases of the fixed arrangement; the solve is exact at
-    numeric weights.  Inconsistency (a resonant weight or a discriminant
-    parameter point) raises :class:`SampleRejectedError`.
+    J runs over the nbc bases of the fixed arrangement, which a caller that
+    holds them passes as ``fixed_basis`` (otherwise they are recomputed);
+    the solve is exact at numeric weights.  Inconsistency (a resonant weight
+    or a discriminant parameter point) raises :class:`SampleRejectedError`.
     """
 
-    def __init__(self, fiber: FiberContext, weights: Weights):
+    def __init__(
+        self,
+        fiber: FiberContext,
+        weights: Weights,
+        fixed_basis: Sequence[tuple[int, ...]] | None = None,
+    ):
         self.fiber = fiber
         self.weights = weights
         n = fiber.n
         self.top_basis = fiber.nbc(n)
-        fixed_nbc = _fixed_nbc(fiber)
+        fixed_nbc = _fixed_nbc(fiber) if fixed_basis is None else list(fixed_basis)
         self.fixed_basis = fixed_nbc
         top_index = {t: i for i, t in enumerate(self.top_basis)}
         for t in fixed_nbc:
@@ -584,9 +599,7 @@ class ClassReducer:
         self.rows = rows
 
     def reduce_batch(self, elems: Sequence[ExtElem]) -> list[list[Fraction]]:
-        rhs = []
-        for g in elems:
-            rhs.append(self.fiber.os.nbc_coordinates(g, self.top_basis))
+        rhs = [self.fiber.top_coordinates(g) for g in elems]
         try:
             solution = solve_linear(self.rows, rhs)
         except InconsistentSystemError as exc:

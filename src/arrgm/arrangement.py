@@ -191,6 +191,36 @@ class AffineForm:
         return "".join(parts) or "0"
 
 
+@dataclass(frozen=True)
+class AffineChart:
+    """The affine chart z_drop = 1 that removes the infinity hyperplane.
+
+    ``drop`` is the first coordinate on which the infinity form is nonzero
+    (``decone`` further requires it to be the only one).  The same chart
+    serves the dual coordinates h0..hn of the discriminant, where h_drop = 0
+    is the component along the infinity hyperplane.
+    """
+
+    drop: int
+
+    @staticmethod
+    def of(arr: Arrangement) -> "AffineChart":
+        inf_coeffs = arr.hyperplanes[arr.infinity_index].coeffs
+        return AffineChart(next(i for i, c in enumerate(inf_coeffs) if c != 0))
+
+    def affine(self, form: ProjForm) -> AffineForm:
+        """Dehomogenize: the coefficient of z_drop becomes the constant term."""
+        coeffs = form.coeffs
+        lin = [Fraction(c) for j, c in enumerate(coeffs) if j != self.drop]
+        return AffineForm(Fraction(coeffs[self.drop]), tuple(lin))
+
+    def projective(self, form: AffineForm) -> ProjForm:
+        """Homogenize: the inverse of :meth:`affine` up to normalization."""
+        coeffs = list(form.lin)
+        coeffs.insert(self.drop, form.constant)
+        return ProjForm.make(coeffs)
+
+
 def cone(n: int, affine_forms: Sequence[AffineForm]) -> Arrangement:
     """Homogenize an affine arrangement, prepending the infinity hyperplane z0."""
     forms = [ProjForm.make([1] + [0] * n)]
@@ -211,14 +241,8 @@ def decone(arr: Arrangement) -> list[AffineForm]:
         raise ArrgmError(
             "decone requires the infinity hyperplane to be a coordinate hyperplane"
         )
-    drop = nonzero[0]
-    out = []
-    for i in arr.finite_indices:
-        coeffs = arr.hyperplanes[i].coeffs
-        constant = Fraction(coeffs[drop])
-        lin = [Fraction(c) for j, c in enumerate(coeffs) if j != drop]
-        out.append(AffineForm(constant, tuple(lin)))
-    return out
+    chart = AffineChart(nonzero[0])
+    return [chart.affine(arr.hyperplanes[i]) for i in arr.finite_indices]
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,9 @@ import argparse
 import json
 import sys
 from . import fixtures as fixture_mod
+from ._sampling import RatSampler
 from .arrangement import (
+    AffineChart,
     Arrangement,
     ProjForm,
     bad_loci,
@@ -36,7 +38,14 @@ from .errors import (
     SampleRejectedError,
 )
 from .exactnum import rat_from_str, rat_to_str
-from .gaussmanin import DEFAULT_SEED, GMConnection, MovingFamily, flatness_check, gm_matrix
+from .gaussmanin import (
+    DEFAULT_SEED,
+    GMConnection,
+    MovingFamily,
+    flatness_check,
+    gm_matrix,
+    sample_parameter_points,
+)
 from .matroid import MatroidContext
 from .monodromy import monodromy, projector_structure, residue_of
 from .osalg import OSContext
@@ -171,21 +180,9 @@ def cmd_aomoto_dims(args) -> int:
     if weights is None:
         raise ArrgmError("aomoto-dims needs numeric weights")
     if weights.ah is not None:
-        from ._sampling import RatSampler
-
-        comps = discriminant(arr)
-        from .gaussmanin import _affine_component
-
-        affine = [_affine_component(c, arr) for c in comps]
-        sampler = RatSampler(args.seed)
-        point = None
-        for _ in range(400):
-            cand = tuple(sampler.rational(24, 7) for _ in range(arr.n))
-            if all(f.evaluate(cand) != 0 for f in affine):
-                point = cand
-                break
-        if point is None:
-            raise SampleRejectedError("no off-discriminant parameter point found")
+        chart = AffineChart.of(arr)
+        affine = [chart.affine(c) for c in discriminant(arr)]
+        (point,) = sample_parameter_points(arr.n, affine, 1, RatSampler(args.seed))
         fiber = FiberContext(arr, point)
     else:
         fiber = FiberContext(arr, None)

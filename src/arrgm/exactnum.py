@@ -12,7 +12,8 @@ provides
 * ``QMat`` + ``solve_linear`` -- dense exact matrices and a fraction-free
   (Bareiss) Gaussian elimination that returns particular solutions and a
   kernel basis, or reports the failing row of an inconsistent system.
-* ``affine_fit`` -- recover a ``WeightExpr`` from exact samples.
+* ``affine_fit`` / ``affine_fit_batch`` -- recover ``WeightExpr`` values from
+  exact samples, one solve for any number of value columns.
 * ``cexp_matrix`` -- complex matrix exponential by scaling-and-squaring with
   a degree-13 Pade approximant (used for monodromy representatives).
 
@@ -457,21 +458,39 @@ def affine_fit(samples: Sequence[tuple[Mapping[str, Rat], Rat]]) -> WeightExpr:
     """
     if not samples:
         raise ValueError("affine_fit needs at least one sample")
-    symbols = sorted({s for assignment, _ in samples for s in assignment})
-    rows = [[QQ1] + [Fraction(assignment.get(s, QQ0)) for s in symbols] for assignment, _ in samples]
-    values = [Fraction(v) for _, v in samples]
+    return affine_fit_batch([a for a, _ in samples], [[v for _, v in samples]])[0]
+
+
+def affine_fit_batch(
+    assignments: Sequence[Mapping[str, Rat]],
+    columns: Sequence[Sequence[Rat]],
+) -> list[WeightExpr]:
+    """``affine_fit`` of many value columns sampled at the same assignments.
+
+    ``columns[c][s]`` is the value of the c-th expression at ``assignments[s]``.
+    All columns share one coefficient matrix, so they are fitted by a single
+    exact solve; every fitted expression is then re-evaluated exactly at
+    every sample.
+    """
+    if not assignments:
+        raise ValueError("affine_fit needs at least one sample")
+    symbols = sorted({s for assignment in assignments for s in assignment})
+    points = [{s: Fraction(a.get(s, QQ0)) for s in symbols} for a in assignments]
+    rows = [[QQ1] + [point[s] for s in symbols] for point in points]
     try:
-        result = solve_linear(rows, [values])
+        result = solve_linear(rows, columns)
     except InconsistentSystemError:
         raise NonlinearFitError() from None
     if result.rank < len(symbols) + 1:
         raise ValueError("sample assignments do not span affinely")
-    sol = result.solutions[0]
-    expr = WeightExpr.make(sol[0], {s: sol[1 + i] for i, s in enumerate(symbols)})
-    for assignment, value in samples:
-        if expr.evaluate({s: Fraction(assignment.get(s, QQ0)) for s in symbols}) != value:
-            raise NonlinearFitError()
-    return expr
+    out = []
+    for sol, values in zip(result.solutions, columns):
+        expr = WeightExpr.make(sol[0], {s: sol[1 + i] for i, s in enumerate(symbols)})
+        for point, value in zip(points, values):
+            if expr.evaluate(point) != value:
+                raise NonlinearFitError()
+        out.append(expr)
+    return out
 
 
 # ---------------------------------------------------------------------------

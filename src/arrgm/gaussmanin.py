@@ -11,6 +11,23 @@ component along h0 = 0 is not fitted: homogenizing each degree-one affine
 component contributes -dlog h0, so its residue is minus the sum of all the
 others.
 
+``gm_matrix`` does each piece of work at the level it depends on:
+
+* once per family: the discriminant components in the affine chart, the
+  fixed fiber (its matroid, nbc basis and Jacobians), the raw derivatives,
+  and the weight settings;
+* once per parameter point: the fiber context with its circuits, the
+  partial-fraction reduction of every raw derivative, and the nbc
+  coordinates of the reduced forms;
+* once per point and weight setting: the class-reduction solve;
+* once per sampling round: the dlog rows of the samples, shared by the
+  rank check and the residue fit;
+* once per call: one exact solve fitting every residue entry of every
+  setting, and one exact solve lifting every entry to the weights.  Both
+  fits stay overdetermined and verified exactly (the residues on held-out
+  samples, the lift at every weight setting), and the fitted systems have
+  full column rank, so batching leaves every solution unchanged.
+
 ``flatness_check`` verifies integrability, numerically at random rational
 points and symbolically (as a polynomial identity in weights and parameters)
 for small connections.
@@ -23,17 +40,29 @@ from fractions import Fraction
 from typing import Sequence
 
 from ._sampling import RatSampler
-from .arrangement import AffineForm, Arrangement, ProjForm, bad_loci, discriminant
-from .errors import ArrgmError, ConnectionFitError, SampleRejectedError
+from .arrangement import (
+    AffineChart,
+    AffineForm,
+    Arrangement,
+    ProjForm,
+    bad_loci,
+    discriminant,
+)
+from .errors import (
+    ArrgmError,
+    ConnectionFitError,
+    InconsistentSystemError,
+    SampleRejectedError,
+)
 from .exactnum import (
     Rat,
     WeightExpr,
     WeightPoly,
-    affine_fit,
+    affine_fit_batch,
+    matrix_rank,
     rat_to_str,
     solve_linear,
 )
-from .errors import InconsistentSystemError
 from .aomoto import (
     ClassReducer,
     FiberContext,
@@ -42,7 +71,6 @@ from .aomoto import (
     reduce_rational_form,
     validate_weights,
 )
-from .matroid import MatroidContext
 from .osalg import ExtElem
 
 QQ0 = Fraction(0)
@@ -77,7 +105,12 @@ class MovingFamily:
         return self.base.size
 
     def fiber(self, params: Sequence[Rat]) -> FiberContext:
-        return FiberContext(self.base, params)
+        """The fiber at a parameter point.
+
+        It does not warn about a re-ranked infinity hyperplane: ``gm_matrix``
+        warns once per call, through the fixed fiber.
+        """
+        return FiberContext(self.base, params, warn_rerank=False)
 
 
 @dataclass(frozen=True)
@@ -139,20 +172,27 @@ class GMConnection:
 # raw parameter derivatives
 # ---------------------------------------------------------------------------
 
-def raw_derivative(family: MovingFamily, basis: Sequence[int], k: int) -> RatForm:
+def raw_derivative(
+    family: MovingFamily,
+    basis: Sequence[int],
+    k: int,
+    fixed: FiberContext | None = None,
+) -> RatForm:
     """dl_k coefficient of the connection image of e_J: a_h (x_k / x_s) e_J.
 
     Expanded over the coordinate volume form, e_J contributes the constant
     Jacobian factor of its affine forms, so the result is the rational form
     (x_k * det_J) / (prod_{j in J} f_j * x_s) dx_1..dx_n tagged with the
-    symbolic factor ``ah``.
+    symbolic factor ``ah``.  ``fixed`` is the family's fixed fiber
+    ``FiberContext(family.base, None)``, built here when not given.
     """
     n = family.n
     if not 1 <= k <= n:
         raise ValueError(f"parameter index {k} out of range 1..{n}")
     J = tuple(sorted(basis))
-    fiber0 = FiberContext(family.base, None)
-    det = fiber0.jacobian_det(J)
+    if fixed is None:
+        fixed = FiberContext(family.base, None)
+    det = fixed.jacobian_det(J)
     if det == 0:
         raise ArrgmError(f"basis tuple {J} has dependent affine forms")
     numerator = WeightPoly.make({((f"x{k}", 1),): det})
@@ -163,19 +203,20 @@ def raw_derivative(family: MovingFamily, basis: Sequence[int], k: int) -> RatFor
 # sampling helpers
 # ---------------------------------------------------------------------------
 
-def _sample_parameter_points(
-    family: MovingFamily,
+def sample_parameter_points(
+    n: int,
     affine_components: Sequence[AffineForm],
     count: int,
     sampler: RatSampler,
 ) -> list[tuple[Fraction, ...]]:
+    """``count`` distinct rational points of C^n off every given affine component."""
     points: list[tuple[Fraction, ...]] = []
     attempts = 0
     while len(points) < count:
         attempts += 1
         if attempts > 200 * count:
             raise SampleRejectedError("could not sample enough off-discriminant points")
-        candidate = tuple(sampler.rational(24, 7) for _ in range(family.n))
+        candidate = tuple(sampler.rational(24, 7) for _ in range(n))
         if candidate in points:
             continue
         if any(f.evaluate(candidate) == 0 for f in affine_components):
@@ -249,23 +290,6 @@ def _sample_weight_settings(family: MovingFamily, flats) -> list[Weights]:
 # the connection matrix
 # ---------------------------------------------------------------------------
 
-def _affine_component(form: ProjForm, base: Arrangement) -> AffineForm:
-    """Affine version of a dual-space component in the chart h_drop = 1."""
-    inf_coeffs = base.hyperplanes[base.infinity_index].coeffs
-    drop = next(i for i, c in enumerate(inf_coeffs) if c != 0)
-    constant = Fraction(form.coeffs[drop])
-    lin = [Fraction(c) for j, c in enumerate(form.coeffs) if j != drop]
-    return AffineForm(constant, tuple(lin))
-
-
-def _h0_form(base: Arrangement) -> ProjForm:
-    inf_coeffs = base.hyperplanes[base.infinity_index].coeffs
-    drop = next(i for i, c in enumerate(inf_coeffs) if c != 0)
-    coeffs = [0] * (base.n + 1)
-    coeffs[drop] = 1
-    return ProjForm.make(coeffs)
-
-
 def gm_matrix(family: MovingFamily) -> GMConnection:
     """Compute the full connection matrix with exact residues.
 
@@ -277,14 +301,17 @@ def gm_matrix(family: MovingFamily) -> GMConnection:
     """
     base = family.base
     n = base.n
+    chart = AffineChart.of(base)
     components = discriminant(base)
-    h0 = _h0_form(base)
-    affine_all = [(form, _affine_component(form, base)) for form in components]
+    h0 = chart.projective(AffineForm.make(1, [0] * n))
+    affine_all = [(form, chart.affine(form)) for form in components]
     visible = [(form, aff) for form, aff in affine_all if any(c != 0 for c in aff.lin)]
     flats = bad_loci(base)
 
-    base_matroid = MatroidContext(base)
-    basis = base_matroid.nbc_sets(n)
+    # The fixed fiber is the only context of this call that warns about a
+    # re-ranked infinity hyperplane; the fibers at the samples stay quiet.
+    fixed = FiberContext(base, None)
+    basis = fixed.nbc(n)
     if not basis:
         raise ArrgmError("fixed arrangement has no nbc bases in top degree")
     nbasis = len(basis)
@@ -303,7 +330,7 @@ def gm_matrix(family: MovingFamily) -> GMConnection:
     nheld = 2
     sampler = RatSampler(family.seed)
     raw_forms = [
-        [raw_derivative(family, J, k) for k in range(1, n + 1)] for J in basis
+        [raw_derivative(family, J, k, fixed) for k in range(1, n + 1)] for J in basis
     ]
 
     # Evaluate the coordinate functions of every raw derivative at parameter
@@ -312,10 +339,11 @@ def gm_matrix(family: MovingFamily) -> GMConnection:
     max_rounds = 8
     for attempt in range(max_rounds):
         try:
-            points = _sample_parameter_points(
-                family, [aff for _, aff in visible], nfit + nheld, sampler
+            points = sample_parameter_points(
+                n, [aff for _, aff in visible], nfit + nheld, sampler
             )
-            if _dlog_rank(visible, points[:nfit], n) < len(visible):
+            dlog_rows = _dlog_rows(visible, points)
+            if matrix_rank(dlog_rows[: nfit * n]) < len(visible):
                 raise SampleRejectedError("dlog sample matrix is rank deficient")
             coords = _evaluate_samples(family, basis, raw_forms, points, weight_settings)
             break
@@ -323,25 +351,14 @@ def gm_matrix(family: MovingFamily) -> GMConnection:
             if attempt == max_rounds - 1:
                 raise
 
-    residues_by_setting: list[dict[tuple[int, int], list[Fraction]]] = []
-    for widx in range(len(weight_settings)):
-        residues_by_setting.append(
-            _fit_residues(
-                family,
-                visible,
-                points,
-                nfit,
-                coords[widx],
-                nbasis,
-            )
-        )
+    residues_by_setting = _fit_residues(dlog_rows, nfit * n, coords, nbasis, n)
 
     symbol_order = tuple(base.finite_indices)
     if family.weights is not None:
-        lifted = _constant_lift(residues_by_setting[0], visible, nbasis)
+        lifted = _constant_lift(residues_by_setting[0])
     else:
         lifted = _affine_lift(
-            residues_by_setting, weight_settings, symbol_order, visible, nbasis
+            residues_by_setting, weight_settings, symbol_order, len(visible), nbasis
         )
 
     comp_list: list[GMComponent] = []
@@ -376,11 +393,10 @@ def _evaluate_samples(
 ) -> list[list[list[list[Fraction]]]]:
     """coords[w][sample][flat(J,k)] = coordinate vector over the fixed basis.
 
-    The partial-fraction reduction of each raw derivative is weight
-    independent and shared across settings; only the class reduction is per
-    weight setting.
+    The partial-fraction reduction of each raw derivative and the nbc
+    coordinates of its normal form are weight independent and shared
+    across settings; only the class reduction is per weight setting.
     """
-    n = family.n
     coords: list[list[list[list[Fraction]]]] = [
         [] for _ in weight_settings
     ]
@@ -392,74 +408,62 @@ def _evaluate_samples(
                 bare = RatForm(form.numerator, form.poles, form.wedge, None)
                 reduced.append(reduce_rational_form(bare, fiber))
         for widx, weights in enumerate(weight_settings):
-            reducer = ClassReducer(fiber, weights)
+            reducer = ClassReducer(fiber, weights, basis)
             vectors = reducer.reduce_batch(reduced)
             ah = weights.ah
             coords[widx].append([[ah * c for c in vec] for vec in vectors])
     return coords
 
 
-def _dlog_rank(
+def _dlog_rows(
     visible: list[tuple[ProjForm, AffineForm]],
     points: list[tuple[Fraction, ...]],
-    n: int,
-) -> int:
-    from .exactnum import matrix_rank
-
+) -> list[list[Fraction]]:
+    """Row s*n + k holds the dl_{k+1} coefficients of dlog f_p at sample s."""
     rows = []
     for point in points:
-        for k in range(n):
-            rows.append([aff.lin[k] / aff.evaluate(point) for _, aff in visible])
-    return matrix_rank(rows) if rows else 0
+        values = [aff.evaluate(point) for _, aff in visible]
+        for k in range(len(point)):
+            rows.append([aff.lin[k] / v for (_, aff), v in zip(visible, values)])
+    return rows
 
 
 def _fit_residues(
-    family: MovingFamily,
-    visible: list[tuple[ProjForm, AffineForm]],
-    points: list[tuple[Fraction, ...]],
-    nfit: int,
-    coords_by_sample: list[list[list[Fraction]]],
+    dlog_rows: list[list[Fraction]],
+    nfit_rows: int,
+    coords: list[list[list[list[Fraction]]]],
     nbasis: int,
-) -> dict[tuple[int, int], list[Fraction]]:
-    """Fit entry (i, j) as sum_p r_p dlog f_p; verify on held-out samples.
+    n: int,
+) -> list[dict[tuple[int, int], list[Fraction]]]:
+    """Fit entry (i, j) of every weight setting as sum_p r_p dlog f_p.
 
-    ``coords_by_sample[sample][j * n + (k-1)][i]`` is the dl_k coordinate of
-    the image of basis element j on basis element i.
+    ``coords[w][sample][j * n + (k-1)][i]`` is the dl_k coordinate of the
+    image of basis element j on basis element i at weight setting w.  Every
+    entry shares the dlog rows, so the first ``nfit_rows`` rows fit all of
+    them in one exact solve; each fitted entry is then verified exactly on
+    the remaining (held-out) rows.
     """
-    n = family.n
-    out: dict[tuple[int, int], list[Fraction]] = {}
-    nvis = len(visible)
-    dlog_rows: list[list[list[Fraction]]] = []  # [sample][k][p]
-    for point in points:
-        rows_k = []
-        for k in range(n):
-            row = []
-            for _, aff in visible:
-                row.append(aff.lin[k] / aff.evaluate(point))
-            rows_k.append(row)
-        dlog_rows.append(rows_k)
-    for j in range(nbasis):
-        for i in range(nbasis):
-            rows = []
-            values = []
-            for s in range(nfit):
-                for k in range(n):
-                    rows.append(dlog_rows[s][k])
-                    values.append(coords_by_sample[s][j * n + k][i])
-            try:
-                solution = solve_linear(rows, [values])
-            except InconsistentSystemError as exc:
-                raise ConnectionFitError() from exc
-            assert solution.rank == nvis  # guaranteed by the presample rank check
-            r = solution.solutions[0]
-            for s in range(nfit, len(points)):
-                for k in range(n):
-                    predicted = sum(
-                        (r[p] * dlog_rows[s][k][p] for p in range(nvis)), QQ0
-                    )
-                    if predicted != coords_by_sample[s][j * n + k][i]:
-                        raise ConnectionFitError()
-            out[(i, j)] = r
+    keys = [
+        (w, i, j) for w in range(len(coords)) for j in range(nbasis) for i in range(nbasis)
+    ]
+    columns = [
+        [coords[w][r // n][j * n + r % n][i] for r in range(len(dlog_rows))]
+        for w, i, j in keys
+    ]
+    try:
+        solution = solve_linear(
+            dlog_rows[:nfit_rows], [column[:nfit_rows] for column in columns]
+        )
+    except InconsistentSystemError as exc:
+        raise ConnectionFitError() from exc
+    assert solution.rank == len(dlog_rows[0])  # guaranteed by the presample rank check
+    held_out = dlog_rows[nfit_rows:]
+    out: list[dict[tuple[int, int], list[Fraction]]] = [{} for _ in coords]
+    for (w, i, j), r, column in zip(keys, solution.solutions, columns):
+        for row, value in zip(held_out, column[nfit_rows:]):
+            if sum((rp * dp for rp, dp in zip(r, row)), QQ0) != value:
+                raise ConnectionFitError()
+        out[w][(i, j)] = r
     return out
 
 
@@ -467,28 +471,27 @@ def _affine_lift(
     residues_by_setting: list[dict[tuple[int, int], list[Fraction]]],
     weight_settings: list[Weights],
     symbol_order: tuple[int, ...],
-    visible: list,
+    nvis: int,
     nbasis: int,
 ) -> dict[tuple[int, int], list[WeightExpr]]:
+    """Lift every residue entry (i, j, p) to an affine-linear weight expression.
+
+    All entries are sampled at the same weight settings, so one exact solve
+    fits them all (``affine_fit_batch``).
+    """
     assignments = [w.symbol_assignment(symbol_order) for w in weight_settings]
-    out: dict[tuple[int, int], list[WeightExpr]] = {}
-    for i in range(nbasis):
-        for j in range(nbasis):
-            fitted = []
-            for p in range(len(visible)):
-                samples = [
-                    (assignments[widx], residues_by_setting[widx][(i, j)][p])
-                    for widx in range(len(weight_settings))
-                ]
-                fitted.append(affine_fit(samples))
-            out[(i, j)] = fitted
-    return out
+    keys = [(i, j) for i in range(nbasis) for j in range(nbasis)]
+    columns = [
+        [residues[key][p] for residues in residues_by_setting]
+        for key in keys
+        for p in range(nvis)
+    ]
+    fitted = affine_fit_batch(assignments, columns)
+    return {key: fitted[idx * nvis : (idx + 1) * nvis] for idx, key in enumerate(keys)}
 
 
 def _constant_lift(
     residues: dict[tuple[int, int], list[Fraction]],
-    visible: list,
-    nbasis: int,
 ) -> dict[tuple[int, int], list[WeightExpr]]:
     return {
         key: [WeightExpr.constant(v) for v in vec] for key, vec in residues.items()
@@ -587,9 +590,10 @@ def flatness_check(
 
 
 def _component_pairs(connection: GMConnection, base: Arrangement):
+    chart = AffineChart.of(base)
     out = []
     for comp in connection.components:
-        aff = _affine_component(comp.form, base)
+        aff = chart.affine(comp.form)
         if any(c != 0 for c in aff.lin):
             out.append((comp, aff))
     return out

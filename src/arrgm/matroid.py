@@ -57,12 +57,13 @@ class MatroidContext:
 
     The linear order used for least elements is the user order with the
     infinity hyperplane moved to the front; a warning is emitted when that
-    changes the relative order of the input.
+    changes the relative order of the input, unless ``warn_rerank`` is off
+    (a caller that builds many contexts of one family warns once itself).
     """
 
-    def __init__(self, arr: Arrangement):
+    def __init__(self, arr: Arrangement, warn_rerank: bool = True):
         self.arr = arr
-        if arr.infinity_index != 0:
+        if warn_rerank and arr.infinity_index != 0:
             warnings.warn(
                 "infinity hyperplane re-ranked least; broken circuits use the adjusted order",
                 stacklevel=3,

@@ -280,3 +280,14 @@ class TestClassReduction:
         lhs = reducer.reduce(g1.scale(F(3, 2)) + g2.scale(-2))
         c1, c2 = reducer.reduce_batch([g1, g2])
         assert lhs == [F(3, 2) * a - 2 * b for a, b in zip(c1, c2)]
+
+    def test_given_fixed_basis_matches_recomputed(self):
+        base = ceva().arrangement
+        fixed_basis = FiberContext(base, None).nbc(base.n)
+        fiber = FiberContext(base, [F(2), F(-5, 3)])
+        w = Weights.make({i: F(i, 11) for i in range(1, 6)}, F(3, 7))
+        elems = [E(*t) for t in fiber.nbc(base.n)]
+        recomputed = ClassReducer(fiber, w)
+        given = ClassReducer(fiber, w, fixed_basis)
+        assert given.fixed_basis == recomputed.fixed_basis
+        assert given.reduce_batch(elems) == recomputed.reduce_batch(elems)

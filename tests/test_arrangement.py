@@ -8,6 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 from arrgm.arrangement import (
+    AffineChart,
     AffineForm,
     ProjForm,
     bad_loci,
@@ -86,6 +87,16 @@ class TestConeDecone:
             (F(0), (F(0), F(1))),
             (F(1), (F(1), F(1))),
         ]
+
+    def test_chart_round_trip_with_infinity_elsewhere(self):
+        # infinity is z2 = 0, so the chart sets z2 = 1 and keeps (z0, z1)
+        arr = validate([P(1, 0, 0), P(0, 1, 0), P(0, 0, 1), P(1, 2, -3)], 2)
+        chart = AffineChart.of(arr)
+        assert chart.drop == 2
+        assert chart.affine(P(1, 2, -3)) == AffineForm.make(-3, [1, 2])
+        assert decone(arr) == [chart.affine(arr.hyperplanes[i]) for i in arr.finite_indices]
+        for h in arr.hyperplanes:
+            assert chart.projective(chart.affine(h)) == h
 
 
 def brute_force_flats(arr):

@@ -15,6 +15,7 @@ from arrgm.exactnum import (
     WeightExpr,
     WeightPoly,
     affine_fit,
+    affine_fit_batch,
     cexp_matrix,
     matrix_rank,
     rat_from_str,
@@ -145,6 +146,28 @@ class TestAffineFit:
                 assignments.append(shifted)
             samples = [(a, expr.evaluate(a)) for a in assignments]
             assert affine_fit(samples) == expr
+
+    def test_batch_equals_column_by_column(self):
+        sampler = RatSampler(29)
+        symbols = ("a1", "a2", "ah")
+        assignments = [{s: sampler.rational(7, 5) for s in symbols} for _ in range(5)]
+        columns = []
+        for _ in range(12):
+            expr = WeightExpr.make(
+                sampler.rational(9, 5), {s: sampler.rational(9, 5) for s in symbols[:2]}
+            )
+            columns.append([expr.evaluate(a) for a in assignments])
+        batch = affine_fit_batch(assignments, columns)
+        assert batch == [affine_fit(list(zip(assignments, column))) for column in columns]
+
+    def test_batch_rejects_one_nonlinear_column(self):
+        assignments = [{"a1": F(k), "a2": F(k * k)} for k in range(4)]
+        columns = [[F(2 * k + 1) for k in range(4)], [F(k**3) for k in range(4)]]
+        with pytest.raises(NonlinearFitError):
+            affine_fit_batch(assignments, columns)
+        assert affine_fit_batch(assignments, columns[:1]) == [
+            WeightExpr.make(1, {"a1": 2})
+        ]
 
 
 class TestCexpMatrix:

@@ -2,18 +2,28 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+import sys
+import warnings
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
+from arrgm import exactnum, gaussmanin
+from arrgm._sampling import RatSampler
 from arrgm.arrangement import ProjForm, validate
 from arrgm.aomoto import Weights
+from arrgm.errors import ConnectionFitError, NonlinearFitError
 from arrgm.exactnum import WeightExpr, WeightPoly
 from arrgm.fixtures import ceva, example1
 from arrgm.gaussmanin import (
     GMComponent,
     GMConnection,
     MovingFamily,
+    _affine_lift,
+    _fit_residues,
     flatness_check,
     gm_matrix,
     raw_derivative,
@@ -258,3 +268,157 @@ class TestCevaConnection:
         for i in (4, 5):
             for comp in conn.components:
                 assert comp.residue[i][0] == W()
+
+
+def connection_digest(conn: GMConnection) -> str:
+    return hashlib.sha256(json.dumps(conn.to_json(), sort_keys=True).encode()).hexdigest()
+
+
+def generic_p3_family() -> MovingFamily:
+    """Coordinate frame of P^3 (z0 at infinity) plus one plane in general position."""
+    frame = [[1 if j == i else 0 for j in range(4)] for i in range(4)]
+    arr = validate([P(*row) for row in frame + [[2, -1, 3, -2]]], 0)
+    weights = Weights.make({1: F(2, 7), 2: F(-3, 11), 3: F(5, 13), 4: F(-1, 9)}, F(4, 15))
+    return MovingFamily(arr, weights)
+
+
+class TestByteIdentity:
+    """The exact output is fixed: a change may only alter the time to compute it.
+
+    Digests of ``json.dumps(conn.to_json(), sort_keys=True)``, recorded before
+    the residue fit and the weight lift were batched.
+    """
+
+    @pytest.mark.parametrize(
+        "family, expected",
+        [
+            (
+                lambda: MovingFamily(example1().arrangement),
+                "643458a73a41d3d96040a60b25c389bcb82a3c900af7981f2de27b80d6fd6713",
+            ),
+            (
+                lambda: MovingFamily(ceva().arrangement),
+                "61b12a6bbedf46b9a5b0c171571c587fd522b1c6b30af5ad35de51a96ca2a94b",
+            ),
+            (
+                generic_p3_family,
+                "b83f85e434f3b5028b4a878ccf810f2af41939baa2e880b7f869cb380a18b9a4",
+            ),
+        ],
+        ids=["example1", "ceva", "generic-p3-numeric"],
+    )
+    def test_connection_digest(self, family, expected):
+        assert connection_digest(gm_matrix(family())) == expected
+
+
+def synthetic_fit_data(n=2, nvis=3, nbasis=2, nsettings=2, nsamples=7):
+    """dlog rows and the coordinates of exact residues r[w][(i, j)] on them."""
+    sampler = RatSampler(41)
+    dlog_rows = [sampler.rational_vector(nvis, 9, 7) for _ in range(nsamples * n)]
+    residues = [
+        {(i, j): sampler.rational_vector(nvis, 9, 5) for i in range(nbasis) for j in range(nbasis)}
+        for _ in range(nsettings)
+    ]
+    coords = [
+        [
+            [
+                [
+                    sum((rp * dp for rp, dp in zip(residues[w][(i, j)], dlog_rows[s * n + k])), F(0))
+                    for i in range(nbasis)
+                ]
+                for j in range(nbasis)
+                for k in range(n)
+            ]
+            for s in range(nsamples)
+        ]
+        for w in range(nsettings)
+    ]
+    return dlog_rows, coords, residues
+
+
+class TestBatchedChecks:
+    def test_fit_recovers_residues(self):
+        dlog_rows, coords, residues = synthetic_fit_data()
+        assert _fit_residues(dlog_rows, 5 * 2, coords, 2, 2) == residues
+
+    @pytest.mark.parametrize("setting", [0, 1])
+    def test_perturbed_held_out_coordinate_fails_fit(self, setting):
+        dlog_rows, coords, _ = synthetic_fit_data()
+        # sample 6 is held out: the first 5 samples (10 rows) fit
+        coords[setting][6][1 * 2 + 1][0] += 1
+        with pytest.raises(ConnectionFitError):
+            _fit_residues(dlog_rows, 5 * 2, coords, 2, 2)
+
+    def test_perturbed_fit_coordinate_fails_fit(self):
+        dlog_rows, coords, _ = synthetic_fit_data()
+        coords[1][0][0][1] += F(1, 3)
+        with pytest.raises(ConnectionFitError):
+            _fit_residues(dlog_rows, 5 * 2, coords, 2, 2)
+
+    def lift_data(self):
+        """Residues of affine expressions at m + 3 settings of (a1, a2, ah)."""
+        settings = [
+            Weights.make({1: F(1, 3) + d1, 2: F(1, 5) + d2}, F(1, 2) + dh)
+            for d1, d2, dh in [
+                (0, 0, 0), (F(1, 7), 0, 0), (0, F(1, 7), 0), (0, 0, F(1, 7)),
+                (F(1, 7), F(1, 7), F(1, 7)),
+            ]
+        ]
+        exprs = {
+            (i, j): [WeightExpr.make(i - j, {"a1": p + 1, "ah": j - p}) for p in range(2)]
+            for i in range(2)
+            for j in range(2)
+        }
+        symbol_order = (1, 2)
+        residues = [
+            {key: [e.evaluate(w.symbol_assignment(symbol_order)) for e in vec] for key, vec in exprs.items()}
+            for w in settings
+        ]
+        return residues, settings, symbol_order, exprs
+
+    def test_lift_recovers_expressions(self):
+        residues, settings, order, exprs = self.lift_data()
+        assert _affine_lift(residues, settings, order, 2, 2) == exprs
+
+    @pytest.mark.parametrize("setting", [0, 2, 4])
+    def test_perturbed_setting_fails_lift(self, setting):
+        residues, settings, order, _ = self.lift_data()
+        residues[setting][(1, 0)][1] += F(1, 11)
+        with pytest.raises(NonlinearFitError):
+            _affine_lift(residues, settings, order, 2, 2)
+
+
+def test_fit_and_lift_solve_once(monkeypatch):
+    """Structural guard on the batching: one exact solve fits every residue
+    entry of every weight setting, and one lifts them all to the weights."""
+    callers = Counter()
+    real = exactnum.solve_linear
+
+    def counting(*args, **kwargs):
+        callers[sys._getframe(1).f_code.co_name] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(gaussmanin, "solve_linear", counting)
+    monkeypatch.setattr(exactnum, "solve_linear", counting)
+    lifts = Counter()
+    real_batch = gaussmanin.affine_fit_batch
+
+    def counting_batch(*args, **kwargs):
+        lifts[sys._getframe(1).f_code.co_name] += 1
+        return real_batch(*args, **kwargs)
+
+    monkeypatch.setattr(gaussmanin, "affine_fit_batch", counting_batch)
+    gm_matrix(MovingFamily(ceva().arrangement))
+    assert callers["_fit_residues"] == 1
+    assert lifts == Counter({"_affine_lift": 1})
+    assert callers["affine_fit_batch"] == 1
+
+
+def test_rerank_warning_once_per_call():
+    arr = validate([P(0, 1, 0), P(1, 0, 0), P(0, 0, 1), P(1, 1, 1), P(1, -2, 3)], 1)
+    for _ in range(2):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            gm_matrix(MovingFamily(arr))
+        reranked = [w for w in caught if "re-ranked" in str(w.message)]
+        assert len(reranked) == 1
