@@ -456,8 +456,6 @@ def affine_fit(samples: Sequence[tuple[Mapping[str, Rat], Rat]]) -> WeightExpr:
     affinely (at least k+1 of them for k active symbols); values that are not
     affine-linear in the symbols raise :class:`NonlinearFitError`.
     """
-    if not samples:
-        raise ValueError("affine_fit needs at least one sample")
     return affine_fit_batch([a for a, _ in samples], [[v for _, v in samples]])[0]
 
 
