@@ -111,11 +111,17 @@ class Arrangement:
 
     @staticmethod
     def from_json(data: dict) -> "Arrangement":
-        return validate(
-            [ProjForm.make(row) for row in data["hyperplanes"]],
-            data.get("infinity", 0),
-            n=data.get("n"),
-        )
+        """Parse the ``to_json`` layout; malformed data raises :class:`ArrgmError`."""
+        if not isinstance(data, dict) or not isinstance(data.get("hyperplanes"), list):
+            raise ArrgmError("arrangement data needs a 'hyperplanes' list")
+        infinity, n = data.get("infinity", 0), data.get("n")
+        if not isinstance(infinity, int) or not (n is None or isinstance(n, int)):
+            raise ArrgmError("arrangement 'infinity' and 'n' must be integers")
+        try:
+            forms = [ProjForm.make(row) for row in data["hyperplanes"]]
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise ArrgmError(f"bad hyperplane literal: {exc}") from exc
+        return validate(forms, infinity, n=n)
 
 
 def validate(forms: Sequence[ProjForm], infinity_index: int, n: int | None = None) -> Arrangement:

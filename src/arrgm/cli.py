@@ -7,9 +7,11 @@ the arrangement argument also accepts the names of the two built-in example
 families (``example1``, ``ceva``).  All sampling flows through one seeded
 generator, so identical invocations produce byte-identical output.
 
-Exit codes: 0 success, 2 validation failure, 3 resonance, 4 internal
-consistency failure.  Errors are also emitted as machine-readable JSON on
-stderr.
+Exit codes: 0 success, 2 validation failure (a typed ``ArrgmError`` raised
+while checking the input, or an unreadable file), 3 resonance, 4 internal
+consistency failure or any other exception, which is a fault of the program.
+Errors are also emitted as machine-readable JSON on stderr, naming the
+exception type; exit 4 for an untyped exception adds its traceback.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from . import fixtures as fixture_mod
 from ._sampling import RatSampler
 from .arrangement import (
@@ -68,14 +71,30 @@ def load_arrangement(spec: str) -> Arrangement:
         return Arrangement.from_json(json.load(handle))
 
 
-def load_weights(spec: str) -> Weights | None:
+def load_weights(spec: str, arr: Arrangement) -> Weights | None:
+    """Weights file ``{"a": {index: literal}, "ah": literal}``, or None for "symbolic".
+
+    Every finite hyperplane of ``arr`` needs a weight, and no other index may
+    carry one.
+    """
     if spec == "symbolic":
         return None
     with open(spec, "r", encoding="utf-8") as handle:
         data = json.load(handle)
-    a = {int(k): rat_from_str(v) for k, v in data.get("a", {}).items()}
-    ah = data.get("ah")
-    return Weights.make(a, None if ah is None else rat_from_str(ah))
+    try:
+        a = {int(k): rat_from_str(v) for k, v in data.get("a", {}).items()}
+        ah = data.get("ah")
+        ah = None if ah is None else rat_from_str(ah)
+    except (AttributeError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ArrgmError(f"bad key or literal in weights file {spec}: {exc}") from exc
+    finite = arr.finite_indices
+    missing = [i for i in finite if i not in a]
+    if missing:
+        raise ArrgmError(f"weights file {spec} has no weight for hyperplane(s) {missing}")
+    extra = sorted(set(a) - set(finite))
+    if extra:
+        raise ArrgmError(f"weights file {spec} names no finite hyperplane(s) {extra}")
+    return Weights.make(a, ah)
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -176,7 +195,7 @@ def cmd_discriminant(args) -> int:
 
 def cmd_aomoto_dims(args) -> int:
     arr = load_arrangement(args.arrangement)
-    weights = load_weights(args.weights)
+    weights = load_weights(args.weights, arr)
     if weights is None:
         raise ArrgmError("aomoto-dims needs numeric weights")
     if weights.ah is not None:
@@ -194,7 +213,7 @@ def cmd_aomoto_dims(args) -> int:
 
 def cmd_gauss_manin(args) -> int:
     arr = load_arrangement(args.arrangement)
-    weights = load_weights(args.weights)
+    weights = load_weights(args.weights, arr)
     family = MovingFamily(arr, weights, seed=args.seed)
     conn = gm_matrix(family)
     _emit(args, conn.to_json(), _connection_text(conn, arr.n))
@@ -203,14 +222,25 @@ def cmd_gauss_manin(args) -> int:
 
 def cmd_monodromy(args) -> int:
     arr = load_arrangement(args.arrangement)
-    weights = load_weights(args.weights)
+    weights = load_weights(args.weights, arr)
     if weights is None:
         raise ArrgmError("monodromy needs numeric weights")
-    component = ProjForm.make([rat_from_str(c) for c in args.component.split(",")])
+    try:
+        coeffs = [rat_from_str(c) for c in args.component.split(",")]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ArrgmError(f"bad --component literal {args.component!r}: {exc}") from exc
+    component = ProjForm.make(coeffs)
     family = MovingFamily(arr, None, seed=args.seed)
     conn = gm_matrix(family)
     matrix = residue_of(conn, component)
-    result = monodromy(matrix, conn.assignment_for(weights), mode=args.mode)
+    assignment = conn.assignment_for(weights)
+    unassigned = sorted({s for row in matrix for e in row for s, _ in e.coeffs} - set(assignment))
+    if unassigned:
+        raise ArrgmError(
+            f"weights file {args.weights} has no value for {', '.join(unassigned)}, "
+            f"which the residue along {args.component} uses"
+        )
+    result = monodromy(matrix, assignment, mode=args.mode)
     payload = result.to_json()
     text_rows = [
         "  ".join(f"{z.real:+.12f}{z.imag:+.12f}j" for z in row) for row in result.matrix
@@ -289,7 +319,7 @@ def cmd_verify_paper(args) -> int:
             "exactly as the independent period oracle predicts (published tables drop "
             "the moving residue ah on those diagonals); all other entries match"
         )
-    flat = flatness_check(conn, arr, trials=5, symbolic=conn.size <= 8)
+    flat = flatness_check(conn, arr)
     if flat.ok:
         report.append("PASS flatness (curvature vanishes exactly)")
     else:
@@ -398,13 +428,18 @@ def main(argv: list[str] | None = None) -> int:
     except (ConnectionFitError, NotLogarithmicError, SampleRejectedError) as exc:
         _error(exc, EXIT_INTERNAL)
         return EXIT_INTERNAL
-    except (ArrgmError, OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ArrgmError, OSError, json.JSONDecodeError) as exc:
         _error(exc, EXIT_VALIDATION)
         return EXIT_VALIDATION
+    except Exception as exc:  # a fault of the program, not of its input
+        _error(exc, EXIT_INTERNAL, traceback.format_exc())
+        return EXIT_INTERNAL
 
 
-def _error(exc: Exception, code: int) -> None:
+def _error(exc: Exception, code: int, trace: str | None = None) -> None:
     payload = {"error": type(exc).__name__, "message": str(exc), "exit": code}
+    if trace is not None:
+        payload["traceback"] = trace
     print(json.dumps(payload), file=sys.stderr)
 
 

@@ -202,8 +202,8 @@ class WeightPoly:
 
     Keys are sorted ``(symbol, exponent)`` tuples; no zero coefficients are
     stored; the zero polynomial has no terms.  Symbols are arbitrary strings,
-    so the same type also carries polynomials in parameter symbols where a
-    joint symbolic check needs them.
+    so the same type also carries the numerators of rational forms in the
+    coordinate symbols x1..xn.
     """
 
     terms: tuple[tuple[Monomial, Rat], ...]

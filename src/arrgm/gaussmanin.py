@@ -28,13 +28,15 @@ others.
   samples, the lift at every weight setting), and the fitted systems have
   full column rank, so batching leaves every solution unchanged.
 
-``flatness_check`` verifies integrability, numerically at random rational
-points and symbolically (as a polynomial identity in weights and parameters)
-for small connections.
+``flatness_check`` verifies integrability exactly and completely by Kohno's
+codimension-2 criterion: for every rank-2 flat X of the components and every
+p in X, [A_p, sum_{q in X} A_q] = 0 as a polynomial identity in the weights.
+No point is sampled and no size is exempt.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -47,6 +49,7 @@ from .arrangement import (
     ProjForm,
     bad_loci,
     discriminant,
+    format_linear,
 )
 from .errors import (
     ArrgmError,
@@ -60,7 +63,6 @@ from .exactnum import (
     WeightPoly,
     affine_fit_batch,
     matrix_rank,
-    rat_to_str,
     solve_linear,
 )
 from .aomoto import (
@@ -317,6 +319,8 @@ def gm_matrix(family: MovingFamily) -> GMConnection:
     nbasis = len(basis)
 
     if family.weights is not None:
+        if family.weights.ah is None:
+            raise ArrgmError("numeric weights of a moving family need the moving weight ah")
         report = validate_weights(base, family.weights, bad_flats=flats)
         if not report.ok:
             raise ArrgmError(
@@ -505,179 +509,80 @@ def _constant_lift(
 @dataclass(frozen=True)
 class FlatnessReport:
     ok: bool
-    trials: int
-    symbolic_checked: bool
     witness: str | None = None
 
 
-def flatness_check(
-    connection: GMConnection,
-    base: Arrangement,
-    trials: int = 5,
-    seed: int = DEFAULT_SEED,
-    symbolic: bool | None = None,
-) -> FlatnessReport:
-    """Verify zero curvature of M = sum_p A_p dlog f_p.
+def flatness_check(connection: GMConnection, base: Arrangement) -> FlatnessReport:
+    """Verify zero curvature of M = sum_p A_p dlog f_p exactly, for all weights.
 
-    Numerically: at random rational parameter and weight points, the matrix
-    2-form coefficient sum_{p<q} [A_p, A_q] (dlog f_p ^ dlog f_q)_{uv} must
-    vanish exactly for every coordinate pair (u, v).  Symbolically (default
-    for connections of size <= 8): the same identity is checked as a
-    polynomial in the weight and parameter symbols after clearing
-    denominators.
+    The residues are constant in the parameters, so M is flat iff M ^ M = 0.
+    By the Brieskorn decomposition of the degree-2 Orlik-Solomon algebra this
+    splits over the codimension-2 flats X of the central arrangement of all
+    components in h0..hn, h0 included (Kohno's criterion): [A_p, S_X] = 0 for
+    every p in X, with S_X the sum of the A_q over q in X.  Since the
+    residues sum to zero, this is flatness on the projective complement.
+    The h0 residue is read as stored: residues whose sum S does not commute
+    with every A_p make the central connection curved, and fail.
+    Each commutator entry is checked as a polynomial identity in the weight
+    symbols.  ``base`` supplies n for the h-names in the witness.
     """
-    if symbolic is None:
-        symbolic = connection.size <= 8
-    pairs = _component_pairs(connection, base)
-    sampler = RatSampler(seed ^ 0xF1A7)
-    n = base.n
-
-    for trial in range(trials):
-        point = None
-        for _ in range(200):
-            candidate = tuple(sampler.rational(20, 9) for _ in range(n))
-            if all(aff.evaluate(candidate) != 0 for _, aff in pairs):
-                point = candidate
-                break
-        if point is None:
-            raise SampleRejectedError("no off-component point for flatness trial")
-        assignment = {
-            sym: sampler.rational(12, 7)
-            for sym in _symbols_used(connection)
-        }
-        matrices = [
-            (
-                aff,
-                [[e.evaluate(assignment) for e in row] for row in comp.residue],
-            )
-            for (comp, aff) in pairs
-        ]
-        for u in range(n):
-            for v in range(u + 1, n):
-                total = [[QQ0] * connection.size for _ in range(connection.size)]
-                for p in range(len(matrices)):
-                    fp, ap = matrices[p]
-                    wp = [fp.lin[u] / fp.evaluate(point), fp.lin[v] / fp.evaluate(point)]
-                    for q in range(p + 1, len(matrices)):
-                        fq, aq = matrices[q]
-                        wq = [
-                            fq.lin[u] / fq.evaluate(point),
-                            fq.lin[v] / fq.evaluate(point),
-                        ]
-                        cross = wp[0] * wq[1] - wp[1] * wq[0]
-                        if cross == 0:
-                            continue
-                        comm = _commutator(ap, aq)
-                        for r in range(connection.size):
-                            for c in range(connection.size):
-                                total[r][c] += cross * comm[r][c]
-                for r in range(connection.size):
-                    for c in range(connection.size):
-                        if total[r][c] != 0:
-                            return FlatnessReport(
-                                False,
-                                trial + 1,
-                                False,
-                                witness=f"trial {trial}: curvature[{r}][{c}] = "
-                                f"{rat_to_str(total[r][c])} at l = {point}",
-                            )
-
-    if symbolic:
-        witness = _flatness_symbolic(connection, base)
-        if witness is not None:
-            return FlatnessReport(False, trials, True, witness=witness)
-    return FlatnessReport(True, trials, symbolic, None)
-
-
-def _component_pairs(connection: GMConnection, base: Arrangement):
-    chart = AffineChart.of(base)
-    out = []
-    for comp in connection.components:
-        aff = chart.affine(comp.form)
-        if any(c != 0 for c in aff.lin):
-            out.append((comp, aff))
-    return out
-
-
-def _symbols_used(connection: GMConnection) -> list[str]:
-    syms = set()
-    for comp in connection.components:
-        for row in comp.residue:
-            for e in row:
-                for s, _ in e.coeffs:
-                    syms.add(s)
-    return sorted(syms)
-
-
-def _commutator(a, b):
-    size = len(a)
-    ab = [
-        [sum((a[i][t] * b[t][j] for t in range(size)), QQ0) for j in range(size)]
-        for i in range(size)
-    ]
-    ba = [
-        [sum((b[i][t] * a[t][j] for t in range(size)), QQ0) for j in range(size)]
-        for i in range(size)
-    ]
-    return [[ab[i][j] - ba[i][j] for j in range(size)] for i in range(size)]
-
-
-def _flatness_symbolic(connection: GMConnection, base: Arrangement) -> str | None:
-    """Polynomial identity check of the curvature over joint weight/parameter symbols."""
-    pairs = _component_pairs(connection, base)
-    n = base.n
+    comps = connection.components
+    residues = [[[e.to_poly() for e in row] for row in c.residue] for c in comps]
     size = connection.size
-    zero = WeightPoly.zero()
-
-    def lsym(k: int) -> str:
-        return f"l{k + 1}"
-
-    f_polys = []
-    for _, aff in pairs:
-        terms = {(): aff.constant}
-        for k, c in enumerate(aff.lin):
-            terms[((lsym(k), 1),)] = c
-        f_polys.append(WeightPoly.make(terms))
-
-    residue_polys = [
-        [[e.to_poly() for e in row] for row in comp.residue] for comp, _ in pairs
-    ]
-
-    for u in range(n):
-        for v in range(u + 1, n):
-            total = [[zero for _ in range(size)] for _ in range(size)]
-            for p in range(len(pairs)):
-                for q in range(p + 1, len(pairs)):
-                    cross = (
-                        pairs[p][1].lin[u] * pairs[q][1].lin[v]
-                        - pairs[p][1].lin[v] * pairs[q][1].lin[u]
-                    )
-                    if cross == 0:
-                        continue
-                    rest = WeightPoly.constant(cross)
-                    for r in range(len(pairs)):
-                        if r != p and r != q:
-                            rest = rest * f_polys[r]
-                    comm_pq = _poly_commutator(residue_polys[p], residue_polys[q])
-                    for r in range(size):
-                        for c in range(size):
-                            if not comm_pq[r][c].is_zero:
-                                total[r][c] = total[r][c] + comm_pq[r][c] * rest
+    names = [f"h{i}" for i in range(base.n + 1)]
+    for flat in _codim2_flats([c.form for c in comps]):
+        total = [
+            [sum((residues[q][r][c] for q in flat), WeightPoly.zero()) for c in range(size)]
+            for r in range(size)
+        ]
+        # the commutators with S_X sum to [S_X, S_X] = 0, so the last is implied
+        for p in flat[:-1]:
+            comm = _poly_commutator(residues[p], total)
             for r in range(size):
                 for c in range(size):
-                    if not total[r][c].is_zero:
-                        return f"symbolic curvature[{r}][{c}] != 0 for pair ({u},{v})"
-    return None
+                    if not comm[r][c].is_zero:
+                        forms = ", ".join(format_linear(comps[q].form.coeffs, names) for q in flat)
+                        return FlatnessReport(
+                            False,
+                            witness=f"flat {{{forms}}}: [A_p, S_X][{r}][{c}] != 0 "
+                            f"for p = {format_linear(comps[p].form.coeffs, names)}",
+                        )
+    return FlatnessReport(True)
+
+
+def _codim2_flats(forms: Sequence[ProjForm]) -> list[tuple[int, ...]]:
+    """Rank-2 flats of the central arrangement of ``forms``, as index tuples.
+
+    Each flat is the closure of a pair of (pairwise independent) forms: the
+    indices of every form in their span.
+    """
+    flats: list[tuple[int, ...]] = []
+    covered: set[tuple[int, int]] = set()
+    for pair in itertools.combinations(range(len(forms)), 2):
+        if pair in covered:
+            continue
+        rows = [forms[i].coeffs for i in pair]
+        flat = tuple(
+            r
+            for r in range(len(forms))
+            if r in pair or matrix_rank(rows + [forms[r].coeffs]) == 2
+        )
+        flats.append(flat)
+        covered.update(itertools.combinations(flat, 2))
+    return flats
 
 
 def _poly_commutator(a, b):
+    """ab - ba for square matrices of ``WeightPoly``; zero entries are skipped."""
     size = len(a)
     zero = WeightPoly.zero()
     out = [[zero for _ in range(size)] for _ in range(size)]
-    for i in range(size):
-        for j in range(size):
-            acc = zero
+    for left, right, sign in ((a, b, 1), (b, a, -1)):
+        for i in range(size):
             for t in range(size):
-                acc = acc + a[i][t] * b[t][j] - b[i][t] * a[t][j]
-            out[i][j] = acc
+                if left[i][t].is_zero:
+                    continue
+                for j in range(size):
+                    if not right[t][j].is_zero:
+                        out[i][j] = out[i][j] + (left[i][t] * right[t][j]).scale(sign)
     return out

@@ -2,14 +2,18 @@
 
 A loop around a discriminant component acts on the cohomology bundle, for
 non-resonant residues, by a conjugacy class of exp(-2 pi i A) where A is the
-component's residue matrix.  The residue matrices at hand satisfy the rank
-structure A^2 = tr(A) A, which gives the closed form
+component's residue matrix.  A residue of rank one satisfies
+A^2 = tr(A) A, which gives the closed form
 
     T = I + (exp(-2 pi i t) - 1) / t * A      (t = tr A != 0)
     T = I - 2 pi i A                          (t = 0, then A^2 = 0)
 
-cross-checkable against the numeric matrix exponential.  Only the conjugacy
-class is canonical; the representative returned is taken in the nbc basis.
+cross-checkable against the numeric matrix exponential.  Not every residue
+has rank one: the four triple-point components of ``ceva`` have rank-2
+residues with A^2 = lambda_X A and tr A = 2 lambda_X, so A^2 != tr(A) A.
+``projector_structure`` rejects those, and ``monodromy`` uses the numeric
+exponential for them.  Only the conjugacy class is canonical; the
+representative returned is taken in the nbc basis.
 """
 
 from __future__ import annotations
@@ -122,9 +126,12 @@ def monodromy(
     """Monodromy representative exp(-2 pi i A) at numeric weights.
 
     ``mode`` is "closed_form", "numeric" or "both"; the closed form needs the
-    rank structure A^2 = tr(A) A.  Residues whose eigenvalues differ by a
-    nonzero integer raise :class:`ResonantResidueError` (the conjugacy-class
-    formula does not apply there).
+    rank structure A^2 = tr(A) A, which rank-one residues have.  For a residue
+    without it (the rank-2 triple-point residues of ``ceva``, where
+    A^2 = lambda_X A with tr A = 2 lambda_X), "closed_form" raises and "both"
+    returns the numeric exponential alone.  Residues whose eigenvalues differ
+    by a nonzero integer raise :class:`ResonantResidueError` (the
+    conjugacy-class formula does not apply there).
     """
     if mode not in ("closed_form", "numeric", "both"):
         raise ValueError(f"unknown mode {mode!r}")

@@ -304,11 +304,8 @@ def test_criterion_6_structural_invariants(conn_example1, conn_ceva):
                 for comp in conn.components:
                     total = total + comp.residue[i][j]
                 assert total == zero
-        # flatness: symbolic for the small connection, numeric for the larger
-        symbolic = fixture.name == "example1"
-        report = flatness_check(
-            conn, fixture.arrangement, trials=5, symbolic=symbolic
-        )
+        # flatness: exact for both connections
+        report = flatness_check(conn, fixture.arrangement)
         assert report.ok, report.witness
         # boundary squares to zero on random elements
         sampler = RatSampler(101 + conn.size)

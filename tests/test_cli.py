@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from arrgm import cli
+
 CLI = [sys.executable, "-m", "arrgm.cli"]
 
 
@@ -153,3 +155,67 @@ def test_verify_paper_reports_known_deviations():
     assert "PASS monodromy closed forms" in proc.stdout
     assert "known deviation" in proc.stdout
     assert "UNEXPECTED" not in proc.stdout
+
+
+def run_main(capsys, *argv) -> tuple[int, dict | None]:
+    """Run the CLI in-process; return the exit code and the JSON error, if any."""
+    code = cli.main(list(argv))
+    err = capsys.readouterr().err
+    return code, json.loads(err) if err else None
+
+
+def test_bad_component_literal_exit_code(tmp_path: Path, capsys):
+    weights = tmp_path / "w.json"
+    weights.write_text(
+        json.dumps({"a": {"1": "1/3", "2": "1/7", "3": "1/5"}, "ah": "-1/2"})
+    )
+    code, err = run_main(
+        capsys, "monodromy", "--arrangement", "example1",
+        "--weights", str(weights), "--component", "0,x,0",
+    )
+    assert code == 2
+    assert err["error"] == "ArrgmError" and "--component" in err["message"]
+
+
+def test_weights_missing_hyperplane_exit_code(tmp_path: Path, capsys):
+    weights = tmp_path / "w.json"
+    weights.write_text(json.dumps({"a": {"1": "1/3", "3": "1/5"}, "ah": "-1/2"}))
+    code, err = run_main(
+        capsys, "monodromy", "--arrangement", "example1",
+        "--weights", str(weights), "--component", "0,1,0",
+    )
+    assert code == 2
+    assert err["error"] == "ArrgmError" and "hyperplane(s) [2]" in err["message"]
+
+
+def test_weights_without_ah_exit_code(tmp_path: Path, capsys):
+    weights = tmp_path / "w.json"
+    weights.write_text(json.dumps({"a": {"1": "1/3", "2": "1/7", "3": "1/5"}}))
+    code, err = run_main(
+        capsys, "gauss-manin", "--arrangement", "example1", "--weights", str(weights)
+    )
+    assert code == 2 and "ah" in err["message"]
+    code, err = run_main(
+        capsys, "monodromy", "--arrangement", "example1",
+        "--weights", str(weights), "--component", "1,0,0",
+    )
+    assert code == 2 and "no value for ah" in err["message"]
+
+
+def test_malformed_arrangement_exit_code(tmp_path: Path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"n": 2, "hyperplanes": [["1", "0", "0"], ["0", "1/0", "1"]]}))
+    code, err = run_main(capsys, "nbc", "--arrangement", str(bad))
+    assert code == 2
+    assert err["error"] == "ArrgmError"
+
+
+def test_internal_error_exit_code(monkeypatch, capsys):
+    def broken(family):
+        raise KeyError(2)
+
+    monkeypatch.setattr(cli, "gm_matrix", broken)
+    code, err = run_main(capsys, "gauss-manin", "--arrangement", "example1")
+    assert code == 4
+    assert err["error"] == "KeyError" and err["exit"] == 4
+    assert "broken" in err["traceback"]

@@ -8,12 +8,13 @@ import sys
 import warnings
 from collections import Counter
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
 from arrgm import exactnum, gaussmanin
 from arrgm._sampling import RatSampler
-from arrgm.arrangement import ProjForm, validate
+from arrgm.arrangement import AffineChart, ProjForm, validate
 from arrgm.aomoto import Weights
 from arrgm.errors import ConnectionFitError, NonlinearFitError
 from arrgm.exactnum import WeightExpr, WeightPoly
@@ -226,11 +227,73 @@ class TestExample1Connection:
         ]
 
 
+def curvature_vanishes(conn, base, points, weight_points) -> bool:
+    """Reference curvature check at fixed rational points and weights.
+
+    Evaluates the curvature 2-form sum_{p<q} [A_p, A_q] (dlog f_p ^ dlog f_q)_{uv}
+    of M = sum_p A_p dlog f_p exactly, for every coordinate pair u < v, on the
+    affine chart (the h0 component has no affine part).  Being a finite
+    sample, only a nonzero value is conclusive.
+    """
+    chart = AffineChart.of(base)
+    affine = [(chart.affine(c.form), c.residue) for c in conn.components]
+    affine = [(f, residue) for f, residue in affine if any(f.lin)]
+    size = conn.size
+
+    def product(a, b):
+        return [
+            [sum((a[i][t] * b[t][j] for t in range(size)), F(0)) for j in range(size)]
+            for i in range(size)
+        ]
+
+    for point in points:
+        for assignment in weight_points:
+            terms = []
+            for f, residue in affine:
+                value = f.evaluate(point)
+                assert value != 0, f"reference point {point} lies on a component"
+                matrix = [[e.evaluate(assignment) for e in row] for row in residue]
+                terms.append(([c / value for c in f.lin], matrix))
+            for u, v in combinations(range(base.n), 2):
+                total = [[F(0)] * size for _ in range(size)]
+                for (wp, ap), (wq, aq) in combinations(terms, 2):
+                    cross = wp[u] * wq[v] - wp[v] * wq[u]
+                    if cross == 0:
+                        continue
+                    ab, ba = product(ap, aq), product(aq, ap)
+                    for i in range(size):
+                        for j in range(size):
+                            total[i][j] += cross * (ab[i][j] - ba[i][j])
+                if any(x != 0 for row in total for x in row):
+                    return False
+    return True
+
+
+def with_entry_added(conn, delta, components) -> GMConnection:
+    """``conn`` with ``delta`` added to entry [0][0] of the given components."""
+    comps = []
+    for idx, comp in enumerate(conn.components):
+        rows = [list(row) for row in comp.residue]
+        if idx in components:
+            rows[0][0] = rows[0][0] + delta
+        comps.append(GMComponent(comp.form, tuple(tuple(r) for r in rows)))
+    return GMConnection(conn.basis, tuple(comps), conn.weight_symbol_order)
+
+
+@pytest.fixture(scope="module")
+def ceva_connection():
+    return gm_matrix(MovingFamily(ceva().arrangement))
+
+
 class TestFlatness:
     def test_example1_flat_symbolically(self):
         conn = gm_matrix(MovingFamily(example1().arrangement))
-        report = flatness_check(conn, example1().arrangement, trials=5, symbolic=True)
-        assert report.ok and report.symbolic_checked
+        report = flatness_check(conn, example1().arrangement)
+        assert report.ok
+        # a defect in a weight coefficient, invisible at a1 = 0, is rejected:
+        # the identities are checked for all weights
+        defect = with_entry_added(conn, W(a1=1), range(len(conn.components) - 1))
+        assert not flatness_check(defect, example1().arrangement).ok
 
     def test_perturbed_connection_fails(self):
         conn = gm_matrix(MovingFamily(example1().arrangement))
@@ -243,13 +306,70 @@ class TestFlatness:
             else:
                 tampered.append(comp)
         bad = GMConnection(conn.basis, tuple(tampered), conn.weight_symbol_order)
-        report = flatness_check(bad, example1().arrangement, trials=5, symbolic=False)
+        report = flatness_check(bad, example1().arrangement)
         assert not report.ok and report.witness is not None
 
     def test_one_by_one_always_flat(self):
         conn = gm_matrix(point_line_family())
-        report = flatness_check(conn, point_line_family().base, trials=3, symbolic=True)
+        report = flatness_check(conn, point_line_family().base)
         assert report.ok
+
+    @pytest.mark.parametrize("name", ["example1", "ceva"])
+    @pytest.mark.parametrize(
+        "delta, flat",
+        [(None, True), (W(1), False), (W(a1=1), False)],
+        ids=["computed", "plus-one", "plus-a1"],
+    )
+    def test_agrees_with_curvature_reference(
+        self, name, delta, flat, example1_connection, ceva_connection
+    ):
+        conn = example1_connection if name == "example1" else ceva_connection
+        base = (example1() if name == "example1" else ceva()).arrangement
+        if delta is not None:
+            # every component but h0, which is last
+            conn = with_entry_added(conn, delta, range(len(conn.components) - 1))
+        symbols = sorted(
+            {s for c in conn.components for row in c.residue for e in row for s, _ in e.coeffs}
+        )
+        weight_points = [
+            {s: F(2 * k + 3, 7 + t) for k, s in enumerate(symbols)} for t in (0, 5)
+        ]
+        points = [(F(2, 7), F(-5, 3)), (F(7, 4), F(1, 9))]
+        assert curvature_vanishes(conn, base, points, weight_points) is flat
+        assert flatness_check(conn, base).ok is flat
+
+    def test_witness_names_flat_component_and_entry(self, example1_connection):
+        base = example1().arrangement
+        bad = with_entry_added(example1_connection, W(1), (0,))
+        report = flatness_check(bad, base)
+        assert not report.ok
+        assert report.witness == "flat {h2, h1-h2, h1}: [A_p, S_X][0][2] != 0 for p = h2"
+
+    def test_stored_h0_residue_is_checked(self, example1_connection):
+        """The h0 residue has no affine part, but it enters its flats."""
+        last = len(example1_connection.components) - 1
+        bad = with_entry_added(example1_connection, W(1), (last,))
+        assert not flatness_check(bad, example1().arrangement).ok
+
+    def test_exact_above_size_eight(self):
+        """Generic P^2 with 6 lines: 10 nbc elements, certified exactly."""
+        frame = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        arr = validate([P(*row) for row in frame + [[1, 1, 1], [1, 2, -3], [2, -1, 3]]], 0)
+        weights = Weights.make(
+            {1: F(2, 7), 2: F(-3, 11), 3: F(5, 13), 4: F(-1, 9), 5: F(3, 17)}, F(4, 15)
+        )
+        conn = gm_matrix(MovingFamily(arr, weights))
+        assert conn.size == 10
+        assert flatness_check(conn, arr).ok
+        assert not flatness_check(with_entry_added(conn, W(1), (0,)), arr).ok
+
+    def test_draws_no_samples(self, monkeypatch, ceva_connection):
+        class NoSampler:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("flatness_check drew a sample")
+
+        monkeypatch.setattr(gaussmanin, "RatSampler", NoSampler)
+        assert flatness_check(ceva_connection, ceva().arrangement).ok
 
 
 class TestCevaConnection:
