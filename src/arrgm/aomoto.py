@@ -44,7 +44,9 @@ from .exactnum import (
     Rat,
     WeightExpr,
     WeightPoly,
+    determinant,
     matrix_rank,
+    nullspace,
     solve_linear,
 )
 from .matroid import MatroidContext
@@ -235,40 +237,44 @@ class FiberContext:
         return [list(self.affine[i].lin) for i in indices]
 
     def jacobian_det(self, indices: Sequence[int]) -> Fraction:
-        from .arrangement import _det
-
-        return _det(self.lin_rows(indices))
+        return determinant(self.lin_rows(indices))
 
     # -- affine circuits ------------------------------------------------------
 
     def affine_circuits(self) -> list[AffineCircuit]:
-        """Minimal subsets of finite forms whose linear parts are dependent."""
+        """Minimal subsets of finite forms whose linear parts are dependent.
+
+        A set S of finite forms has dependent linear parts exactly when S plus
+        infinity is dependent in the cone, so these are the minimal sets among
+        the cone circuits with infinity removed: every circuit through
+        infinity, minus infinity, and every circuit avoiding infinity that
+        contains none of those.  The relation mu (leading entry 1) is the
+        kernel of the linear parts; the cone dependency differs from it by a
+        scalar, because the moving form is normalized projectively.
+        """
         if self._affine_circuits is not None:
             return self._affine_circuits
+        inf = self.arr.infinity_index
+        circuits = self.matroid.circuits()
+        through = [
+            tuple(i for i in circ.support if i != inf)
+            for circ in circuits
+            if circ.contains_infinity
+        ]
+        supports = through + [
+            circ.support
+            for circ in circuits
+            if not circ.contains_infinity
+            and not any(set(t).issubset(circ.support) for t in through)
+        ]
         out: list[AffineCircuit] = []
-        supports: list[set[int]] = []
-        indices = self.finite_indices
-        for size in range(2, self.n + 2):
-            for subset in itertools.combinations(indices, size):
-                sset = set(subset)
-                if any(known <= sset for known in supports):
-                    continue
-                lin_cols = [
-                    [self.affine[i].lin[j] for i in subset] for j in range(self.n)
-                ]
-                kernel = solve_linear(lin_cols, []).kernel
-                if not kernel:
-                    continue
-                assert len(kernel) == 1, "minimal dependent set has a unique relation"
-                mu = kernel[0]
-                lead = next(x for x in mu if x != 0)
-                mu = [x / lead for x in mu]
-                c = sum(
-                    (m * self.affine[i].constant for m, i in zip(mu, subset)), QQ0
-                )
-                out.append(AffineCircuit(subset, tuple(mu), c))
-                supports.append(sset)
-        out.sort(key=lambda circ: circ.support)
+        for support in sorted(supports):
+            kernel = nullspace(list(zip(*self.lin_rows(support))))
+            assert len(kernel) == 1, "minimal dependent set has a unique relation"
+            lead = next(x for x in kernel[0] if x != 0)
+            mu = tuple(x / lead for x in kernel[0])
+            c = sum((m * self.affine[i].constant for m, i in zip(mu, support)), QQ0)
+            out.append(AffineCircuit(support, mu, c))
         self._affine_circuits = out
         return out
 
@@ -664,18 +670,3 @@ def weights_for_extended(fiber: FiberContext, weights: Weights) -> Weights:
     values = dict(weights.a)
     values[fiber.moving_index] = weights.ah
     return Weights.make(values, None)
-
-
-# ---------------------------------------------------------------------------
-# JSON views
-# ---------------------------------------------------------------------------
-
-def log_comb_to_json(fiber: FiberContext, comb: ExtElem) -> dict:
-    """ExtElem JSON with the moving index rendered as "s"."""
-    terms = []
-    for tup, c in comb.terms:
-        idx = ["s" if i == fiber.moving_index else i for i in tup]
-        from .exactnum import rat_to_str
-
-        terms.append({"idx": idx, "c": rat_to_str(c)})
-    return {"terms": terms}

@@ -10,8 +10,7 @@ intersections, ordered by reverse inclusion), the non-normal-crossing flats
 (``bad_loci``), coning/deconing between affine and projective descriptions,
 and the discriminant of a moving extra hyperplane in the dual coordinates
 ``h0..hn``: one linear component for every independent n-subset of the fixed
-hyperplanes, obtained as the (n+1) x (n+1) minor of their coefficient rows
-stacked with the symbolic row (h0..hn).
+hyperplanes, whose coefficients span the kernel of their n coefficient rows.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import ArrgmError, DuplicateHyperplaneError, LeadingFrameError
-from .exactnum import Rat, matrix_rank, nullspace, rat_from_str, rat_to_str
+from .exactnum import QMat, Rat, matrix_rank, nullspace, rat_from_str, rat_to_str
 
 
 @dataclass(frozen=True)
@@ -99,8 +98,8 @@ class Arrangement:
     def finite_indices(self) -> list[int]:
         return [i for i in range(self.size) if i != self.infinity_index]
 
-    def form_rows(self, indices: Iterable[int]) -> list[list[Fraction]]:
-        return [[Fraction(c) for c in self.hyperplanes[i].coeffs] for i in indices]
+    def form_rows(self, indices: Iterable[int]) -> list[list[int]]:
+        return [list(self.hyperplanes[i].coeffs) for i in indices]
 
     def to_json(self) -> dict:
         return {
@@ -146,8 +145,7 @@ def validate(forms: Sequence[ProjForm], infinity_index: int, n: int | None = Non
             raise DuplicateHyperplaneError(seen[f.coeffs], i)
         seen[f.coeffs] = i
     leading = min(len(forms), dim + 1)
-    lead_rows = [[Fraction(c) for c in forms[i].coeffs] for i in range(leading)]
-    if matrix_rank(lead_rows) < leading:
+    if matrix_rank([forms[i].coeffs for i in range(leading)]) < leading:
         raise LeadingFrameError(f"leading {leading} forms are linearly dependent")
     if not 0 <= infinity_index < len(forms):
         raise ArrgmError(f"infinity index {infinity_index} out of range")
@@ -261,7 +259,10 @@ class Flat:
 
     support: tuple[int, ...]
     rank: int
-    closure_witness: tuple[tuple[Rat, ...], ...]  # echelon basis of the solution space
+    # Basis of the solution space: the ``nullspace`` basis of the support's
+    # forms, with unit entries on the free columns, so a function of the flat
+    # alone (the identity for the ambient flat).
+    closure_witness: tuple[tuple[Rat, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -283,39 +284,11 @@ class Lattice:
         }
 
 
-def _echelon_basis(vectors: list[list[Fraction]]) -> tuple[tuple[Fraction, ...], ...]:
-    """Canonical (reduced echelon) basis of the span of the given vectors."""
-    if not vectors:
-        return ()
-    rows = [list(v) for v in vectors]
-    ncols = len(rows[0])
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        piv = rows[r][c]
-        rows[r] = [x / piv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-        if r == len(rows):
-            break
-    return tuple(tuple(row) for row in rows[:r])
-
-
 def _flat_from_support(arr: Arrangement, support: Iterable[int]) -> Flat | None:
     """Close a support set; None when the intersection is empty in P^n."""
     support = sorted(set(support))
     if not support:
-        basis = _echelon_basis([
-            [Fraction(1) if i == j else Fraction(0) for j in range(arr.n + 1)]
-            for i in range(arr.n + 1)
-        ])
-        return Flat((), 0, basis)
+        return Flat((), 0, QMat.identity(arr.n + 1).entries)
     kernel = nullspace(arr.form_rows(support))
     if not kernel:
         return None  # empty projective intersection
@@ -324,7 +297,7 @@ def _flat_from_support(arr: Arrangement, support: Iterable[int]) -> Flat | None:
         if all(arr.hyperplanes[i].evaluate(vec) == 0 for vec in kernel)
     ]
     rank = arr.n + 1 - len(kernel)
-    return Flat(tuple(closed), rank, _echelon_basis([list(v) for v in kernel]))
+    return Flat(tuple(closed), rank, tuple(tuple(v) for v in kernel))
 
 
 def lattice(arr: Arrangement) -> Lattice:
@@ -377,46 +350,22 @@ def bad_loci(arr: Arrangement) -> list[Flat]:
 def discriminant(arr: Arrangement) -> list[ProjForm]:
     """Components of the locus in dual space where the moving hyperplane degenerates.
 
-    For every n-subset of hyperplanes with independent forms, stack their
-    coefficient rows with the symbolic dual row (h0..hn) and take the
-    determinant: a linear form in h that vanishes exactly when the moving
-    hyperplane passes through the subset's intersection point.  Components
-    are normalized, deduplicated and sorted canonically.
+    For every n-subset of hyperplanes with independent forms, the kernel of
+    their n coefficient rows is one line, spanned by the subset's
+    intersection point p (equivalently by the vector of signed n x n minors).
+    The component is h . p = 0: the linear form in h that vanishes exactly
+    when the moving hyperplane passes through p.  Components are
+    normalized, deduplicated and sorted canonically.
     """
-    n = arr.n
     seen: set[tuple[int, ...]] = set()
     out: list[ProjForm] = []
-    for subset in itertools.combinations(range(arr.size), n):
-        rows = arr.form_rows(subset)
-        if matrix_rank(rows) < n:
+    for subset in itertools.combinations(range(arr.size), arr.n):
+        kernel = nullspace(arr.form_rows(subset))
+        if len(kernel) != 1:
             continue
-        coeffs = []
-        for k in range(n + 1):
-            minor = [[row[j] for j in range(n + 1) if j != k] for row in rows]
-            coeffs.append((-1) ** (n + k) * _det(minor))
-        form = ProjForm.make(coeffs)
+        form = ProjForm.make(kernel[0])
         if form.coeffs not in seen:
             seen.add(form.coeffs)
             out.append(form)
     out.sort(key=lambda f: f.coeffs)
     return out
-
-
-def _det(rows: list[list[Fraction]]) -> Fraction:
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    m = [list(r) for r in rows]
-    det = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            det = -det
-        det *= m[c][c]
-        for i in range(c + 1, n):
-            factor = m[i][c] / m[c][c]
-            m[i] = [x - factor * y for x, y in zip(m[i], m[c])]
-    return det

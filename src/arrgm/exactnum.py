@@ -9,9 +9,13 @@ provides
   eliminated on construction through ``a0 = -(a1 + ... + am) - ah``.
 * ``WeightPoly``  -- sparse multivariate polynomials over ``Rat`` with string
   symbols (products of weight expressions live here).
-* ``QMat`` + ``solve_linear`` -- dense exact matrices and a fraction-free
-  (Bareiss) Gaussian elimination that returns particular solutions and a
-  kernel basis, or reports the failing row of an inconsistent system.
+* ``QMat``, ``solve_linear``, ``determinant``, ``matrix_rank``, ``nullspace``
+  -- dense exact matrices and the library's one exact elimination: rows are
+  cleared to integers and reduced by fraction-free (Bareiss) elimination.
+  The back substitution is fraction-free too (with d the last pivot, d x
+  is integral), so a solve returns particular solutions and a kernel basis,
+  or reports the failing row of an inconsistent system, and the
+  determinant is the signed last pivot over the row scales.
 * ``affine_fit`` / ``affine_fit_batch`` -- recover ``WeightExpr`` values from
   exact samples, one solve for any number of value columns.
 * ``cexp_matrix`` -- complex matrix exponential by scaling-and-squaring with
@@ -26,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -317,26 +321,31 @@ class LinearSolution:
     pivot_cols: list[int]
 
 
-def _integer_rows(rows: Matrix) -> list[list[int]]:
-    out = []
+def _integer_rows(rows: Iterable[Sequence[Rat | int]]) -> tuple[list[list[int]], list[int]]:
+    """Clear denominators row by row: (integer rows, scale of each row).
+
+    Entries are ``int`` or ``Fraction``; each row is multiplied by the least
+    common denominator of its entries, its scale.
+    """
+    out, scales = [], []
     for row in rows:
-        denom = 1
-        for x in row:
-            denom = denom * x.denominator // math.gcd(denom, x.denominator)
-        out.append([int(x * denom) for x in row])
-    return out
+        scale = math.lcm(*[x.denominator for x in row])
+        out.append([x.numerator * (scale // x.denominator) for x in row])
+        scales.append(scale)
+    return out, scales
 
 
-def _bareiss_echelon(aug: list[list[int]], ncols_a: int) -> tuple[list[list[int]], list[int], list[int]]:
-    """Fraction-free row echelon form of an integer matrix.
+def _bareiss_echelon(rows: list[list[int]], ncols_a: int) -> tuple[list[int], list[int], int]:
+    """Fraction-free (Bareiss) row echelon form of an integer matrix, in place.
 
     ``ncols_a`` counts the coefficient columns; pivots are only chosen there.
-    Returns (echelon rows, pivot column list, original row index per row).
+    Every entry stays integral, and the last pivot is the determinant of the
+    pivot rows and columns in echelon order.  Returns (pivot column list,
+    original row index per row, parity of the row swaps).
     """
-    rows = [list(r) for r in aug]
     origin = list(range(len(rows)))
-    ncols = len(rows[0]) if rows else 0
     pivots: list[int] = []
+    swaps = 0
     prev_pivot = 1
     r = 0
     for c in range(ncols_a):
@@ -347,21 +356,24 @@ def _bareiss_echelon(aug: list[list[int]], ncols_a: int) -> tuple[list[list[int]
                 break
         if pivot_row is None:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        origin[r], origin[pivot_row] = origin[pivot_row], origin[r]
-        piv = rows[r][c]
+        if pivot_row != r:
+            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+            origin[r], origin[pivot_row] = origin[pivot_row], origin[r]
+            swaps ^= 1
+        top = rows[r]
+        piv = top[c]
         for i in range(r + 1, len(rows)):
-            if all(x == 0 for x in rows[i]):
+            row = rows[i]
+            if not any(row):
                 continue
-            factor = rows[i][c]
-            for j in range(ncols):
-                rows[i][j] = (piv * rows[i][j] - factor * rows[r][j]) // prev_pivot
+            factor = row[c]
+            rows[i] = [(piv * x - factor * y) // prev_pivot for x, y in zip(row, top)]
         prev_pivot = piv
         pivots.append(c)
         r += 1
         if r == len(rows):
             break
-    return rows, pivots, origin
+    return pivots, origin, swaps
 
 
 def solve_linear(
@@ -370,76 +382,93 @@ def solve_linear(
 ) -> LinearSolution:
     """Solve ``M x = b`` exactly for each right-hand side ``b`` in ``rhs``.
 
-    Elimination is fraction-free (Bareiss) on the integer-cleared augmented
-    matrix, so intermediate entries stay integral and grow polynomially.
-    When the system is underdetermined, one particular solution is returned
-    together with a basis of the kernel.  An unsatisfiable equation raises
-    :class:`InconsistentSystemError` carrying the original row index.
+    Entries are ``int`` or ``Fraction``.  Elimination is fraction-free
+    (Bareiss) on the integer-cleared augmented matrix, and so is the back
+    substitution: with d the last pivot, d x is integral by Cramer's rule,
+    so every step divides exactly and each entry is one ``Fraction(y, d)``.
+    When the system is underdetermined, one particular solution (zero on the
+    free columns) is returned together with a kernel basis, one vector per
+    free column with entry 1 there and 0 on the other free columns.  An
+    unsatisfiable equation raises :class:`InconsistentSystemError` carrying
+    the original row index.
     """
-    rows = matrix.row_lists() if isinstance(matrix, QMat) else [
-        [Fraction(x) for x in row] for row in matrix
-    ]
+    rows = matrix.entries if isinstance(matrix, QMat) else matrix
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
-    rhs_list = [[Fraction(x) for x in b] for b in (rhs or [])]
+    rhs_list = list(rhs or [])
     for b in rhs_list:
         if len(b) != nrows:
             raise ValueError("right-hand side length does not match row count")
+    if not nrows:
+        return LinearSolution([[] for _ in rhs_list], [], 0, [])
 
-    aug = [rows[i] + [b[i] for b in rhs_list] for i in range(nrows)]
-    if not aug:
-        return LinearSolution([[ ] for _ in rhs_list], [], 0, [])
-    int_aug = _integer_rows(aug)
-    ech, pivots, origin = _bareiss_echelon(int_aug, ncols)
+    ech, _ = _integer_rows(
+        [*row, *(b[i] for b in rhs_list)] for i, row in enumerate(rows)
+    )
+    pivots, origin, _ = _bareiss_echelon(ech, ncols)
     rank = len(pivots)
-
-    nb = len(rhs_list)
     for i in range(rank, nrows):
-        if any(ech[i][j] != 0 for j in range(ncols)):
+        if any(ech[i][:ncols]):
             raise AssertionError("echelon rows below rank must vanish on coefficients")
-        for k in range(nb):
-            if ech[i][ncols + k] != 0:
-                raise InconsistentSystemError(origin[i])
+        if any(ech[i][ncols:]):
+            raise InconsistentSystemError(origin[i])
 
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
+    d = ech[rank - 1][pivots[rank - 1]] if rank else 1
+    tails = [
+        [(j, a) for j, a in enumerate(ech[r][c + 1 : ncols], start=c + 1) if a]
+        for r, c in enumerate(pivots)
+    ]
 
-    def back_substitute(target: list[Fraction], free_values: Mapping[int, Fraction]) -> Vector:
-        sol: list[Fraction] = [QQ0] * ncols
-        for c, v in free_values.items():
-            sol[c] = v
+    def back_substitute(y: list[int], column: int | None) -> Vector:
+        """Fill in y = d x on the pivot columns; y holds d x on the free ones."""
         for r in range(rank - 1, -1, -1):
-            c = pivots[r]
-            s = target[r]
-            for j in range(c + 1, ncols):
-                if ech[r][j] != 0 and sol[j] != 0:
-                    s -= Fraction(ech[r][j]) * sol[j]
-            sol[c] = s / Fraction(ech[r][c])
-        return sol
+            s = d * ech[r][column] if column is not None else 0
+            for j, a in tails[r]:
+                s -= a * y[j]
+            y[pivots[r]] = s // ech[r][pivots[r]]
+        return [Fraction(v, d) for v in y]
 
-    zero_free = {c: QQ0 for c in free_cols}
-    solutions = [
-        back_substitute([Fraction(ech[r][ncols + k]) for r in range(rank)], zero_free)
-        for k in range(nb)
-    ]
-    kernel = [
-        back_substitute([QQ0] * rank, {c: (QQ1 if c == fc else QQ0) for c in free_cols})
-        for fc in free_cols
-    ]
+    solutions = [back_substitute([0] * ncols, ncols + k) for k in range(len(rhs_list))]
+    pivot_set = set(pivots)
+    kernel = []
+    for fc in range(ncols):
+        if fc not in pivot_set:
+            y = [0] * ncols
+            y[fc] = d
+            kernel.append(back_substitute(y, None))
     return LinearSolution(solutions, kernel, rank, pivots)
+
+
+def determinant(matrix: Sequence[Sequence[Rat | int]]) -> Rat:
+    """Exact determinant of a square matrix of ``int`` or ``Fraction`` entries.
+
+    Plus or minus (by the parity of the row swaps) the last Bareiss pivot
+    over the product of the row scales; 0 when the matrix is singular and 1
+    for the empty matrix.
+    """
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise ValueError("determinant needs a square matrix")
+    if n == 0:
+        return QQ1
+    rows, scales = _integer_rows(matrix)
+    pivots, _, swaps = _bareiss_echelon(rows, n)
+    if len(pivots) < n:
+        return QQ0
+    last = rows[-1][-1]
+    return Fraction(-last if swaps else last, math.prod(scales))
 
 
 def matrix_rank(matrix: Sequence[Sequence[Rat | int]]) -> int:
     if not matrix or not matrix[0]:
         return 0
-    rows = [[Fraction(x) for x in row] for row in matrix]
-    int_rows = _integer_rows(rows)
-    _, pivots, _ = _bareiss_echelon(int_rows, len(rows[0]))
+    rows, _ = _integer_rows(matrix)
+    pivots, _, _ = _bareiss_echelon(rows, len(rows[0]))
     return len(pivots)
 
 
 def nullspace(matrix: Sequence[Sequence[Rat | int]]) -> list[Vector]:
-    """Basis of the exact kernel of a rational matrix."""
+    """Basis of the exact kernel of a rational matrix (see :func:`solve_linear`)."""
     if not matrix:
         return []
     return solve_linear(matrix, []).kernel

@@ -175,10 +175,6 @@ def _normalize_dependency(vec: list[Fraction]) -> tuple[Fraction, ...]:
     return tuple(x / lead for x in vec)
 
 
-def context(arr: Arrangement) -> MatroidContext:
-    return MatroidContext(arr)
-
-
 def is_dependent(arr: Arrangement, indices: tuple[int, ...]) -> tuple[bool, tuple[Rat, ...] | None]:
     """Linear dependence of the cone forms of ``indices``, with certificate.
 

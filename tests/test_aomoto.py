@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction as F
 
 import pytest
 
 from arrgm._sampling import RatSampler
-from arrgm.arrangement import ProjForm, validate
+from arrgm.arrangement import AffineChart, ProjForm, discriminant, validate
 from arrgm.aomoto import (
+    AffineCircuit,
     ClassReducer,
     FiberContext,
     RatForm,
@@ -20,8 +22,9 @@ from arrgm.aomoto import (
     validate_weights,
 )
 from arrgm.errors import NotLogarithmicError, ResonantWeightsError
-from arrgm.exactnum import WeightExpr, WeightPoly, matrix_rank
+from arrgm.exactnum import WeightExpr, WeightPoly, matrix_rank, solve_linear
 from arrgm.fixtures import ceva, example1
+from arrgm.gaussmanin import sample_parameter_points
 from arrgm.osalg import ExtElem, wedge
 
 
@@ -291,3 +294,54 @@ class TestClassReduction:
         given = ClassReducer(fiber, w, fixed_basis)
         assert given.fixed_basis == recomputed.fixed_basis
         assert given.reduce_batch(elems) == recomputed.reduce_batch(elems)
+
+
+def enumerated_affine_circuits(fiber: FiberContext) -> list[AffineCircuit]:
+    """Reference: enumerate subsets of the finite forms by size, one solve each."""
+    out: list[AffineCircuit] = []
+    supports: list[set[int]] = []
+    for size in range(2, fiber.n + 2):
+        for subset in itertools.combinations(fiber.finite_indices, size):
+            sset = set(subset)
+            if any(known <= sset for known in supports):
+                continue
+            lin_cols = [[fiber.affine[i].lin[j] for i in subset] for j in range(fiber.n)]
+            kernel = solve_linear(lin_cols, []).kernel
+            if not kernel:
+                continue
+            assert len(kernel) == 1
+            lead = next(x for x in kernel[0] if x != 0)
+            mu = [x / lead for x in kernel[0]]
+            c = sum((m * fiber.affine[i].constant for m, i in zip(mu, subset)), F(0))
+            out.append(AffineCircuit(subset, tuple(mu), c))
+            supports.append(sset)
+    out.sort(key=lambda circ: circ.support)
+    return out
+
+
+def generic(n, extra):
+    """The coordinate frame of P^n (z0 at infinity) plus the given forms."""
+    frame = [[int(i == j) for j in range(n + 1)] for i in range(n + 1)]
+    return validate([P(*row) for row in frame + extra], 0)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: example1().arrangement,
+        lambda: ceva().arrangement,
+        lambda: generic(2, [[1, 1, 1], [1, 2, -3], [2, -1, 3]]),
+        lambda: generic(3, [[1, 1, 1, 1], [1, 2, -3, -1], [2, -1, 3, 1]]),
+    ],
+    ids=["example1", "ceva", "p2-6", "p3-7"],
+)
+def test_affine_circuits_match_enumeration(make):
+    """The circuits derived from the cone matroid equal a direct enumeration,
+    at the fixed fiber and at sampled fibers off the discriminant."""
+    arr = make()
+    chart = AffineChart.of(arr)
+    components = [chart.affine(form) for form in discriminant(arr)]
+    points = sample_parameter_points(arr.n, components, 4, RatSampler(5))
+    for params in [None] + points:
+        fiber = FiberContext(arr, params)
+        assert fiber.affine_circuits() == enumerated_affine_circuits(fiber)

@@ -19,7 +19,7 @@ from arrgm.arrangement import (
     validate,
 )
 from arrgm.errors import DuplicateHyperplaneError, LeadingFrameError
-from arrgm.exactnum import matrix_rank
+from arrgm.exactnum import determinant, matrix_rank
 from arrgm.fixtures import ceva, example1
 
 
@@ -268,6 +268,45 @@ class TestDiscriminant:
         assert [f.support for f in bad_loci(scaled)] == [
             f.support for f in bad_loci(base)
         ]
+
+
+def signed_minor_discriminant(arr):
+    """Reference: the (n+1) x (n+1) determinant of each independent n-subset's
+    rows stacked with the symbolic dual row, expanded along that row."""
+    n = arr.n
+    out = set()
+    for subset in itertools.combinations(range(arr.size), n):
+        rows = arr.form_rows(subset)
+        if matrix_rank(rows) < n:
+            continue
+        coeffs = [
+            (-1) ** (n + k) * determinant([[row[j] for j in range(n + 1) if j != k] for row in rows])
+            for k in range(n + 1)
+        ]
+        out.add(ProjForm.make(coeffs))
+    return sorted(out, key=lambda f: f.coeffs)
+
+
+def generic(n, extra):
+    """The coordinate frame of P^n (z0 at infinity) plus the given forms."""
+    frame = [[int(i == j) for j in range(n + 1)] for i in range(n + 1)]
+    return validate([P(*row) for row in frame + extra], 0)
+
+
+LADDER = {
+    "example1": lambda: example1().arrangement,
+    "ceva": lambda: ceva().arrangement,
+    "p2-6": lambda: generic(2, [[1, 1, 1], [1, 2, -3], [2, -1, 3]]),
+    "p2-7": lambda: generic(2, [[1, 1, 1], [1, 2, -3], [2, -1, 3], [3, 1, -2]]),
+    "p3-6": lambda: generic(3, [[1, 1, 1, 1], [1, 2, -3, -1]]),
+    "p3-7": lambda: generic(3, [[1, 1, 1, 1], [1, 2, -3, -1], [2, -1, 3, 1]]),
+}
+
+
+@pytest.mark.parametrize("name", list(LADDER))
+def test_discriminant_matches_signed_minors(name):
+    arr = LADDER[name]()
+    assert discriminant(arr) == signed_minor_discriminant(arr)
 
 
 def ProjFormKey(point):

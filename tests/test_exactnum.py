@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction as F
 
@@ -17,6 +18,7 @@ from arrgm.exactnum import (
     affine_fit,
     affine_fit_batch,
     cexp_matrix,
+    determinant,
     matrix_rank,
     rat_from_str,
     rat_to_str,
@@ -104,6 +106,98 @@ class TestSolveLinear:
     def test_matrix_rank(self):
         assert matrix_rank([[1, 2], [2, 4]]) == 1
         assert matrix_rank([[1, 0], [0, 1]]) == 2
+
+
+def leibniz(m):
+    """Determinant as the signed sum over permutations (reference)."""
+    total = F(0)
+    for perm in itertools.permutations(range(len(m))):
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(len(m)), 2))
+        term = F((-1) ** inversions)
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total
+
+
+def sparse_rational_matrix(sampler, rows, cols):
+    """Seeded rationals with about a third of the entries zero."""
+    return [
+        [sampler.rational(9, 5) if sampler.integer(0, 2) else F(0) for _ in range(cols)]
+        for _ in range(rows)
+    ]
+
+
+def mat_vec(m, x):
+    return [sum((a * b for a, b in zip(row, x)), F(0)) for row in m]
+
+
+class TestDeterminant:
+    def test_random_against_leibniz(self):
+        sampler = RatSampler(11)
+        for size in range(1, 6):
+            for _ in range(8):
+                m = sparse_rational_matrix(sampler, size, size)
+                assert determinant(m) == leibniz(m)
+
+    def test_singular_against_leibniz(self):
+        sampler = RatSampler(12)
+        for size in range(2, 6):
+            for _ in range(4):
+                m = sparse_rational_matrix(sampler, size - 1, size)
+                t = sampler.rational_vector(size - 1, 9, 5)
+                m.insert(sampler.integer(0, size - 1), [
+                    sum((c * row[j] for c, row in zip(t, m)), F(0)) for j in range(size)
+                ])
+                assert leibniz(m) == 0
+                assert determinant(m) == 0
+
+    def test_row_swaps_set_the_sign(self):
+        assert determinant([[0, 1], [1, 0]]) == -1
+        assert determinant([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
+        assert determinant([[0, 1, 0], [0, 0, 1], [1, 0, 0]]) == 1
+        m = [[0, F(2, 3), 5], [F(-1, 2), 0, 1], [3, F(1, 7), 0]]
+        assert determinant(m) == leibniz(m)
+
+    def test_integer_and_fraction_entries(self):
+        assert determinant([[2, F(1, 2)], [3, 1]]) == F(1, 2)
+        assert type(determinant([[2, 1], [3, 1]])) is F
+
+    def test_empty_and_non_square(self):
+        assert determinant([]) == 1
+        with pytest.raises(ValueError):
+            determinant([[1, 2]])
+
+
+class TestSolveRectangular:
+    @pytest.mark.parametrize("rows, cols, rank", [
+        (3, 5, 2), (5, 3, 2), (4, 4, 3), (6, 4, 1), (2, 6, 2), (4, 2, 0),
+    ])
+    def test_rank_deficient_systems(self, rows, cols, rank):
+        sampler = RatSampler(100 * rows + 10 * cols + rank)
+        # m = left * right has exactly the given rank
+        left = [sampler.rational_vector(rank, 9, 5) for _ in range(rows)]
+        right = sparse_rational_matrix(sampler, rank, cols)
+        m = [
+            [sum((lrow[k] * right[k][j] for k in range(rank)), F(0)) for j in range(cols)]
+            for lrow in left
+        ]
+        rhs = [mat_vec(m, sampler.rational_vector(cols, 9, 5)) for _ in range(3)]
+        result = solve_linear(m, rhs)
+        assert result.rank == matrix_rank(m) == rank
+        for b, x in zip(rhs, result.solutions):
+            assert mat_vec(m, x) == b
+        assert len(result.kernel) == cols - result.rank
+        free = [c for c in range(cols) if c not in result.pivot_cols]
+        for k, vec in enumerate(result.kernel):
+            assert mat_vec(m, vec) == [0] * rows
+            assert [vec[c] for c in free] == [int(c == free[k]) for c in free]
+
+    def test_inconsistent_rectangular(self):
+        m = [[1, 2, 3], [2, 4, 6]]
+        with pytest.raises(InconsistentSystemError) as info:
+            solve_linear(m, [[1, 2], [1, 3]])
+        assert info.value.row == 1
 
 
 class TestAffineFit:
