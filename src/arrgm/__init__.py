@@ -20,7 +20,6 @@ from .aomoto import (
     Weights,
     cohomology_dims,
     reduce_rational_form,
-    reduce_to_nbc_class,
     validate_weights,
 )
 from .exactnum import (
@@ -51,7 +50,7 @@ __all__ = [
     "AffineForm", "Arrangement", "Flat", "Lattice", "ProjForm",
     "bad_loci", "cone", "decone", "discriminant", "lattice", "validate",
     "FiberContext", "RatForm", "Weights",
-    "cohomology_dims", "reduce_rational_form", "reduce_to_nbc_class", "validate_weights",
+    "cohomology_dims", "reduce_rational_form", "validate_weights",
     "QMat", "Rat", "WeightExpr", "WeightPoly",
     "affine_fit", "cexp_matrix", "rat_from_str", "rat_to_str", "solve_linear",
     "GMConnection", "MovingFamily", "flatness_check", "gm_matrix", "raw_derivative",

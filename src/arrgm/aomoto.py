@@ -18,22 +18,26 @@ Two reductions are implemented:
   are parked and must cancel exactly, otherwise the input was not
   logarithmic and a typed error is raised.
 
-* ``reduce_to_nbc_class`` solves g = sum c_J e_J + omega ^ xi exactly at
-  numeric weights, J running over the nbc bases of the fixed arrangement,
-  and returns the coordinate vector (c_J).
+* ``ClassReducer`` solves g = sum c_J e_J + omega ^ xi exactly at numeric
+  weights, J running over the nbc bases of the fixed arrangement, and
+  returns the coordinate vectors (c_J) of a batch of top-degree elements.
 
 All computation is over exact rationals; the moving hyperplane is always
-specialized at a rational parameter point off the discriminant.
+specialized at a rational parameter point off the discriminant.  There the
+combinatorics of the fiber does not depend on the point, so
+``FiberContext.at`` derives the fiber at another point from one already
+built, and one ``ClassReducer`` per weight setting serves all of them.
 """
 
 from __future__ import annotations
 
+import copy
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .arrangement import AffineChart, AffineForm, Arrangement, decone, validate
+from .arrangement import AffineChart, AffineForm, Arrangement, ProjForm, decone, validate
 from .errors import (
     InconsistentSystemError,
     NotLogarithmicError,
@@ -72,12 +76,9 @@ class Weights:
 
     @staticmethod
     def make(a: Mapping[int, Rat | int | str], ah: Rat | int | str | None = None) -> "Weights":
-        def conv(v):
-            return Fraction(v) if not isinstance(v, str) else Fraction(v)
-
         return Weights(
-            tuple(sorted((i, conv(v)) for i, v in a.items())),
-            None if ah is None else conv(ah),
+            tuple(sorted((i, Fraction(v)) for i, v in a.items())),
+            None if ah is None else Fraction(ah),
         )
 
     @property
@@ -170,41 +171,61 @@ class FiberContext:
 
     Carries the extended projective arrangement, exact affine forms in the
     chart of the infinity hyperplane, the rewriting context, and the affine
-    circuit table used by partial fractions.  ``warn_rerank`` is passed on
-    to the :class:`MatroidContext`.
+    circuit table used by partial fractions.  The moving hyperplane, when
+    present, has the last index.
     """
 
-    def __init__(
-        self,
-        base: Arrangement,
-        params: Sequence[Rat] | None = None,
-        warn_rerank: bool = True,
-    ):
+    def __init__(self, base: Arrangement, params: Sequence[Rat] | None = None):
         self.base = base
-        self.params = None if params is None else tuple(Fraction(v) for v in params)
-        finite = base.finite_indices
-        affine_fixed = decone(base)
+        self.affine: dict[int, AffineForm] = dict(zip(base.finite_indices, decone(base)))
+        self.params: tuple[Fraction, ...] | None = None
+        self.moving_index: int | None = None
         forms = list(base.hyperplanes)
-        affine: dict[int, AffineForm] = dict(zip(finite, affine_fixed))
-        if self.params is not None:
-            if len(self.params) != base.n:
-                raise ValueError("parameter point must have one value per dimension")
-            moving = AffineForm.make(1, self.params)
-            forms.append(AffineChart.of(base).projective(moving))
-            self.moving_index: int | None = len(forms) - 1
-            affine[self.moving_index] = moving
-        else:
-            self.moving_index = None
+        if params is not None:
+            self.moving_index = base.size
+            forms.append(self._place_moving(params))
         try:
             self.arr = validate(forms, base.infinity_index, n=base.n)
         except Exception as exc:  # duplicate moving hyperplane etc.
             raise SampleRejectedError(f"degenerate parameter point: {exc}") from exc
-        self.affine = affine
-        self.matroid = MatroidContext(self.arr, warn_rerank)
+        self.matroid = MatroidContext(self.arr)
         self.os = OSContext(self.arr, self.matroid)
         self._nbc_cache: dict[int, list[tuple[int, ...]]] = {}
         self._top_coordinates: dict[ExtElem, list[Fraction]] = {}
+        self._supports: list[tuple[int, ...]] | None = None
         self._affine_circuits: list[AffineCircuit] | None = None
+
+    def _place_moving(self, params: Sequence[Rat]) -> ProjForm:
+        """Put the moving hyperplane at ``params``; returns its projective form."""
+        self.params = tuple(Fraction(v) for v in params)
+        if len(self.params) != self.n:
+            raise ValueError("parameter point must have one value per dimension")
+        moving = AffineForm.make(1, self.params)
+        self.affine[self.moving_index] = moving
+        return AffineChart.of(self.base).projective(moving)
+
+    def at(self, params: Sequence[Rat]) -> "FiberContext":
+        """The fiber at ``params``, derived from this fiber.
+
+        Precondition, not checked: the points of both fibers lie off the
+        discriminant.  A moving hyperplane that contains a positive-dimensional
+        flat of the fixed arrangement also contains one of its vertices, so it
+        lies on the discriminant; off it, the matroid of the fixed hyperplanes
+        plus the moving one is the same at every point, and so are its
+        Orlik-Solomon normal forms, nbc lists and circuit supports.  The
+        derived fiber shares these, and the cache of ``top_coordinates``,
+        with this fiber.  Only the affine data is its own: the moving form,
+        the relation (mu, c) of each circuit, Jacobians and frames.
+        """
+        if self.moving_index is None:
+            raise ValueError("a fiber without the moving hyperplane has no other points")
+        fiber = copy.copy(self)
+        fiber.affine = dict(self.affine)
+        moving = fiber._place_moving(params)
+        fiber.arr = replace(self.arr, hyperplanes=self.arr.hyperplanes[:-1] + (moving,))
+        fiber._supports = self._affine_supports()
+        fiber._affine_circuits = None
+        return fiber
 
     # -- basics -------------------------------------------------------------
 
@@ -220,6 +241,15 @@ class FiberContext:
         if p not in self._nbc_cache:
             self._nbc_cache[p] = self.matroid.nbc_sets(p)
         return self._nbc_cache[p]
+
+    def fixed_nbc(self) -> list[tuple[int, ...]]:
+        """The nbc n-sets of the fixed arrangement, in lexicographic order.
+
+        They are the fiber's nbc n-sets that avoid the moving index: that
+        index sorts last, so every broken circuit through it contains it, and
+        the rest are the nbc sets of the deletion.
+        """
+        return [t for t in self.nbc(self.n) if self.moving_index not in t]
 
     def top_coordinates(self, g: ExtElem) -> list[Fraction]:
         """Coordinates of the normal form of a top-degree g over ``nbc(n)``.
@@ -252,31 +282,35 @@ class FiberContext:
         kernel of the linear parts; the cone dependency differs from it by a
         scalar, because the moving form is normalized projectively.
         """
-        if self._affine_circuits is not None:
-            return self._affine_circuits
-        inf = self.arr.infinity_index
-        circuits = self.matroid.circuits()
-        through = [
-            tuple(i for i in circ.support if i != inf)
-            for circ in circuits
-            if circ.contains_infinity
-        ]
-        supports = through + [
-            circ.support
-            for circ in circuits
-            if not circ.contains_infinity
-            and not any(set(t).issubset(circ.support) for t in through)
-        ]
-        out: list[AffineCircuit] = []
-        for support in sorted(supports):
-            kernel = nullspace(list(zip(*self.lin_rows(support))))
-            assert len(kernel) == 1, "minimal dependent set has a unique relation"
-            lead = next(x for x in kernel[0] if x != 0)
-            mu = tuple(x / lead for x in kernel[0])
-            c = sum((m * self.affine[i].constant for m, i in zip(mu, support)), QQ0)
-            out.append(AffineCircuit(support, mu, c))
-        self._affine_circuits = out
-        return out
+        if self._affine_circuits is None:
+            out: list[AffineCircuit] = []
+            for support in self._affine_supports():
+                kernel = nullspace(list(zip(*self.lin_rows(support))))
+                assert len(kernel) == 1, "minimal dependent set has a unique relation"
+                lead = next(x for x in kernel[0] if x != 0)
+                mu = tuple(x / lead for x in kernel[0])
+                c = sum((m * self.affine[i].constant for m, i in zip(mu, support)), QQ0)
+                out.append(AffineCircuit(support, mu, c))
+            self._affine_circuits = out
+        return self._affine_circuits
+
+    def _affine_supports(self) -> list[tuple[int, ...]]:
+        """Sorted supports of ``affine_circuits``, read off the cone matroid."""
+        if self._supports is None:
+            inf = self.arr.infinity_index
+            circuits = self.matroid.circuits()
+            through = [
+                tuple(i for i in circ.support if i != inf)
+                for circ in circuits
+                if circ.contains_infinity
+            ]
+            self._supports = sorted(through + [
+                circ.support
+                for circ in circuits
+                if not circ.contains_infinity
+                and not any(set(t).issubset(circ.support) for t in through)
+            ])
+        return self._supports
 
     def circuit_in(self, pole_set: frozenset[int], nonzero_c: bool) -> AffineCircuit | None:
         """Lexicographically smallest contained circuit, filtered by c != 0."""
@@ -288,9 +322,8 @@ class FiberContext:
     # -- omega and wedge maps -------------------------------------------------
 
     def weight_symbol_order(self) -> list[int]:
-        """Finite fixed indices in order; the moving index is last when present."""
-        fixed = [i for i in self.finite_indices if i != self.moving_index]
-        return fixed
+        """Finite fixed indices in order, backing the symbols a1..am."""
+        return [i for i in self.finite_indices if i != self.moving_index]
 
     def omega_terms(self, weights: Weights | None) -> list[tuple[int, object]]:
         """Pairs (index, coefficient) of omega; symbolic when weights is None."""
@@ -565,44 +598,25 @@ def _split_by_circuit(
 # ---------------------------------------------------------------------------
 
 class ClassReducer:
-    """Solves g = sum c_J e_J + omega ^ xi in the top degree of one fiber.
+    """Solves g = sum c_J e_J + omega ^ xi in the top degree of a fiber.
 
-    J runs over the nbc bases of the fixed arrangement, which a caller that
-    holds them passes as ``fixed_basis`` (otherwise they are recomputed);
-    the solve is exact at numeric weights.  Inconsistency (a resonant weight
-    or a discriminant parameter point) raises :class:`SampleRejectedError`.
+    J runs over ``fiber.fixed_nbc()``, the nbc bases of the fixed
+    arrangement; the solve is exact at numeric weights.  The system depends
+    only on the fiber's combinatorics and the weights, so the reducer also
+    takes the elements of every fiber derived from ``fiber`` by
+    :meth:`FiberContext.at`.  Inconsistency (a resonant weight or a
+    discriminant parameter point) raises :class:`SampleRejectedError`.
     """
 
-    def __init__(
-        self,
-        fiber: FiberContext,
-        weights: Weights,
-        fixed_basis: Sequence[tuple[int, ...]] | None = None,
-    ):
+    def __init__(self, fiber: FiberContext, weights: Weights):
         self.fiber = fiber
-        self.weights = weights
         n = fiber.n
-        self.top_basis = fiber.nbc(n)
-        fixed_nbc = _fixed_nbc(fiber) if fixed_basis is None else list(fixed_basis)
-        self.fixed_basis = fixed_nbc
-        top_index = {t: i for i, t in enumerate(self.top_basis)}
-        for t in fixed_nbc:
-            if t not in top_index:
-                raise SampleRejectedError(
-                    "fixed nbc basis does not embed into the fiber basis"
-                )
-        wedge_cols = fiber.wedge_omega_matrix(weights, n)
-        ncols = len(fixed_nbc) + len(fiber.nbc(n - 1))
-        rows = []
-        for r, tup in enumerate(self.top_basis):
-            row = [QQ0] * ncols
-            for j, t in enumerate(fixed_nbc):
-                if t == tup:
-                    row[j] = QQ1
-            for j in range(len(fiber.nbc(n - 1))):
-                row[len(fixed_nbc) + j] = wedge_cols[r][j]
-            rows.append(row)
-        self.rows = rows
+        self.fixed_basis = fiber.fixed_nbc()
+        wedge_rows = fiber.wedge_omega_matrix(weights, n)
+        self.rows = [
+            [QQ1 if t == tup else QQ0 for t in self.fixed_basis] + wedge_row
+            for tup, wedge_row in zip(fiber.nbc(n), wedge_rows)
+        ]
 
     def reduce_batch(self, elems: Sequence[ExtElem]) -> list[list[Fraction]]:
         rhs = [self.fiber.top_coordinates(g) for g in elems]
@@ -617,19 +631,6 @@ class ClassReducer:
 
     def reduce(self, g: ExtElem) -> list[Fraction]:
         return self.reduce_batch([g])[0]
-
-
-def _fixed_nbc(fiber: FiberContext) -> list[tuple[int, ...]]:
-    """nbc n-sets of the fixed arrangement, in lexicographic order."""
-    if fiber.moving_index is None:
-        return fiber.nbc(fiber.n)
-    base_ctx = MatroidContext(fiber.base)
-    return base_ctx.nbc_sets(fiber.n)
-
-
-def reduce_to_nbc_class(g: ExtElem, fiber: FiberContext, weights: Weights) -> list[Fraction]:
-    """Coordinates of the class of g over the fixed-arrangement nbc basis."""
-    return ClassReducer(fiber, weights).reduce(g)
 
 
 def cohomology_dims(fiber: FiberContext, weights: Weights) -> list[int]:

@@ -199,18 +199,23 @@ class AffineForm:
 class AffineChart:
     """The affine chart z_drop = 1 that removes the infinity hyperplane.
 
-    ``drop`` is the first coordinate on which the infinity form is nonzero
-    (``decone`` further requires it to be the only one).  The same chart
-    serves the dual coordinates h0..hn of the discriminant, where h_drop = 0
-    is the component along the infinity hyperplane.
+    The infinity hyperplane must be the coordinate hyperplane z_drop = 0.
+    The same chart serves the dual coordinates h0..hn of the discriminant,
+    where h_drop = 0 is the component along the infinity hyperplane.
     """
 
     drop: int
 
     @staticmethod
     def of(arr: Arrangement) -> "AffineChart":
-        inf_coeffs = arr.hyperplanes[arr.infinity_index].coeffs
-        return AffineChart(next(i for i, c in enumerate(inf_coeffs) if c != 0))
+        """The chart of ``arr``; :class:`ArrgmError` unless infinity is some z_j = 0."""
+        inf_form = arr.hyperplanes[arr.infinity_index]
+        nonzero = [i for i, c in enumerate(inf_form.coeffs) if c != 0]
+        if len(nonzero) != 1:
+            raise ArrgmError(
+                f"the infinity hyperplane {inf_form} is not a coordinate hyperplane"
+            )
+        return AffineChart(nonzero[0])
 
     def affine(self, form: ProjForm) -> AffineForm:
         """Dehomogenize: the coefficient of z_drop becomes the constant term."""
@@ -236,16 +241,10 @@ def cone(n: int, affine_forms: Sequence[AffineForm]) -> Arrangement:
 def decone(arr: Arrangement) -> list[AffineForm]:
     """Affine forms of the finite hyperplanes in the chart of the infinity hyperplane.
 
-    The infinity hyperplane must be a coordinate hyperplane z_j; the affine
-    coordinates are the remaining z_i in order, scaled by 1/z_j.
+    The affine coordinates are the remaining z_i in order, scaled by 1/z_j
+    for the infinity hyperplane z_j = 0 (:meth:`AffineChart.of`).
     """
-    inf_form = arr.hyperplanes[arr.infinity_index]
-    nonzero = [i for i, c in enumerate(inf_form.coeffs) if c != 0]
-    if len(nonzero) != 1:
-        raise ArrgmError(
-            "decone requires the infinity hyperplane to be a coordinate hyperplane"
-        )
-    chart = AffineChart(nonzero[0])
+    chart = AffineChart.of(arr)
     return [chart.affine(arr.hyperplanes[i]) for i in arr.finite_indices]
 
 

@@ -386,6 +386,9 @@ def solve_linear(
     (Bareiss) on the integer-cleared augmented matrix, and so is the back
     substitution: with d the last pivot, d x is integral by Cramer's rule,
     so every step divides exactly and each entry is one ``Fraction(y, d)``.
+    The coefficient rows are cleared row by row and each right-hand side by
+    its own common denominator, so right-hand sides with unrelated
+    denominators do not inflate the coefficient rows.
     When the system is underdetermined, one particular solution (zero on the
     free columns) is returned together with a kernel basis, one vector per
     free column with entry 1 there and 0 on the other free columns.  An
@@ -402,9 +405,10 @@ def solve_linear(
     if not nrows:
         return LinearSolution([[] for _ in rhs_list], [], 0, [])
 
-    ech, _ = _integer_rows(
-        [*row, *(b[i] for b in rhs_list)] for i, row in enumerate(rows)
-    )
+    ech, row_scales = _integer_rows(rows)
+    rhs_ints, rhs_scales = _integer_rows(rhs_list)
+    for i, (row, scale) in enumerate(zip(ech, row_scales)):
+        row.extend(scale * b[i] for b in rhs_ints)
     pivots, origin, _ = _bareiss_echelon(ech, ncols)
     rank = len(pivots)
     for i in range(rank, nrows):
@@ -419,16 +423,21 @@ def solve_linear(
         for r, c in enumerate(pivots)
     ]
 
-    def back_substitute(y: list[int], column: int | None) -> Vector:
-        """Fill in y = d x on the pivot columns; y holds d x on the free ones."""
+    def back_substitute(y: list[int], column: int | None, scale: int = 1) -> Vector:
+        """Fill in y = d x on the pivot columns; y holds d x on the free ones.
+
+        ``scale`` is the common denominator the right-hand side was cleared by.
+        """
         for r in range(rank - 1, -1, -1):
             s = d * ech[r][column] if column is not None else 0
             for j, a in tails[r]:
                 s -= a * y[j]
             y[pivots[r]] = s // ech[r][pivots[r]]
-        return [Fraction(v, d) for v in y]
+        return [Fraction(v, d * scale) for v in y]
 
-    solutions = [back_substitute([0] * ncols, ncols + k) for k in range(len(rhs_list))]
+    solutions = [
+        back_substitute([0] * ncols, ncols + k, scale) for k, scale in enumerate(rhs_scales)
+    ]
     pivot_set = set(pivots)
     kernel = []
     for fc in range(ncols):

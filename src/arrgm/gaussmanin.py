@@ -14,12 +14,15 @@ others.
 ``gm_matrix`` does each piece of work at the level it depends on:
 
 * once per family: the discriminant components in the affine chart, the
-  fixed fiber (its matroid, nbc basis and Jacobians), the raw derivatives,
-  and the weight settings;
-* once per parameter point: the fiber context with its circuits, the
-  partial-fraction reduction of every raw derivative, and the nbc
-  coordinates of the reduced forms;
-* once per point and weight setting: the class-reduction solve;
+  weight settings, the raw derivatives (their Jacobians in the affine
+  chart), and one fiber context, built at the first parameter sample: its
+  matroid, Orlik-Solomon normal forms, nbc bases and circuit supports are
+  the same at every sample off the discriminant (``FiberContext.at``);
+* once per parameter point: the fiber derived there (its moving form and
+  circuit relations), the partial-fraction reduction of every raw
+  derivative, and the nbc coordinates of the reduced forms;
+* once per weight setting: one class-reduction solve taking the reduced
+  forms of every point;
 * once per sampling round: the dlog rows of the samples, shared by the
   rank check and the residue fit;
 * once per call: one exact solve fitting every residue entry of every
@@ -37,7 +40,7 @@ No point is sampled and no size is exempt.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -58,10 +61,10 @@ from .errors import (
     SampleRejectedError,
 )
 from .exactnum import (
-    Rat,
     WeightExpr,
     WeightPoly,
     affine_fit_batch,
+    determinant,
     matrix_rank,
     solve_linear,
 )
@@ -105,14 +108,6 @@ class MovingFamily:
     @property
     def moving_index(self) -> int:
         return self.base.size
-
-    def fiber(self, params: Sequence[Rat]) -> FiberContext:
-        """The fiber at a parameter point.
-
-        It does not warn about a re-ranked infinity hyperplane: ``gm_matrix``
-        warns once per call, through the fixed fiber.
-        """
-        return FiberContext(self.base, params, warn_rerank=False)
 
 
 @dataclass(frozen=True)
@@ -174,27 +169,20 @@ class GMConnection:
 # raw parameter derivatives
 # ---------------------------------------------------------------------------
 
-def raw_derivative(
-    family: MovingFamily,
-    basis: Sequence[int],
-    k: int,
-    fixed: FiberContext | None = None,
-) -> RatForm:
+def raw_derivative(family: MovingFamily, basis: Sequence[int], k: int) -> RatForm:
     """dl_k coefficient of the connection image of e_J: a_h (x_k / x_s) e_J.
 
     Expanded over the coordinate volume form, e_J contributes the constant
-    Jacobian factor of its affine forms, so the result is the rational form
-    (x_k * det_J) / (prod_{j in J} f_j * x_s) dx_1..dx_n tagged with the
-    symbolic factor ``ah``.  ``fixed`` is the family's fixed fiber
-    ``FiberContext(family.base, None)``, built here when not given.
+    Jacobian factor of its forms in the family's affine chart, so the result
+    is the rational form (x_k * det_J) / (prod_{j in J} f_j * x_s)
+    dx_1..dx_n tagged with the symbolic factor ``ah``.
     """
     n = family.n
     if not 1 <= k <= n:
         raise ValueError(f"parameter index {k} out of range 1..{n}")
     J = tuple(sorted(basis))
-    if fixed is None:
-        fixed = FiberContext(family.base, None)
-    det = fixed.jacobian_det(J)
+    chart = AffineChart.of(family.base)
+    det = determinant([list(chart.affine(family.base.hyperplanes[j]).lin) for j in J])
     if det == 0:
         raise ArrgmError(f"basis tuple {J} has dependent affine forms")
     numerator = WeightPoly.make({((f"x{k}", 1),): det})
@@ -310,14 +298,6 @@ def gm_matrix(family: MovingFamily) -> GMConnection:
     visible = [(form, aff) for form, aff in affine_all if any(c != 0 for c in aff.lin)]
     flats = bad_loci(base)
 
-    # The fixed fiber is the only context of this call that warns about a
-    # re-ranked infinity hyperplane; the fibers at the samples stay quiet.
-    fixed = FiberContext(base, None)
-    basis = fixed.nbc(n)
-    if not basis:
-        raise ArrgmError("fixed arrangement has no nbc bases in top degree")
-    nbasis = len(basis)
-
     if family.weights is not None:
         if family.weights.ah is None:
             raise ArrgmError("numeric weights of a moving family need the moving weight ah")
@@ -333,28 +313,40 @@ def gm_matrix(family: MovingFamily) -> GMConnection:
     nfit = len(visible) + 2
     nheld = 2
     sampler = RatSampler(family.seed)
-    raw_forms = [
-        [raw_derivative(family, J, k, fixed) for k in range(1, n + 1)] for J in basis
-    ]
 
     # Evaluate the coordinate functions of every raw derivative at parameter
     # samples; retry with fresh points when a sample hits a degenerate locus
     # or the fit matrix of dlog values is rank deficient.
+    fiber = None
     max_rounds = 8
     for attempt in range(max_rounds):
         try:
             points = sample_parameter_points(
                 n, [aff for _, aff in visible], nfit + nheld, sampler
             )
+            if fiber is None:
+                # Every sample is off the discriminant, so one fiber serves
+                # the samples of every round (FiberContext.at).
+                fiber = FiberContext(base, points[0])
+                basis = fiber.fixed_nbc()
+                if not basis:
+                    raise ArrgmError("fixed arrangement has no nbc bases in top degree")
+                # ah is applied after the class reduction
+                raw_forms = [
+                    replace(raw_derivative(family, J, k), weight_factor=None)
+                    for J in basis
+                    for k in range(1, n + 1)
+                ]
             dlog_rows = _dlog_rows(visible, points)
             if matrix_rank(dlog_rows[: nfit * n]) < len(visible):
                 raise SampleRejectedError("dlog sample matrix is rank deficient")
-            coords = _evaluate_samples(family, basis, raw_forms, points, weight_settings)
+            coords = _evaluate_samples(fiber, raw_forms, points, weight_settings)
             break
         except SampleRejectedError:
             if attempt == max_rounds - 1:
                 raise
 
+    nbasis = len(basis)
     residues_by_setting = _fit_residues(dlog_rows, nfit * n, coords, nbasis, n)
 
     symbol_order = tuple(base.finite_indices)
@@ -389,33 +381,31 @@ def gm_matrix(family: MovingFamily) -> GMConnection:
 
 
 def _evaluate_samples(
-    family: MovingFamily,
-    basis: list[tuple[int, ...]],
-    raw_forms: list[list[RatForm]],
+    fiber: FiberContext,
+    raw_forms: list[RatForm],
     points: list[tuple[Fraction, ...]],
     weight_settings: list[Weights],
 ) -> list[list[list[list[Fraction]]]]:
     """coords[w][sample][flat(J,k)] = coordinate vector over the fixed basis.
 
-    The partial-fraction reduction of each raw derivative and the nbc
-    coordinates of its normal form are weight independent and shared
-    across settings; only the class reduction is per weight setting.
+    ``raw_forms`` lists the raw derivatives without their factor ah, in
+    flat (J, k) order.  Their partial-fraction reduction is weight
+    independent and done once per point, in the fiber derived there from
+    ``fiber``; one class reduction per weight setting then takes the reduced
+    forms of every point at once.
     """
-    coords: list[list[list[list[Fraction]]]] = [
-        [] for _ in weight_settings
-    ]
+    reduced: list[ExtElem] = []
     for point in points:
-        fiber = family.fiber(point)
-        reduced: list[ExtElem] = []
-        for J_forms in raw_forms:
-            for form in J_forms:
-                bare = RatForm(form.numerator, form.poles, form.wedge, None)
-                reduced.append(reduce_rational_form(bare, fiber))
-        for widx, weights in enumerate(weight_settings):
-            reducer = ClassReducer(fiber, weights, basis)
-            vectors = reducer.reduce_batch(reduced)
-            ah = weights.ah
-            coords[widx].append([[ah * c for c in vec] for vec in vectors])
+        at_point = fiber.at(point)
+        reduced.extend(reduce_rational_form(form, at_point) for form in raw_forms)
+    per_point = len(raw_forms)
+    coords = []
+    for weights in weight_settings:
+        vectors = ClassReducer(fiber, weights).reduce_batch(reduced)
+        scaled = [[weights.ah * c for c in vec] for vec in vectors]
+        coords.append(
+            [scaled[s * per_point : (s + 1) * per_point] for s in range(len(points))]
+        )
     return coords
 
 

@@ -57,13 +57,12 @@ class MatroidContext:
 
     The linear order used for least elements is the user order with the
     infinity hyperplane moved to the front; a warning is emitted when that
-    changes the relative order of the input, unless ``warn_rerank`` is off
-    (a caller that builds many contexts of one family warns once itself).
+    changes the relative order of the input.
     """
 
-    def __init__(self, arr: Arrangement, warn_rerank: bool = True):
+    def __init__(self, arr: Arrangement):
         self.arr = arr
-        if warn_rerank and arr.infinity_index != 0:
+        if arr.infinity_index != 0:
             warnings.warn(
                 "infinity hyperplane re-ranked least; broken circuits use the adjusted order",
                 stacklevel=3,

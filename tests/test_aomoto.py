@@ -18,7 +18,6 @@ from arrgm.aomoto import (
     cohomology_dims,
     log_comb_evaluate,
     reduce_rational_form,
-    reduce_to_nbc_class,
     validate_weights,
 )
 from arrgm.errors import NotLogarithmicError, ResonantWeightsError
@@ -258,9 +257,7 @@ class TestClassReduction:
         # e_s reduces to (-a1/ah) e_1 on the punctured line family
         fiber = point_line()
         w = Weights.make({1: F(1, 3)}, F(-1, 5))
-        coords = reduce_to_nbc_class(
-            ExtElem.monomial((fiber.moving_index,)), fiber, w
-        )
+        coords = ClassReducer(fiber, w).reduce(ExtElem.monomial((fiber.moving_index,)))
         assert coords == [F(1, 3) / F(1, 5)]  # -a1/ah = (1/3)/(1/5)
 
     def test_exact_classes_vanish(self):
@@ -283,17 +280,6 @@ class TestClassReduction:
         lhs = reducer.reduce(g1.scale(F(3, 2)) + g2.scale(-2))
         c1, c2 = reducer.reduce_batch([g1, g2])
         assert lhs == [F(3, 2) * a - 2 * b for a, b in zip(c1, c2)]
-
-    def test_given_fixed_basis_matches_recomputed(self):
-        base = ceva().arrangement
-        fixed_basis = FiberContext(base, None).nbc(base.n)
-        fiber = FiberContext(base, [F(2), F(-5, 3)])
-        w = Weights.make({i: F(i, 11) for i in range(1, 6)}, F(3, 7))
-        elems = [E(*t) for t in fiber.nbc(base.n)]
-        recomputed = ClassReducer(fiber, w)
-        given = ClassReducer(fiber, w, fixed_basis)
-        assert given.fixed_basis == recomputed.fixed_basis
-        assert given.reduce_batch(elems) == recomputed.reduce_batch(elems)
 
 
 def enumerated_affine_circuits(fiber: FiberContext) -> list[AffineCircuit]:
@@ -325,23 +311,61 @@ def generic(n, extra):
     return validate([P(*row) for row in frame + extra], 0)
 
 
-@pytest.mark.parametrize(
-    "make",
-    [
-        lambda: example1().arrangement,
-        lambda: ceva().arrangement,
-        lambda: generic(2, [[1, 1, 1], [1, 2, -3], [2, -1, 3]]),
-        lambda: generic(3, [[1, 1, 1, 1], [1, 2, -3, -1], [2, -1, 3, 1]]),
-    ],
-    ids=["example1", "ceva", "p2-6", "p3-7"],
-)
-def test_affine_circuits_match_enumeration(make):
-    """The circuits derived from the cone matroid equal a direct enumeration,
-    at the fixed fiber and at sampled fibers off the discriminant."""
-    arr = make()
+LADDER = {
+    "example1": lambda: example1().arrangement,
+    "ceva": lambda: ceva().arrangement,
+    "p2-6": lambda: generic(2, [[1, 1, 1], [1, 2, -3], [2, -1, 3]]),
+    "p3-6": lambda: generic(3, [[1, 1, 1, 1], [1, 2, -3, -1]]),
+    # planes {0, 1, 5, 6} meet in a point: not normal crossing
+    "p3-7": lambda: generic(3, [[1, 1, 1, 1], [1, 2, -3, -1], [2, -1, 3, 1]]),
+}
+
+
+def affine_discriminant_and_samples(arr):
+    """The discriminant components in the affine chart and 4 points off them."""
     chart = AffineChart.of(arr)
     components = [chart.affine(form) for form in discriminant(arr)]
-    points = sample_parameter_points(arr.n, components, 4, RatSampler(5))
+    return components, sample_parameter_points(arr.n, components, 4, RatSampler(5))
+
+
+@pytest.mark.parametrize("name", ["example1", "ceva", "p2-6", "p3-7"])
+def test_affine_circuits_match_enumeration(name):
+    """The circuits derived from the cone matroid equal a direct enumeration,
+    at the fixed fiber, at sampled fibers off the discriminant, and at the
+    fibers derived there from the first sample's (``FiberContext.at``)."""
+    arr = LADDER[name]()
+    _, points = affine_discriminant_and_samples(arr)
+    shared = FiberContext(arr, points[0])
+    shared.affine_circuits()  # a derived fiber must not inherit these
     for params in [None] + points:
         fiber = FiberContext(arr, params)
-        assert fiber.affine_circuits() == enumerated_affine_circuits(fiber)
+        expected = enumerated_affine_circuits(fiber)
+        assert fiber.affine_circuits() == expected
+        if params is not None:
+            assert shared.at(params).affine_circuits() == expected
+
+
+@pytest.mark.parametrize("name", list(LADDER))
+def test_fiber_combinatorics_constant_off_discriminant(name):
+    """The premise of ``FiberContext.at``: every fiber off the discriminant
+    has the circuit supports and nbc lists of the shared one, and a fiber
+    moved onto a visible discriminant component does not."""
+    arr = LADDER[name]()
+    components, points = affine_discriminant_and_samples(arr)
+
+    def combinatorics(fiber):
+        supports = [c.support for c in fiber.matroid.circuits()]
+        return supports, [fiber.nbc(p) for p in range(fiber.n + 1)]
+
+    shared = combinatorics(FiberContext(arr, points[0]))
+    for params in points[1:]:
+        assert combinatorics(FiberContext(arr, params)) == shared
+    point = points[1]
+    for aff in components:
+        if not any(aff.lin):
+            continue
+        # the orthogonal projection of ``point`` onto the component
+        step = aff.evaluate(point) / sum(c * c for c in aff.lin)
+        on = [x - step * c for x, c in zip(point, aff.lin)]
+        assert aff.evaluate(on) == 0
+        assert combinatorics(FiberContext(arr, on)) != shared

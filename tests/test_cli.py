@@ -7,7 +7,12 @@ import subprocess
 import sys
 from pathlib import Path
 
-from arrgm import cli
+import pytest
+
+from arrgm import cli, gaussmanin
+from arrgm.arrangement import ProjForm, validate
+from arrgm.errors import ArrgmError
+from arrgm.gaussmanin import MovingFamily, gm_matrix
 
 CLI = [sys.executable, "-m", "arrgm.cli"]
 
@@ -219,3 +224,26 @@ def test_internal_error_exit_code(monkeypatch, capsys):
     assert code == 4
     assert err["error"] == "KeyError" and err["exit"] == 4
     assert "broken" in err["traceback"]
+
+
+def test_non_coordinate_infinity_rejected_before_discriminant(tmp_path: Path, monkeypatch, capsys):
+    """One chart rule: an infinity hyperplane z0 + z1 = 0 has no affine chart,
+    and both entry points say so before computing the discriminant."""
+    def no_discriminant(arr):
+        raise AssertionError("discriminant called")
+
+    monkeypatch.setattr(gaussmanin, "discriminant", no_discriminant)
+    monkeypatch.setattr(cli, "discriminant", no_discriminant)
+    arr = validate([ProjForm.make(row) for row in [[1, 1, 0], [0, 1, 0], [0, 0, 1], [1, 2, 3]]], 0)
+    with pytest.raises(ArrgmError) as direct:
+        gm_matrix(MovingFamily(arr))
+    arrangement = tmp_path / "arr.json"
+    arrangement.write_text(json.dumps(arr.to_json()))
+    weights = tmp_path / "w.json"
+    weights.write_text(json.dumps({"a": {"1": "1/3", "2": "1/7", "3": "1/5"}, "ah": "-1/2"}))
+    code, err = run_main(
+        capsys, "aomoto-dims", "--arrangement", str(arrangement), "--weights", str(weights)
+    )
+    assert code == 2
+    assert err["error"] == "ArrgmError" and err["message"] == str(direct.value)
+    assert "not a coordinate hyperplane" in err["message"]

@@ -102,6 +102,9 @@ class TestSolveLinear:
             x = [sampler.rational(9, 5) for _ in range(size)]
             b = [sum((m[i][j] * x[j] for j in range(size)), F(0)) for i in range(size)]
             assert solve_linear(m, [b]).solutions[0] == x
+            # a second right-hand side with unrelated denominators, in one call
+            y = [sampler.rational(9, 7) for _ in range(size)]
+            assert solve_linear(m, [b, mat_vec(m, y)]).solutions == [x, y]
 
     def test_matrix_rank(self):
         assert matrix_rank([[1, 2], [2, 4]]) == 1

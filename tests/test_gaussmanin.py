@@ -15,7 +15,7 @@ import pytest
 from arrgm import exactnum, gaussmanin
 from arrgm._sampling import RatSampler
 from arrgm.arrangement import AffineChart, ProjForm, validate
-from arrgm.aomoto import Weights
+from arrgm.aomoto import ClassReducer, FiberContext, Weights
 from arrgm.errors import ConnectionFitError, NonlinearFitError
 from arrgm.exactnum import WeightExpr, WeightPoly
 from arrgm.fixtures import ceva, example1
@@ -29,6 +29,7 @@ from arrgm.gaussmanin import (
     gm_matrix,
     raw_derivative,
 )
+from arrgm.matroid import MatroidContext
 
 
 def P(*coeffs):
@@ -532,6 +533,38 @@ def test_fit_and_lift_solve_once(monkeypatch):
     assert callers["_fit_residues"] == 1
     assert lifts == Counter({"_affine_lift": 1})
     assert callers["affine_fit_batch"] == 1
+
+
+@pytest.mark.parametrize(
+    "weights, settings",
+    [(None, 8), (Weights.make({i: F(i, 11) for i in range(1, 6)}, F(3, 7)), 1)],
+    ids=["symbolic", "numeric"],
+)
+def test_fiber_built_once(monkeypatch, weights, settings):
+    """Structural guard on the shared fiber: one matroid and one fiber
+    context per call, and one class reduction per weight setting."""
+    calls = Counter()
+
+    def count(cls, name):
+        real = getattr(cls, name)
+
+        def counting(*args, **kwargs):
+            calls[f"{cls.__name__}.{name}"] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counting)
+
+    count(MatroidContext, "__init__")
+    count(FiberContext, "__init__")
+    count(ClassReducer, "__init__")
+    count(ClassReducer, "reduce_batch")
+    gm_matrix(MovingFamily(ceva().arrangement, weights))
+    assert calls == Counter({
+        "MatroidContext.__init__": 1,
+        "FiberContext.__init__": 1,
+        "ClassReducer.__init__": settings,
+        "ClassReducer.reduce_batch": settings,
+    })
 
 
 def test_rerank_warning_once_per_call():
