@@ -27,7 +27,6 @@ from .exactnum import (
     Rat,
     WeightExpr,
     WeightPoly,
-    affine_fit,
     cexp_matrix,
     rat_from_str,
     rat_to_str,
@@ -38,7 +37,6 @@ from .gaussmanin import (
     MovingFamily,
     flatness_check,
     gm_matrix,
-    raw_derivative,
 )
 from .matroid import broken_circuits, circuits, is_dependent, nbc_bases, nbc_sets
 from .monodromy import MonodromyResult, monodromy, projector_structure, residue_of
@@ -52,8 +50,8 @@ __all__ = [
     "FiberContext", "RatForm", "Weights",
     "cohomology_dims", "reduce_rational_form", "validate_weights",
     "QMat", "Rat", "WeightExpr", "WeightPoly",
-    "affine_fit", "cexp_matrix", "rat_from_str", "rat_to_str", "solve_linear",
-    "GMConnection", "MovingFamily", "flatness_check", "gm_matrix", "raw_derivative",
+    "cexp_matrix", "rat_from_str", "rat_to_str", "solve_linear",
+    "GMConnection", "MovingFamily", "flatness_check", "gm_matrix",
     "broken_circuits", "circuits", "is_dependent", "nbc_bases", "nbc_sets",
     "MonodromyResult", "monodromy", "projector_structure", "residue_of",
     "ExtElem", "boundary", "normal_form", "relation_basis_Jn",

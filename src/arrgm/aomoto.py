@@ -24,20 +24,20 @@ Two reductions are implemented:
 
 All computation is over exact rationals; the moving hyperplane is always
 specialized at a rational parameter point off the discriminant.  There the
-combinatorics of the fiber does not depend on the point, so
-``FiberContext.at`` derives the fiber at another point from one already
-built, and one ``ClassReducer`` per weight setting serves all of them.
+combinatorics of the fiber (matroid, Orlik-Solomon normal forms, nbc lists)
+does not depend on the point, so a class reduction computed in one such
+fiber holds in all of them.  ``gaussmanin.gm_matrix`` draws one fiber and
+reduces its closed-form residue images there.
 """
 
 from __future__ import annotations
 
-import copy
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .arrangement import AffineChart, AffineForm, Arrangement, ProjForm, decone, validate
+from .arrangement import AffineChart, AffineForm, Arrangement, decone, validate
 from .errors import (
     InconsistentSystemError,
     NotLogarithmicError,
@@ -182,8 +182,13 @@ class FiberContext:
         self.moving_index: int | None = None
         forms = list(base.hyperplanes)
         if params is not None:
+            self.params = tuple(Fraction(v) for v in params)
+            if len(self.params) != self.n:
+                raise ValueError("parameter point must have one value per dimension")
             self.moving_index = base.size
-            forms.append(self._place_moving(params))
+            moving = AffineForm.make(1, self.params)
+            self.affine[self.moving_index] = moving
+            forms.append(AffineChart.of(base).projective(moving))
         try:
             self.arr = validate(forms, base.infinity_index, n=base.n)
         except Exception as exc:  # duplicate moving hyperplane etc.
@@ -192,40 +197,7 @@ class FiberContext:
         self.os = OSContext(self.arr, self.matroid)
         self._nbc_cache: dict[int, list[tuple[int, ...]]] = {}
         self._top_coordinates: dict[ExtElem, list[Fraction]] = {}
-        self._supports: list[tuple[int, ...]] | None = None
         self._affine_circuits: list[AffineCircuit] | None = None
-
-    def _place_moving(self, params: Sequence[Rat]) -> ProjForm:
-        """Put the moving hyperplane at ``params``; returns its projective form."""
-        self.params = tuple(Fraction(v) for v in params)
-        if len(self.params) != self.n:
-            raise ValueError("parameter point must have one value per dimension")
-        moving = AffineForm.make(1, self.params)
-        self.affine[self.moving_index] = moving
-        return AffineChart.of(self.base).projective(moving)
-
-    def at(self, params: Sequence[Rat]) -> "FiberContext":
-        """The fiber at ``params``, derived from this fiber.
-
-        Precondition, not checked: the points of both fibers lie off the
-        discriminant.  A moving hyperplane that contains a positive-dimensional
-        flat of the fixed arrangement also contains one of its vertices, so it
-        lies on the discriminant; off it, the matroid of the fixed hyperplanes
-        plus the moving one is the same at every point, and so are its
-        Orlik-Solomon normal forms, nbc lists and circuit supports.  The
-        derived fiber shares these, and the cache of ``top_coordinates``,
-        with this fiber.  Only the affine data is its own: the moving form,
-        the relation (mu, c) of each circuit, Jacobians and frames.
-        """
-        if self.moving_index is None:
-            raise ValueError("a fiber without the moving hyperplane has no other points")
-        fiber = copy.copy(self)
-        fiber.affine = dict(self.affine)
-        moving = fiber._place_moving(params)
-        fiber.arr = replace(self.arr, hyperplanes=self.arr.hyperplanes[:-1] + (moving,))
-        fiber._supports = self._affine_supports()
-        fiber._affine_circuits = None
-        return fiber
 
     # -- basics -------------------------------------------------------------
 
@@ -283,8 +255,21 @@ class FiberContext:
         scalar, because the moving form is normalized projectively.
         """
         if self._affine_circuits is None:
+            inf = self.arr.infinity_index
+            circuits = self.matroid.circuits()
+            through = [
+                tuple(i for i in circ.support if i != inf)
+                for circ in circuits
+                if circ.contains_infinity
+            ]
+            supports = sorted(through + [
+                circ.support
+                for circ in circuits
+                if not circ.contains_infinity
+                and not any(set(t).issubset(circ.support) for t in through)
+            ])
             out: list[AffineCircuit] = []
-            for support in self._affine_supports():
+            for support in supports:
                 kernel = nullspace(list(zip(*self.lin_rows(support))))
                 assert len(kernel) == 1, "minimal dependent set has a unique relation"
                 lead = next(x for x in kernel[0] if x != 0)
@@ -293,24 +278,6 @@ class FiberContext:
                 out.append(AffineCircuit(support, mu, c))
             self._affine_circuits = out
         return self._affine_circuits
-
-    def _affine_supports(self) -> list[tuple[int, ...]]:
-        """Sorted supports of ``affine_circuits``, read off the cone matroid."""
-        if self._supports is None:
-            inf = self.arr.infinity_index
-            circuits = self.matroid.circuits()
-            through = [
-                tuple(i for i in circ.support if i != inf)
-                for circ in circuits
-                if circ.contains_infinity
-            ]
-            self._supports = sorted(through + [
-                circ.support
-                for circ in circuits
-                if not circ.contains_infinity
-                and not any(set(t).issubset(circ.support) for t in through)
-            ])
-        return self._supports
 
     def circuit_in(self, pole_set: frozenset[int], nonzero_c: bool) -> AffineCircuit | None:
         """Lexicographically smallest contained circuit, filtered by c != 0."""
@@ -603,9 +570,9 @@ class ClassReducer:
     J runs over ``fiber.fixed_nbc()``, the nbc bases of the fixed
     arrangement; the solve is exact at numeric weights.  The system depends
     only on the fiber's combinatorics and the weights, so the reducer also
-    takes the elements of every fiber derived from ``fiber`` by
-    :meth:`FiberContext.at`.  Inconsistency (a resonant weight or a
-    discriminant parameter point) raises :class:`SampleRejectedError`.
+    takes the dlog forms of any other fiber off the discriminant.
+    Inconsistency (a resonant weight or a discriminant parameter point)
+    raises :class:`SampleRejectedError`.
     """
 
     def __init__(self, fiber: FiberContext, weights: Weights):

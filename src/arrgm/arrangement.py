@@ -291,9 +291,14 @@ def _flat_from_support(arr: Arrangement, support: Iterable[int]) -> Flat | None:
     kernel = nullspace(arr.form_rows(support))
     if not kernel:
         return None  # empty projective intersection
+    # the closure test runs on integer multiples of the kernel vectors
+    scaled = []
+    for vec in kernel:
+        lcm = math.lcm(*(x.denominator for x in vec))
+        scaled.append([int(x * lcm) for x in vec])
     closed = [
-        i for i in range(arr.size)
-        if all(arr.hyperplanes[i].evaluate(vec) == 0 for vec in kernel)
+        i for i, plane in enumerate(arr.hyperplanes)
+        if all(sum(c * x for c, x in zip(plane.coeffs, vec)) == 0 for vec in scaled)
     ]
     rank = arr.n + 1 - len(kernel)
     return Flat(tuple(closed), rank, tuple(tuple(v) for v in kernel))

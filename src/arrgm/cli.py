@@ -34,7 +34,6 @@ from .arrangement import (
 from .aomoto import FiberContext, Weights, cohomology_dims
 from .errors import (
     ArrgmError,
-    ConnectionFitError,
     NotLogarithmicError,
     ResonantResidueError,
     ResonantWeightsError,
@@ -425,7 +424,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ResonantWeightsError, ResonantResidueError) as exc:
         _error(exc, EXIT_RESONANCE)
         return EXIT_RESONANCE
-    except (ConnectionFitError, NotLogarithmicError, SampleRejectedError) as exc:
+    except (NotLogarithmicError, SampleRejectedError) as exc:
         _error(exc, EXIT_INTERNAL)
         return EXIT_INTERNAL
     except (ArrgmError, OSError, json.JSONDecodeError) as exc:

@@ -51,13 +51,6 @@ class SampleRejectedError(ArrgmError):
     """A parameter or weight sample hit a resonance or the discriminant; resample."""
 
 
-class ConnectionFitError(ArrgmError):
-    """Computed connection entries are not logarithmic along the declared components."""
-
-    def __init__(self) -> None:
-        super().__init__("connection not logarithmic along declared discriminant")
-
-
 class UnknownComponentError(ArrgmError):
     """Requested discriminant component is not part of the connection."""
 

@@ -16,8 +16,8 @@ provides
   is integral), so a solve returns particular solutions and a kernel basis,
   or reports the failing row of an inconsistent system, and the
   determinant is the signed last pivot over the row scales.
-* ``affine_fit`` / ``affine_fit_batch`` -- recover ``WeightExpr`` values from
-  exact samples, one solve for any number of value columns.
+* ``affine_fit_batch`` -- recover ``WeightExpr`` values from exact samples,
+  one solve for any number of value columns.
 * ``cexp_matrix`` -- complex matrix exponential by scaling-and-squaring with
   a degree-13 Pade approximant (used for monodromy representatives).
 
@@ -487,29 +487,21 @@ def nullspace(matrix: Sequence[Sequence[Rat | int]]) -> list[Vector]:
 # affine fitting of weight expressions
 # ---------------------------------------------------------------------------
 
-def affine_fit(samples: Sequence[tuple[Mapping[str, Rat], Rat]]) -> WeightExpr:
-    """Recover the unique affine-linear expression matching exact samples.
-
-    Each sample is ``(assignment, value)``.  The sample assignments must span
-    affinely (at least k+1 of them for k active symbols); values that are not
-    affine-linear in the symbols raise :class:`NonlinearFitError`.
-    """
-    return affine_fit_batch([a for a, _ in samples], [[v for _, v in samples]])[0]
-
-
 def affine_fit_batch(
     assignments: Sequence[Mapping[str, Rat]],
     columns: Sequence[Sequence[Rat]],
 ) -> list[WeightExpr]:
-    """``affine_fit`` of many value columns sampled at the same assignments.
+    """Recover the unique affine-linear expressions matching exact samples.
 
     ``columns[c][s]`` is the value of the c-th expression at ``assignments[s]``.
-    All columns share one coefficient matrix, so they are fitted by a single
-    exact solve; every fitted expression is then re-evaluated exactly at
-    every sample.
+    The assignments must span affinely (at least k+1 of them for k active
+    symbols).  All columns share one coefficient matrix, so they are fitted
+    by a single exact solve; every fitted expression is then re-evaluated
+    exactly at every sample, and values that are not affine-linear in the
+    symbols raise :class:`NonlinearFitError`.
     """
     if not assignments:
-        raise ValueError("affine_fit needs at least one sample")
+        raise ValueError("affine_fit_batch needs at least one sample")
     symbols = sorted({s for assignment in assignments for s in assignment})
     points = [{s: Fraction(a.get(s, QQ0)) for s in symbols} for a in assignments]
     rows = [[QQ1] + [point[s] for s in symbols] for point in points]

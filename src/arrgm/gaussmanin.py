@@ -1,35 +1,32 @@
 """Assembly of the connection matrix of the moving-hyperplane family.
 
 The bundle is trivialized by the nbc bases of the fixed arrangement (top
-twisted cohomology of every fiber).  Differentiating a basis class e_J
-against the parameter l_k produces the coefficient a_h (x_k / x_s) e_J; its
-class is computed exactly at rational parameter samples, the sampled
-coordinate functions are fitted as sum_p r_p dlog f_p over the affine
-discriminant components, and the residues r_p are lifted to affine-linear
-weight expressions by sampling weights and exact affine fitting.  The
-component along h0 = 0 is not fitted: homogenizing each degree-one affine
-component contributes -dlog h0, so its residue is minus the sum of all the
-others.
+twisted cohomology of every fiber).  The connection is sum_p A_p dlog f_p
+over the discriminant components, and each residue has a closed form in the
+Orlik-Solomon algebra, the Aomoto-complex form of the connection
+(Cohen-Orlik, "Gauss-Manin connections for arrangements" I-III; Aomoto-Kita,
+*Theory of Hypergeometric Functions*).  A component is h . P = 0 for a
+point P; with S_X the hyperplanes through P plus the moving one,
+
+    A_X e_J = [lambda_X eta_{J,P} - omega_X ^ d eta_{J,P}],
+
+where eta_{J,P} is the part at P of the projective lift d(e_inf ^ e_J) of
+e_J, lambda_X and omega_X are the weight sum and the weighted sum of the
+e_i over S_X, and [.] is the class over the nbc basis in any fiber off the
+discriminant.  The component along h0 = 0 is derived: homogenizing each
+degree-one affine component contributes -dlog h0, so its residue is minus
+the sum of all the others.
 
 ``gm_matrix`` does each piece of work at the level it depends on:
 
-* once per family: the discriminant components in the affine chart, the
-  weight settings, the raw derivatives (their Jacobians in the affine
-  chart), and one fiber context, built at the first parameter sample: its
-  matroid, Orlik-Solomon normal forms, nbc bases and circuit supports are
-  the same at every sample off the discriminant (``FiberContext.at``);
-* once per parameter point: the fiber derived there (its moving form and
-  circuit relations), the partial-fraction reduction of every raw
-  derivative, and the nbc coordinates of the reduced forms;
-* once per weight setting: one class-reduction solve taking the reduced
-  forms of every point;
-* once per sampling round: the dlog rows of the samples, shared by the
-  rank check and the residue fit;
-* once per call: one exact solve fitting every residue entry of every
-  setting, and one exact solve lifting every entry to the weights.  Both
-  fits stay overdetermined and verified exactly (the residues on held-out
-  samples, the lift at every weight setting), and the fitted systems have
-  full column rank, so batching leaves every solution unchanged.
+* once per call: the discriminant components in the affine chart, the
+  weight settings, one fiber context at one parameter point off the
+  discriminant, the Brieskorn parts eta_{J,P} and d eta_{J,P} of every
+  (component, basis tuple) pair, and one exact solve lifting every residue
+  entry to an affine-linear weight expression (verified exactly at every
+  weight setting);
+* once per weight setting: the residue images and one class-reduction
+  solve taking all of them.
 
 ``flatness_check`` verifies integrability exactly and completely by Kohno's
 codimension-2 criterion: for every rank-2 flat X of the components and every
@@ -40,7 +37,7 @@ No point is sampled and no size is exempt.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -54,32 +51,12 @@ from .arrangement import (
     discriminant,
     format_linear,
 )
-from .errors import (
-    ArrgmError,
-    ConnectionFitError,
-    InconsistentSystemError,
-    SampleRejectedError,
-)
-from .exactnum import (
-    WeightExpr,
-    WeightPoly,
-    affine_fit_batch,
-    determinant,
-    matrix_rank,
-    solve_linear,
-)
-from .aomoto import (
-    ClassReducer,
-    FiberContext,
-    RatForm,
-    Weights,
-    reduce_rational_form,
-    validate_weights,
-)
-from .osalg import ExtElem
+from .errors import ArrgmError, SampleRejectedError
+from .exactnum import WeightExpr, WeightPoly, affine_fit_batch, matrix_rank
+from .aomoto import ClassReducer, FiberContext, Weights, validate_weights
+from .osalg import ExtElem, boundary, wedge
 
 QQ0 = Fraction(0)
-QQ1 = Fraction(1)
 
 DEFAULT_SEED = 987654321
 
@@ -163,30 +140,6 @@ class GMConnection:
                 for comp in self.components
             ],
         }
-
-
-# ---------------------------------------------------------------------------
-# raw parameter derivatives
-# ---------------------------------------------------------------------------
-
-def raw_derivative(family: MovingFamily, basis: Sequence[int], k: int) -> RatForm:
-    """dl_k coefficient of the connection image of e_J: a_h (x_k / x_s) e_J.
-
-    Expanded over the coordinate volume form, e_J contributes the constant
-    Jacobian factor of its forms in the family's affine chart, so the result
-    is the rational form (x_k * det_J) / (prod_{j in J} f_j * x_s)
-    dx_1..dx_n tagged with the symbolic factor ``ah``.
-    """
-    n = family.n
-    if not 1 <= k <= n:
-        raise ValueError(f"parameter index {k} out of range 1..{n}")
-    J = tuple(sorted(basis))
-    chart = AffineChart.of(family.base)
-    det = determinant([list(chart.affine(family.base.hyperplanes[j]).lin) for j in J])
-    if det == 0:
-        raise ArrgmError(f"basis tuple {J} has dependent affine forms")
-    numerator = WeightPoly.make({((f"x{k}", 1),): det})
-    return RatForm.make(numerator, list(J) + [family.moving_index], n, weight_factor="ah")
 
 
 # ---------------------------------------------------------------------------
@@ -283,11 +236,10 @@ def _sample_weight_settings(family: MovingFamily, flats) -> list[Weights]:
 def gm_matrix(family: MovingFamily) -> GMConnection:
     """Compute the full connection matrix with exact residues.
 
-    Pipeline: reduce every raw derivative at enough parameter samples, fit
-    each matrix entry as sum_p r_p dlog f_p over the affine discriminant
-    components (verifying the fit exactly at two held-out samples), lift the
-    residues to affine-linear weight expressions, and append the derived h0
-    component.
+    Pipeline: draw one generic fiber, evaluate the closed-form residue of
+    every affine discriminant component at each weight setting (one class
+    reduction per setting, see ``_residue_images``), lift the residues to
+    affine-linear weight expressions, and append the derived h0 component.
     """
     base = family.base
     n = base.n
@@ -310,62 +262,62 @@ def gm_matrix(family: MovingFamily) -> GMConnection:
     else:
         weight_settings = _sample_weight_settings(family, flats)
 
-    nfit = len(visible) + 2
-    nheld = 2
-    sampler = RatSampler(family.seed)
-
-    # Evaluate the coordinate functions of every raw derivative at parameter
-    # samples; retry with fresh points when a sample hits a degenerate locus
-    # or the fit matrix of dlog values is rank deficient.
-    fiber = None
-    max_rounds = 8
-    for attempt in range(max_rounds):
-        try:
-            points = sample_parameter_points(
-                n, [aff for _, aff in visible], nfit + nheld, sampler
-            )
-            if fiber is None:
-                # Every sample is off the discriminant, so one fiber serves
-                # the samples of every round (FiberContext.at).
-                fiber = FiberContext(base, points[0])
-                basis = fiber.fixed_nbc()
-                if not basis:
-                    raise ArrgmError("fixed arrangement has no nbc bases in top degree")
-                # ah is applied after the class reduction
-                raw_forms = [
-                    replace(raw_derivative(family, J, k), weight_factor=None)
-                    for J in basis
-                    for k in range(1, n + 1)
-                ]
-            dlog_rows = _dlog_rows(visible, points)
-            if matrix_rank(dlog_rows[: nfit * n]) < len(visible):
-                raise SampleRejectedError("dlog sample matrix is rank deficient")
-            coords = _evaluate_samples(fiber, raw_forms, points, weight_settings)
-            break
-        except SampleRejectedError:
-            if attempt == max_rounds - 1:
-                raise
-
+    # The class reduction holds in every fiber off the discriminant.
+    (point,) = sample_parameter_points(
+        n, [aff for _, aff in visible], 1, RatSampler(family.seed)
+    )
+    fiber = FiberContext(base, point)
+    basis = fiber.fixed_nbc()
+    if not basis:
+        raise ArrgmError("fixed arrangement has no nbc bases in top degree")
     nbasis = len(basis)
-    residues_by_setting = _fit_residues(dlog_rows, nfit * n, coords, nbasis, n)
+    forms = [form for form, _ in visible]
+    parts = _brieskorn_parts(base, forms, basis)
+    residues_by_setting = []
+    for weights in weight_settings:
+        images = _residue_images(parts, base, fiber.moving_index, weights)
+        vectors = ClassReducer(fiber, weights).reduce_batch(images)
+        residues_by_setting.append({
+            (i, j): [vectors[p * nbasis + j][i] for p in range(len(forms))]
+            for i in range(nbasis)
+            for j in range(nbasis)
+        })
 
-    symbol_order = tuple(base.finite_indices)
+    # A component invisible in the affine chart has no linear part, which
+    # forces it to be proportional to h0 itself; nothing else to add here.
+    assert all(form == h0 for form, aff in affine_all if not any(c != 0 for c in aff.lin))
+    return _assemble(family, basis, forms, h0, residues_by_setting, weight_settings)
+
+
+def _assemble(
+    family: MovingFamily,
+    basis: Sequence[tuple[int, ...]],
+    forms: Sequence[ProjForm],
+    h0: ProjForm,
+    residues_by_setting: list[dict[tuple[int, int], list[Fraction]]],
+    weight_settings: list[Weights],
+) -> GMConnection:
+    """The connection from the residues of the affine components ``forms``.
+
+    ``residues_by_setting[w][(i, j)][p]`` is entry (i, j) of the residue
+    along ``forms[p]`` at ``weight_settings[w]``.  Entries are lifted to the
+    weights (constants at numeric weights), components are put in canonical
+    form order, and the h0 residue, minus the sum of the others, goes last.
+    """
+    nbasis = len(basis)
+    symbol_order = tuple(family.base.finite_indices)
     if family.weights is not None:
         lifted = _constant_lift(residues_by_setting[0])
     else:
         lifted = _affine_lift(
-            residues_by_setting, weight_settings, symbol_order, len(visible), nbasis
+            residues_by_setting, weight_settings, symbol_order, len(forms), nbasis
         )
-
     comp_list: list[GMComponent] = []
-    for pidx, (form, _aff) in enumerate(visible):
+    for pidx, form in enumerate(forms):
         matrix = tuple(
             tuple(lifted[(i, j)][pidx] for j in range(nbasis)) for i in range(nbasis)
         )
         comp_list.append(GMComponent(form, matrix))
-    # A component invisible in the affine chart has no linear part, which
-    # forces it to be proportional to h0 itself; nothing else to add here.
-    assert all(form == h0 for form, aff in affine_all if not any(c != 0 for c in aff.lin))
     comp_list.sort(key=lambda c: c.form.coeffs)
     h0_matrix = []
     for i in range(nbasis):
@@ -380,85 +332,59 @@ def gm_matrix(family: MovingFamily) -> GMConnection:
     return GMConnection(tuple(basis), tuple(comp_list), symbol_order)
 
 
-def _evaluate_samples(
-    fiber: FiberContext,
-    raw_forms: list[RatForm],
-    points: list[tuple[Fraction, ...]],
-    weight_settings: list[Weights],
-) -> list[list[list[list[Fraction]]]]:
-    """coords[w][sample][flat(J,k)] = coordinate vector over the fixed basis.
+def _brieskorn_parts(
+    base: Arrangement,
+    forms: Sequence[ProjForm],
+    basis: Sequence[tuple[int, ...]],
+) -> list[tuple[frozenset[int], ExtElem, ExtElem]]:
+    """Weight-independent data of every (component, basis tuple) pair.
 
-    ``raw_forms`` lists the raw derivatives without their factor ah, in
-    flat (J, k) order.  Their partial-fraction reduction is weight
-    independent and done once per point, in the fiber derived there from
-    ``fiber``; one class reduction per weight setting then takes the reduced
-    forms of every point at once.
+    A component h . P = 0 is named by the point P of its coefficient
+    vector; S holds the fixed hyperplanes through P, infinity included.
+    For the basis tuple J, eta_J = d(e_inf ^ e_J) is the projective lift of
+    e_J and eta_{J,P} its Brieskorn component at P, the terms whose indices
+    all lie in S.  Returns (S, eta_{J,P}, d eta_{J,P}) in (form, J) order.
     """
-    reduced: list[ExtElem] = []
-    for point in points:
-        at_point = fiber.at(point)
-        reduced.extend(reduce_rational_form(form, at_point) for form in raw_forms)
-    per_point = len(raw_forms)
-    coords = []
-    for weights in weight_settings:
-        vectors = ClassReducer(fiber, weights).reduce_batch(reduced)
-        scaled = [[weights.ah * c for c in vec] for vec in vectors]
-        coords.append(
-            [scaled[s * per_point : (s + 1) * per_point] for s in range(len(points))]
+    e_inf = ExtElem.monomial((base.infinity_index,))
+    lifts = [boundary(wedge(e_inf, ExtElem.monomial(J))) for J in basis]
+    parts = []
+    for form in forms:
+        through = frozenset(
+            i for i, plane in enumerate(base.hyperplanes) if plane.evaluate(form.coeffs) == 0
         )
-    return coords
+        for eta in lifts:
+            local = ExtElem(tuple((t, c) for t, c in eta.terms if through.issuperset(t)))
+            parts.append((through, local, boundary(local)))
+    return parts
 
 
-def _dlog_rows(
-    visible: list[tuple[ProjForm, AffineForm]],
-    points: list[tuple[Fraction, ...]],
-) -> list[list[Fraction]]:
-    """Row s*n + k holds the dl_{k+1} coefficients of dlog f_p at sample s."""
-    rows = []
-    for point in points:
-        values = [aff.evaluate(point) for _, aff in visible]
-        for k in range(len(point)):
-            rows.append([aff.lin[k] / v for (_, aff), v in zip(visible, values)])
-    return rows
+def _residue_images(
+    parts: list[tuple[frozenset[int], ExtElem, ExtElem]],
+    base: Arrangement,
+    moving_index: int,
+    weights: Weights,
+) -> list[ExtElem]:
+    """A_X e_J = [lambda_X eta_{J,P} - omega_X ^ d eta_{J,P}] for every part.
 
-
-def _fit_residues(
-    dlog_rows: list[list[Fraction]],
-    nfit_rows: int,
-    coords: list[list[list[list[Fraction]]]],
-    nbasis: int,
-    n: int,
-) -> list[dict[tuple[int, int], list[Fraction]]]:
-    """Fit entry (i, j) of every weight setting as sum_p r_p dlog f_p.
-
-    ``coords[w][sample][j * n + (k-1)][i]`` is the dl_k coordinate of the
-    image of basis element j on basis element i at weight setting w.  Every
-    entry shares the dlog rows, so the first ``nfit_rows`` rows fit all of
-    them in one exact solve; each fitted entry is then verified exactly on
-    the remaining (held-out) rows.
+    With S_X = S u {h} (h the moving index), lambda_X = sum_{S_X} a_i and
+    omega_X = sum_{S_X} a_i e_i, a_inf = a0 on infinity.  Monomials through
+    infinity vanish in the fiber's chart and are dropped; the caller takes
+    the class [.] over the fixed nbc basis.  Since d omega_X = lambda_X and
+    d^2 = 0, B = A_X satisfies B^2 = lambda_X B: the Aomoto-complex form of
+    the residue (Cohen-Orlik, "Gauss-Manin connections for arrangements").
+    At the point P of h0 itself the same image, minus ah e_J, is the h0
+    residue, which equals minus the sum of the others.
     """
-    keys = [
-        (w, i, j) for w in range(len(coords)) for j in range(nbasis) for i in range(nbasis)
-    ]
-    columns = [
-        [coords[w][r // n][j * n + r % n][i] for r in range(len(dlog_rows))]
-        for w, i, j in keys
-    ]
-    try:
-        solution = solve_linear(
-            dlog_rows[:nfit_rows], [column[:nfit_rows] for column in columns]
-        )
-    except InconsistentSystemError as exc:
-        raise ConnectionFitError() from exc
-    assert solution.rank == len(dlog_rows[0])  # guaranteed by the presample rank check
-    held_out = dlog_rows[nfit_rows:]
-    out: list[dict[tuple[int, int], list[Fraction]]] = [{} for _ in coords]
-    for (w, i, j), r, column in zip(keys, solution.solutions, columns):
-        for row, value in zip(held_out, column[nfit_rows:]):
-            if sum((rp * dp for rp, dp in zip(r, row)), QQ0) != value:
-                raise ConnectionFitError()
-        out[w][(i, j)] = r
-    return out
+    inf = base.infinity_index
+    a = {**weights.a_dict, moving_index: weights.ah, inf: weights.a0}
+    images = []
+    for through, local, d_local in parts:
+        support = through | {moving_index}
+        lam = sum((a[i] for i in support), QQ0)
+        omega = ExtElem.make({(i,): a[i] for i in support})
+        image = local.scale(lam) - wedge(omega, d_local)
+        images.append(ExtElem(tuple((t, c) for t, c in image.terms if inf not in t)))
+    return images
 
 
 def _affine_lift(

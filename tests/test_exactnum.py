@@ -15,7 +15,6 @@ from arrgm.exactnum import (
     QMat,
     WeightExpr,
     WeightPoly,
-    affine_fit,
     affine_fit_batch,
     cexp_matrix,
     determinant,
@@ -203,6 +202,12 @@ class TestSolveRectangular:
         assert info.value.row == 1
 
 
+def affine_fit_one(samples):
+    """One-column ``affine_fit_batch`` of (assignment, value) samples."""
+    (expr,) = affine_fit_batch([a for a, _ in samples], [[v for _, v in samples]])
+    return expr
+
+
 class TestAffineFit:
     def test_two_symbol_fit(self):
         # trace of a residue matrix sampled at three affine-independent points
@@ -211,22 +216,22 @@ class TestAffineFit:
             ({"a1": F(1), "a3": F(0)}, F(-1)),
             ({"a1": F(0), "a3": F(1)}, F(-1)),
         ]
-        assert affine_fit(samples) == WeightExpr.make(0, {"a1": -1, "a3": -1})
+        assert affine_fit_one(samples) == WeightExpr.make(0, {"a1": -1, "a3": -1})
 
     def test_constant(self):
         samples = [({"a1": F(k)}, F(7, 2)) for k in range(2)]
-        assert affine_fit(samples) == WeightExpr.constant(F(7, 2))
+        assert affine_fit_one(samples) == WeightExpr.constant(F(7, 2))
 
     def test_quadratic_rejected(self):
         points = [(0, 0), (1, 0), (0, 1), (1, 1)]
         samples = [({"a1": F(p), "a2": F(q)}, F(p) * F(q)) for p, q in points]
         with pytest.raises(NonlinearFitError):
-            affine_fit(samples)
+            affine_fit_one(samples)
 
     def test_not_spanning_rejected(self):
         samples = [({"a1": F(0), "a2": F(0)}, F(0)), ({"a1": F(1), "a2": F(1)}, F(2))]
         with pytest.raises(ValueError):
-            affine_fit(samples)
+            affine_fit_one(samples)
 
     def test_recovers_random_expressions(self):
         sampler = RatSampler(13)
@@ -242,7 +247,7 @@ class TestAffineFit:
                 shifted[s] += 1
                 assignments.append(shifted)
             samples = [(a, expr.evaluate(a)) for a in assignments]
-            assert affine_fit(samples) == expr
+            assert affine_fit_one(samples) == expr
 
     def test_batch_equals_column_by_column(self):
         sampler = RatSampler(29)
@@ -255,7 +260,7 @@ class TestAffineFit:
             )
             columns.append([expr.evaluate(a) for a in assignments])
         batch = affine_fit_batch(assignments, columns)
-        assert batch == [affine_fit(list(zip(assignments, column))) for column in columns]
+        assert batch == [affine_fit_one(list(zip(assignments, column))) for column in columns]
 
     def test_batch_rejects_one_nonlinear_column(self):
         assignments = [{"a1": F(k), "a2": F(k * k)} for k in range(4)]

@@ -1,7 +1,8 @@
-"""Connection assembly: raw derivatives, residue fitting, flatness, oracles."""
+"""Connection assembly: closed-form residues, the sampled oracle, flatness."""
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import sys
@@ -12,11 +13,11 @@ from itertools import combinations
 
 import pytest
 
-from arrgm import exactnum, gaussmanin
+from arrgm import aomoto, exactnum, gaussmanin
 from arrgm._sampling import RatSampler
-from arrgm.arrangement import AffineChart, ProjForm, validate
+from arrgm.arrangement import AffineChart, AffineForm, ProjForm, discriminant, validate
 from arrgm.aomoto import ClassReducer, FiberContext, Weights
-from arrgm.errors import ConnectionFitError, NonlinearFitError
+from arrgm.errors import NonlinearFitError
 from arrgm.exactnum import WeightExpr, WeightPoly
 from arrgm.fixtures import ceva, example1
 from arrgm.gaussmanin import (
@@ -24,12 +25,19 @@ from arrgm.gaussmanin import (
     GMConnection,
     MovingFamily,
     _affine_lift,
-    _fit_residues,
+    _brieskorn_parts,
+    _residue_images,
     flatness_check,
     gm_matrix,
-    raw_derivative,
+    sample_parameter_points,
 )
 from arrgm.matroid import MatroidContext
+from reference_sampled import (
+    ConnectionFitError,
+    _fit_residues,
+    raw_derivative,
+    sampled_gm_matrix,
+)
 
 
 def P(*coeffs):
@@ -50,6 +58,8 @@ def two_point_family() -> MovingFamily:
 
 
 class TestRawDerivative:
+    """The raw parameter derivatives of the sampled reference derivation."""
+
     def test_point_line(self):
         form = raw_derivative(point_line_family(), (1,), 1)
         assert form.weight_factor == "ah"
@@ -201,8 +211,6 @@ class TestExample1Connection:
                 assert total == WeightExpr.constant(0)
 
     def test_components_within_discriminant(self, conn):
-        from arrgm.arrangement import discriminant
-
         allowed = set(discriminant(example1().arrangement)) | {P(1, 0, 0)}
         assert {c.form for c in conn.components} <= allowed
 
@@ -354,12 +362,8 @@ class TestFlatness:
 
     def test_exact_above_size_eight(self):
         """Generic P^2 with 6 lines: 10 nbc elements, certified exactly."""
-        frame = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-        arr = validate([P(*row) for row in frame + [[1, 1, 1], [1, 2, -3], [2, -1, 3]]], 0)
-        weights = Weights.make(
-            {1: F(2, 7), 2: F(-3, 11), 3: F(5, 13), 4: F(-1, 9), 5: F(3, 17)}, F(4, 15)
-        )
-        conn = gm_matrix(MovingFamily(arr, weights))
+        arr = p2_6()
+        conn = oracle_family_connection("p2-6-numeric")
         assert conn.size == 10
         assert flatness_check(conn, arr).ok
         assert not flatness_check(with_entry_added(conn, W(1), (0,)), arr).ok
@@ -403,11 +407,47 @@ def generic_p3_family() -> MovingFamily:
     return MovingFamily(arr, weights)
 
 
+def generic(n, extra):
+    """The coordinate frame of P^n (z0 at infinity) plus the given forms."""
+    frame = [[int(i == j) for j in range(n + 1)] for i in range(n + 1)]
+    return validate([P(*row) for row in frame + extra], 0)
+
+
+def p2_6():
+    return generic(2, [[1, 1, 1], [1, 2, -3], [2, -1, 3]])
+
+
+def p3_7():
+    """Planes {0, 1, 5, 6} meet in a point: not normal crossing."""
+    return generic(3, [[1, 1, 1, 1], [1, 2, -3, -1], [2, -1, 3, 1]])
+
+
+# numeric weights off every resonance of their arrangement
+P2_6_WEIGHTS = Weights.make(
+    {1: F(2, 7), 2: F(-3, 11), 3: F(5, 13), 4: F(-1, 9), 5: F(3, 17)}, F(4, 15)
+)
+P3_7_WEIGHTS = Weights.make(
+    {1: F(2, 7), 2: F(-3, 11), 3: F(5, 13), 4: F(-1, 9), 5: F(3, 17), 6: F(1, 19)}, F(4, 15)
+)
+
+ORACLE_FAMILIES = {
+    "example1": lambda: MovingFamily(example1().arrangement),
+    "ceva": lambda: MovingFamily(ceva().arrangement),
+    "p2-6-numeric": lambda: MovingFamily(p2_6(), P2_6_WEIGHTS),
+    "p3-7-numeric": lambda: MovingFamily(p3_7(), P3_7_WEIGHTS),
+}
+
+
+@functools.cache
+def oracle_family_connection(name: str) -> GMConnection:
+    return gm_matrix(ORACLE_FAMILIES[name]())
+
+
 class TestByteIdentity:
     """The exact output is fixed: a change may only alter the time to compute it.
 
-    Digests of ``json.dumps(conn.to_json(), sort_keys=True)``, recorded before
-    the residue fit and the weight lift were batched.
+    Digests of ``json.dumps(conn.to_json(), sort_keys=True)``, recorded from
+    the residues fitted to parameter samples, before the closed form.
     """
 
     @pytest.mark.parametrize(
@@ -425,11 +465,57 @@ class TestByteIdentity:
                 generic_p3_family,
                 "b83f85e434f3b5028b4a878ccf810f2af41939baa2e880b7f869cb380a18b9a4",
             ),
+            (
+                lambda: MovingFamily(p2_6()),
+                "ca60a3cf44e3db7f1a7a6bd2ab505aa1ad928b86e81758e727678727acfeb045",
+            ),
+            (
+                lambda: MovingFamily(p3_7()),
+                "215110e2b753f1af9430a973590adc4a7640cfb5d1a4a2e70837c661b532f429",
+            ),
         ],
-        ids=["example1", "ceva", "generic-p3-numeric"],
+        ids=["example1", "ceva", "generic-p3-numeric", "p2-6", "p3-7"],
     )
     def test_connection_digest(self, family, expected):
         assert connection_digest(gm_matrix(family())) == expected
+
+
+@pytest.mark.parametrize("name", list(ORACLE_FAMILIES))
+def test_closed_form_equals_sampled_oracle(name):
+    """The closed form and the paper's sampled derivation give one connection."""
+    family = ORACLE_FAMILIES[name]()
+    assert oracle_family_connection(name) == sampled_gm_matrix(family)
+
+
+@pytest.mark.parametrize("name", ["ceva", "p2-6-numeric", "p3-7-numeric"])
+def test_closed_form_on_h0_is_minus_the_others(name):
+    """Residue theorem: the closed form at h0 itself, minus ah e_J, equals the
+    stored h0 residue, which is minus the sum of the affine residues."""
+    family = ORACLE_FAMILIES[name]()
+    base = family.base
+    weights = family.weights or Weights.make(
+        {i: F(2 * i + 1, 13) for i in base.finite_indices}, F(3, 11)
+    )
+    conn = oracle_family_connection(name)
+    *affine, (h0, stored) = conn.evaluate(weights)
+    assert h0 == AffineChart.of(base).projective(AffineForm.make(1, [0] * base.n))
+    chart = AffineChart.of(base)
+    (point,) = sample_parameter_points(
+        base.n, [chart.affine(form) for form in discriminant(base)], 1, RatSampler(3)
+    )
+    fiber = FiberContext(base, point)
+    parts = _brieskorn_parts(base, [h0], conn.basis)
+    images = _residue_images(parts, base, fiber.moving_index, weights)
+    columns = ClassReducer(fiber, weights).reduce_batch(images)
+    size = conn.size
+    closed = [
+        [columns[j][i] - (weights.ah if i == j else 0) for j in range(size)]
+        for i in range(size)
+    ]
+    assert closed == stored
+    assert closed == [
+        [-sum((m[i][j] for _, m in affine), F(0)) for j in range(size)] for i in range(size)
+    ]
 
 
 def synthetic_fit_data(n=2, nvis=3, nbasis=2, nsettings=2, nsamples=7):
@@ -509,18 +595,28 @@ class TestBatchedChecks:
             _affine_lift(residues, settings, order, 2, 2)
 
 
-def test_fit_and_lift_solve_once(monkeypatch):
-    """Structural guard on the batching: one exact solve fits every residue
-    entry of every weight setting, and one lifts them all to the weights."""
-    callers = Counter()
-    real = exactnum.solve_linear
+def test_closed_form_call_structure(monkeypatch):
+    """Structural guard on the closed form: no partial fractions, one
+    parameter point and one fiber per call, one class reduction per weight
+    setting, and one exact solve lifting every residue entry to the weights."""
+    calls = Counter()
 
-    def counting(*args, **kwargs):
-        callers[sys._getframe(1).f_code.co_name] += 1
-        return real(*args, **kwargs)
+    def counting(module, name, count=lambda result: 1):
+        real = getattr(module, name)
 
-    monkeypatch.setattr(gaussmanin, "solve_linear", counting)
-    monkeypatch.setattr(exactnum, "solve_linear", counting)
+        def wrapper(*args, **kwargs):
+            result = real(*args, **kwargs)
+            calls[name] += count(result)
+            return result
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module in (aomoto, gaussmanin):
+        if hasattr(module, "reduce_rational_form"):
+            counting(module, "reduce_rational_form")
+    counting(gaussmanin, "sample_parameter_points", count=len)
+    counting(FiberContext, "__init__")
+    counting(ClassReducer, "reduce_batch")
     lifts = Counter()
     real_batch = gaussmanin.affine_fit_batch
 
@@ -529,10 +625,17 @@ def test_fit_and_lift_solve_once(monkeypatch):
         return real_batch(*args, **kwargs)
 
     monkeypatch.setattr(gaussmanin, "affine_fit_batch", counting_batch)
-    gm_matrix(MovingFamily(ceva().arrangement))
-    assert callers["_fit_residues"] == 1
-    assert lifts == Counter({"_affine_lift": 1})
-    assert callers["affine_fit_batch"] == 1
+    numeric = Weights.make({i: F(i, 11) for i in range(1, 6)}, F(3, 7))
+    for weights, settings, lift in [(None, 8, 1), (numeric, 1, 0)]:
+        calls.clear()
+        lifts.clear()
+        gm_matrix(MovingFamily(ceva().arrangement, weights))
+        assert calls == Counter({
+            "sample_parameter_points": 1,
+            "__init__": 1,
+            "reduce_batch": settings,
+        })
+        assert lifts == Counter({"_affine_lift": lift})
 
 
 @pytest.mark.parametrize(
