@@ -198,6 +198,7 @@ class FiberContext:
         self._nbc_cache: dict[int, list[tuple[int, ...]]] = {}
         self._top_coordinates: dict[ExtElem, list[Fraction]] = {}
         self._affine_circuits: list[AffineCircuit] | None = None
+        self._frame_inverse: dict[tuple[int, ...], dict[str, WeightPoly]] = {}
 
     # -- basics -------------------------------------------------------------
 
@@ -240,6 +241,25 @@ class FiberContext:
 
     def jacobian_det(self, indices: Sequence[int]) -> Fraction:
         return determinant(self.lin_rows(indices))
+
+    def frame_inverse(self, frame: tuple[int, ...]) -> dict[str, WeightPoly]:
+        """x1..xn as affine polynomials in the forms g0..g_{n-1} of a frame.
+
+        x_j = sum_k t_k (g_k - c_k), with t solving lin^T t = e_j for the
+        frame's linear parts lin; kept per frame, as frames recur.
+        """
+        inverse = self._frame_inverse.get(frame)
+        if inverse is None:
+            unit = [[QQ1 if k == j else QQ0 for k in range(self.n)] for j in range(self.n)]
+            solution = solve_linear(list(zip(*self.lin_rows(frame))), unit)
+            inverse = self._frame_inverse[frame] = {
+                _xsym(j): WeightPoly.make({
+                    (): -sum((t * self.affine[i].constant for t, i in zip(ts, frame)), QQ0),
+                    **{((f"g{k}", 1),): t for k, t in enumerate(ts)},
+                })
+                for j, ts in enumerate(solution.solutions, start=1)
+            }
+        return inverse
 
     # -- affine circuits ------------------------------------------------------
 
@@ -495,28 +515,7 @@ def _rewrite_in_frame(
     against the matching denominator form.
     """
     n = fiber.n
-    # x_j as affine expressions of the frame forms: solve lin * x = g - const.
-    lin = fiber.lin_rows(frame)  # rows: frame forms
-    rhs_cols = []
-    for j in range(n):
-        rhs_cols.append([QQ1 if k == j else QQ0 for k in range(n)])
-    solution = solve_linear(
-        [[lin[i][j] for i in range(n)] for j in range(n)],  # transposed: columns are forms
-        rhs_cols,
-    )
-    # solution.solutions[j] gives coefficients t with x_j = sum t_k (g_k - c_k)
-    x_in_g: list[WeightPoly] = []
-    for j in range(n):
-        expr = WeightPoly.zero()
-        for k, t in enumerate(solution.solutions[j]):
-            if t == 0:
-                continue
-            gk = WeightPoly.symbol(f"g{k}") - WeightPoly.constant(
-                fiber.affine[frame[k]].constant
-            )
-            expr = expr + gk.scale(t)
-        x_in_g.append(expr)
-    substituted = _substitute(poly, {_xsym(j + 1): x_in_g[j] for j in range(n)})
+    substituted = _substitute(poly, fiber.frame_inverse(frame))
 
     out: list[tuple[frozenset[int], WeightPoly]] = []
     for mono, coeff in substituted.terms:

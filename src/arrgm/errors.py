@@ -33,7 +33,7 @@ class InconsistentSystemError(ArrgmError):
 
 
 class NonlinearFitError(ArrgmError):
-    """Sampled values are not affine-linear in the weight symbols."""
+    """Residues at the weight settings are not homogeneous linear in the weights."""
 
     def __init__(self) -> None:
         super().__init__("nonlinear in weights")

@@ -8,7 +8,11 @@ provides
   ``a1..am, ah`` (the residue symbols).  The dependent symbol ``a0`` is
   eliminated on construction through ``a0 = -(a1 + ... + am) - ah``.
 * ``WeightPoly``  -- sparse multivariate polynomials over ``Rat`` with string
-  symbols (products of weight expressions live here).
+  symbols (the numerators of rational forms in the coordinates x1..xn).
+* ``integer_coefficients``, ``first_nonzero_quadratic`` -- matrices of weight
+  expressions as per-symbol sparse coefficient matrices, and the exact
+  check of a quadratic matrix identity among them, one pair of symbols at a
+  time (flatness commutators, the projector identity A^2 = tr(A) A).
 * ``QMat``, ``solve_linear``, ``determinant``, ``matrix_rank``, ``nullspace``
   -- dense exact matrices and the library's one exact elimination: rows are
   cleared to integers and reduced by fraction-free (Bareiss) elimination.
@@ -16,8 +20,6 @@ provides
   is integral), so a solve returns particular solutions and a kernel basis,
   or reports the failing row of an inconsistent system, and the
   determinant is the signed last pivot over the row scales.
-* ``affine_fit_batch`` -- recover ``WeightExpr`` values from exact samples,
-  one solve for any number of value columns.
 * ``cexp_matrix`` -- complex matrix exponential by scaling-and-squaring with
   a degree-13 Pade approximant (used for monodromy representatives).
 
@@ -34,7 +36,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import InconsistentSystemError, NonlinearFitError
+from .errors import InconsistentSystemError
 
 Rat = Fraction
 
@@ -153,14 +155,6 @@ class WeightExpr:
                 raise KeyError(f"no value assigned to weight symbol {s}")
             total += c * assignment[s]
         return total
-
-    def to_poly(self) -> "WeightPoly":
-        terms: dict[tuple[tuple[str, int], ...], Fraction] = {}
-        if self.const != 0:
-            terms[()] = self.const
-        for s, c in self.coeffs:
-            terms[((s, 1),)] = c
-        return WeightPoly(tuple(sorted(terms.items())))
 
     def to_json(self) -> dict:
         return {
@@ -484,41 +478,62 @@ def nullspace(matrix: Sequence[Sequence[Rat | int]]) -> list[Vector]:
 
 
 # ---------------------------------------------------------------------------
-# affine fitting of weight expressions
+# matrices of weight expressions as per-symbol coefficient matrices
 # ---------------------------------------------------------------------------
 
-def affine_fit_batch(
-    assignments: Sequence[Mapping[str, Rat]],
-    columns: Sequence[Sequence[Rat]],
-) -> list[WeightExpr]:
-    """Recover the unique affine-linear expressions matching exact samples.
+# symbol -> sparse rows {column: value}; the pseudo-symbol "1" is the constant part
+CoeffMatrix = dict[str, list[dict[int, Rat]]]
 
-    ``columns[c][s]`` is the value of the c-th expression at ``assignments[s]``.
-    The assignments must span affinely (at least k+1 of them for k active
-    symbols).  All columns share one coefficient matrix, so they are fitted
-    by a single exact solve; every fitted expression is then re-evaluated
-    exactly at every sample, and values that are not affine-linear in the
-    symbols raise :class:`NonlinearFitError`.
+
+def integer_coefficients(matrices: Sequence[Sequence[Sequence[WeightExpr]]]) -> list[CoeffMatrix]:
+    """Each matrix M = sum_k a_k M^(k) as {k: M^(k)}, every entry times one integer.
+
+    The common factor is the least common denominator of all coefficients,
+    so the entries are ``int``; one positive factor for all the matrices
+    keeps every homogeneous identity among them.
     """
-    if not assignments:
-        raise ValueError("affine_fit_batch needs at least one sample")
-    symbols = sorted({s for assignment in assignments for s in assignment})
-    points = [{s: Fraction(a.get(s, QQ0)) for s in symbols} for a in assignments]
-    rows = [[QQ1] + [point[s] for s in symbols] for point in points]
-    try:
-        result = solve_linear(rows, columns)
-    except InconsistentSystemError:
-        raise NonlinearFitError() from None
-    if result.rank < len(symbols) + 1:
-        raise ValueError("sample assignments do not span affinely")
+    entries = [e for m in matrices for row in m for e in row]
+    scale = math.lcm(*(c.denominator for e in entries for c in (e.const, *dict(e.coeffs).values())))
     out = []
-    for sol, values in zip(result.solutions, columns):
-        expr = WeightExpr.make(sol[0], {s: sol[1 + i] for i, s in enumerate(symbols)})
-        for point, value in zip(points, values):
-            if expr.evaluate(point) != value:
-                raise NonlinearFitError()
-        out.append(expr)
+    for matrix in matrices:
+        form: CoeffMatrix = {}
+        for i, row in enumerate(matrix):
+            for j, e in enumerate(row):
+                for s, c in (("1", e.const), *e.coeffs):
+                    if c:
+                        form.setdefault(s, [{} for _ in matrix])[i][j] = c.numerator * (scale // c.denominator)
+        out.append(form)
     return out
+
+
+def first_nonzero_quadratic(
+    products: Sequence[tuple[int, CoeffMatrix, CoeffMatrix]], size: int
+) -> tuple[int, int] | None:
+    """First entry (r, c), in row-major order, of sum sign X Y that is not identically zero.
+
+    For X = sum_k a_k X^(k) and Y = sum_l a_l Y^(l), the coefficient of
+    a_k a_l in X Y is X^(k) Y^(l) + X^(l) Y^(k) (X^(k) Y^(k) when k = l),
+    so each product adds X^(k) Y^(l) into the coefficient of the unordered
+    pair {k, l}.  Exact, one row at a time over sparse rows; None when the
+    sum is the zero polynomial matrix.
+    """
+    for r in range(size):
+        acc: dict[tuple[str, str], dict[int, Rat]] = {}
+        for sign, x, y in products:
+            for k, xk in x.items():
+                row = xk[r]
+                if not row:
+                    continue
+                for l, yl in y.items():
+                    target = acc.setdefault((k, l) if k <= l else (l, k), {})
+                    for t, v in row.items():
+                        v *= sign
+                        for c, w in yl[t].items():
+                            target[c] = target.get(c, 0) + v * w
+        cols = [c for target in acc.values() for c, v in target.items() if v]
+        if cols:
+            return r, min(cols)
+    return None
 
 
 # ---------------------------------------------------------------------------

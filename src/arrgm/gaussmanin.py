@@ -17,21 +17,17 @@ discriminant.  The component along h0 = 0 is derived: homogenizing each
 degree-one affine component contributes -dlog h0, so its residue is minus
 the sum of all the others.
 
-``gm_matrix`` does each piece of work at the level it depends on:
-
-* once per call: the discriminant components in the affine chart, the
-  weight settings, one fiber context at one parameter point off the
-  discriminant, the Brieskorn parts eta_{J,P} and d eta_{J,P} of every
-  (component, basis tuple) pair, and one exact solve lifting every residue
-  entry to an affine-linear weight expression (verified exactly at every
-  weight setting);
-* once per weight setting: the residue images and one class-reduction
-  solve taking all of them.
+Every residue is homogeneous linear in the weights, A_X = sum_k a_k A_X^(k)
+with a0 eliminated, and is carried as these per-symbol coefficient
+matrices.  ``gm_matrix`` builds one fiber and the integer stencils of the
+images once per call, reduces the images in one solve per weight setting,
+and takes the A_X^(k) as difference quotients between the settings.
 
 ``flatness_check`` verifies integrability exactly and completely by Kohno's
 codimension-2 criterion: for every rank-2 flat X of the components and every
-p in X, [A_p, sum_{q in X} A_q] = 0 as a polynomial identity in the weights.
-No point is sampled and no size is exempt.
+p in X, [A_p, sum_{q in X} A_q] = 0 as a polynomial identity in the weights,
+checked one pair of coefficient matrices at a time.  No point is sampled
+and no size is exempt.
 """
 
 from __future__ import annotations
@@ -51,10 +47,12 @@ from .arrangement import (
     discriminant,
     format_linear,
 )
-from .errors import ArrgmError, SampleRejectedError
-from .exactnum import WeightExpr, WeightPoly, affine_fit_batch, matrix_rank
+from .errors import ArrgmError, NonlinearFitError, SampleRejectedError
+from .exactnum import (
+    CoeffMatrix, WeightExpr, first_nonzero_quadratic, integer_coefficients, matrix_rank,
+)
 from .aomoto import ClassReducer, FiberContext, Weights, validate_weights
-from .osalg import ExtElem, boundary, wedge
+from .osalg import ExtElem, boundary, wedge, wedge_monomials
 
 QQ0 = Fraction(0)
 
@@ -71,7 +69,7 @@ class MovingFamily:
 
     ``weights`` carries numeric residues when the caller wants a numeric
     connection; None selects the symbolic pipeline (weights are sampled and
-    entries lifted to affine-linear expressions).
+    entries lifted to linear expressions).
     """
 
     base: Arrangement
@@ -238,8 +236,8 @@ def gm_matrix(family: MovingFamily) -> GMConnection:
 
     Pipeline: draw one generic fiber, evaluate the closed-form residue of
     every affine discriminant component at each weight setting (one class
-    reduction per setting, see ``_residue_images``), lift the residues to
-    affine-linear weight expressions, and append the derived h0 component.
+    reduction per setting, images from ``_residue_stencils``), lift the
+    residues to the weights, and append the derived h0 component.
     """
     base = family.base
     n = base.n
@@ -270,23 +268,24 @@ def gm_matrix(family: MovingFamily) -> GMConnection:
     basis = fiber.fixed_nbc()
     if not basis:
         raise ArrgmError("fixed arrangement has no nbc bases in top degree")
-    nbasis = len(basis)
     forms = [form for form, _ in visible]
-    parts = _brieskorn_parts(base, forms, basis)
-    residues_by_setting = []
+    stencils = _residue_stencils(base, forms, basis, fiber.moving_index)
+    columns_by_setting = []
     for weights in weight_settings:
-        images = _residue_images(parts, base, fiber.moving_index, weights)
-        vectors = ClassReducer(fiber, weights).reduce_batch(images)
-        residues_by_setting.append({
-            (i, j): [vectors[p * nbasis + j][i] for p in range(len(forms))]
-            for i in range(nbasis)
-            for j in range(nbasis)
-        })
+        a = {**weights.a_dict, fiber.moving_index: weights.ah, base.infinity_index: weights.a0}
+        images = []
+        for pieces in stencils:
+            acc: dict[tuple[int, ...], Fraction] = {}
+            for i, piece in pieces:
+                for t, c in piece:
+                    acc[t] = acc.get(t, QQ0) + c * a[i]
+            images.append(ExtElem(tuple(sorted((t, v) for t, v in acc.items() if v))))
+        columns_by_setting.append(ClassReducer(fiber, weights).reduce_batch(images))
 
     # A component invisible in the affine chart has no linear part, which
     # forces it to be proportional to h0 itself; nothing else to add here.
     assert all(form == h0 for form, aff in affine_all if not any(c != 0 for c in aff.lin))
-    return _assemble(family, basis, forms, h0, residues_by_setting, weight_settings)
+    return _assemble(family, basis, forms, h0, columns_by_setting, weight_settings)
 
 
 def _assemble(
@@ -294,128 +293,134 @@ def _assemble(
     basis: Sequence[tuple[int, ...]],
     forms: Sequence[ProjForm],
     h0: ProjForm,
-    residues_by_setting: list[dict[tuple[int, int], list[Fraction]]],
+    columns_by_setting: list[list[list[Fraction]]],
     weight_settings: list[Weights],
 ) -> GMConnection:
     """The connection from the residues of the affine components ``forms``.
 
-    ``residues_by_setting[w][(i, j)][p]`` is entry (i, j) of the residue
-    along ``forms[p]`` at ``weight_settings[w]``.  Entries are lifted to the
-    weights (constants at numeric weights), components are put in canonical
-    form order, and the h0 residue, minus the sum of the others, goes last.
+    ``columns_by_setting[w][p * len(basis) + j]`` is column j of the residue
+    along ``forms[p]`` at ``weight_settings[w]``.  Residues are lifted to
+    coefficient matrices, components are put in canonical form order, and
+    the h0 residue, minus the sum of the others, goes last.
     """
     nbasis = len(basis)
     symbol_order = tuple(family.base.finite_indices)
-    if family.weights is not None:
-        lifted = _constant_lift(residues_by_setting[0])
-    else:
-        lifted = _affine_lift(
-            residues_by_setting, weight_settings, symbol_order, len(forms), nbasis
-        )
-    comp_list: list[GMComponent] = []
-    for pidx, form in enumerate(forms):
-        matrix = tuple(
-            tuple(lifted[(i, j)][pidx] for j in range(nbasis)) for i in range(nbasis)
-        )
-        comp_list.append(GMComponent(form, matrix))
-    comp_list.sort(key=lambda c: c.form.coeffs)
-    h0_matrix = []
-    for i in range(nbasis):
-        row = []
-        for j in range(nbasis):
-            total = WeightExpr.constant(0)
-            for comp in comp_list:
-                total = total - comp.residue[i][j]
-            row.append(total)
-        h0_matrix.append(tuple(row))
-    comp_list.append(GMComponent(h0, tuple(h0_matrix)))
-    return GMConnection(tuple(basis), tuple(comp_list), symbol_order)
+    lifted = _lift(columns_by_setting, weight_settings, symbol_order, nbasis)
+    h0_form: CoeffMatrix = {}
+    for form in lifted:
+        for s, rows in form.items():
+            _add_rows(h0_form.setdefault(s, [{} for _ in rows]), rows, -1)
+    comps = [GMComponent(f, _weight_matrix(c, nbasis)) for f, c in zip(forms, lifted)]
+    comps.sort(key=lambda c: c.form.coeffs)
+    comps.append(GMComponent(h0, _weight_matrix(h0_form, nbasis)))
+    return GMConnection(tuple(basis), tuple(comps), symbol_order)
 
 
-def _brieskorn_parts(
+def _residue_stencils(
     base: Arrangement,
     forms: Sequence[ProjForm],
     basis: Sequence[tuple[int, ...]],
-) -> list[tuple[frozenset[int], ExtElem, ExtElem]]:
-    """Weight-independent data of every (component, basis tuple) pair.
-
-    A component h . P = 0 is named by the point P of its coefficient
-    vector; S holds the fixed hyperplanes through P, infinity included.
-    For the basis tuple J, eta_J = d(e_inf ^ e_J) is the projective lift of
-    e_J and eta_{J,P} its Brieskorn component at P, the terms whose indices
-    all lie in S.  Returns (S, eta_{J,P}, d eta_{J,P}) in (form, J) order.
-    """
-    e_inf = ExtElem.monomial((base.infinity_index,))
-    lifts = [boundary(wedge(e_inf, ExtElem.monomial(J))) for J in basis]
-    parts = []
-    for form in forms:
-        through = frozenset(
-            i for i, plane in enumerate(base.hyperplanes) if plane.evaluate(form.coeffs) == 0
-        )
-        for eta in lifts:
-            local = ExtElem(tuple((t, c) for t, c in eta.terms if through.issuperset(t)))
-            parts.append((through, local, boundary(local)))
-    return parts
-
-
-def _residue_images(
-    parts: list[tuple[frozenset[int], ExtElem, ExtElem]],
-    base: Arrangement,
     moving_index: int,
-    weights: Weights,
-) -> list[ExtElem]:
-    """A_X e_J = [lambda_X eta_{J,P} - omega_X ^ d eta_{J,P}] for every part.
+) -> list[list[tuple[int, list[tuple[tuple[int, ...], int]]]]]:
+    """Weight-independent pieces of the residue images, in (form, J) order.
 
-    With S_X = S u {h} (h the moving index), lambda_X = sum_{S_X} a_i and
-    omega_X = sum_{S_X} a_i e_i, a_inf = a0 on infinity.  Monomials through
-    infinity vanish in the fiber's chart and are dropped; the caller takes
-    the class [.] over the fixed nbc basis.  Since d omega_X = lambda_X and
-    d^2 = 0, B = A_X satisfies B^2 = lambda_X B: the Aomoto-complex form of
-    the residue (Cohen-Orlik, "Gauss-Manin connections for arrangements").
-    At the point P of h0 itself the same image, minus ah e_J, is the h0
-    residue, which equals minus the sum of the others.
+    For the component of the point P, S_X holds the hyperplanes through P,
+    infinity included, and the moving one; with a_inf = a0,
+
+        A_X e_J = [lambda_X eta_{J,P} - omega_X ^ d eta_{J,P}]
+                = sum_{i in S_X} a_i [eta_{J,P} - e_i ^ d eta_{J,P}],
+
+    and B = A_X satisfies B^2 = lambda_X B, as d omega_X = lambda_X and
+    d^2 = 0.  Returns the pairs (i, piece) of each (form, J), a piece as
+    (monomial, integer) pairs without the monomials through infinity,
+    which vanish in the fiber's chart; the caller takes the class [.].
     """
     inf = base.infinity_index
-    a = {**weights.a_dict, moving_index: weights.ah, inf: weights.a0}
-    images = []
-    for through, local, d_local in parts:
-        support = through | {moving_index}
-        lam = sum((a[i] for i in support), QQ0)
-        omega = ExtElem.make({(i,): a[i] for i in support})
-        image = local.scale(lam) - wedge(omega, d_local)
-        images.append(ExtElem(tuple((t, c) for t, c in image.terms if inf not in t)))
-    return images
+    e_inf = ExtElem.monomial((inf,))
+    lifts = [boundary(wedge(e_inf, ExtElem.monomial(J))) for J in basis]
+    stencils = []
+    for form in forms:
+        support = {moving_index} | {
+            i for i, plane in enumerate(base.hyperplanes) if plane.evaluate(form.coeffs) == 0
+        }
+        for eta in lifts:
+            local = ExtElem(tuple((t, c) for t, c in eta.terms if support.issuperset(t)))
+            d_local = boundary(local).terms
+            pieces = []
+            for i in sorted(support):
+                acc = {t: int(c) for t, c in local.terms if inf not in t}
+                for t, c in d_local:
+                    merged = wedge_monomials((i,), t)
+                    if merged is not None and inf not in merged[1]:
+                        acc[merged[1]] = acc.get(merged[1], 0) - merged[0] * int(c)
+                pieces.append((i, [(t, c) for t, c in acc.items() if c]))
+            stencils.append(pieces)
+    return stencils
 
 
-def _affine_lift(
-    residues_by_setting: list[dict[tuple[int, int], list[Fraction]]],
+def _lift(
+    columns_by_setting: list[list[list[Fraction]]],
     weight_settings: list[Weights],
     symbol_order: tuple[int, ...],
-    nvis: int,
     nbasis: int,
-) -> dict[tuple[int, int], list[WeightExpr]]:
-    """Lift every residue entry (i, j, p) to an affine-linear weight expression.
+) -> list[CoeffMatrix]:
+    """The coefficient matrices {symbol: sparse rows} of every residue.
 
-    All entries are sampled at the same weight settings, so one exact solve
-    fits them all (``affine_fit_batch``).
+    At numeric weights a residue is its constant part, symbol "1".  The
+    symbolic settings are w0, w0 + delta e_k per symbol k, and a diagonal
+    step (``_sample_weight_settings``).  With R(w) the residues at w,
+    A^(k) = (R(w0 + delta e_k) - R(w0)) / delta, and R(w0) and R(diag) must
+    equal sum_k w_k A^(k) exactly, or the residues are not homogeneous
+    linear in the weights: :class:`NonlinearFitError`.
     """
-    assignments = [w.symbol_assignment(symbol_order) for w in weight_settings]
-    keys = [(i, j) for i in range(nbasis) for j in range(nbasis)]
-    columns = [
-        [residues[key][p] for residues in residues_by_setting]
-        for key in keys
-        for p in range(nvis)
-    ]
-    fitted = affine_fit_batch(assignments, columns)
-    return {key: fitted[idx * nvis : (idx + 1) * nvis] for idx, key in enumerate(keys)}
+    base = columns_by_setting[0]
+    if len(weight_settings) == 1:
+        steps, checks = [("1", base, [[QQ0] * nbasis] * len(base), 1)], []
+    else:
+        w0, *shifted, diag = [w.symbol_assignment(symbol_order) for w in weight_settings]
+        steps = [
+            (s, columns, base, w[s] - w0[s])
+            for s, w, columns in zip(w0, shifted, columns_by_setting[1:-1])
+        ]
+        checks = [(w0, base), (diag, columns_by_setting[-1])]
+    lifted: list[CoeffMatrix] = [{} for _ in range(len(base) // nbasis)]
+    for s, columns, reference, delta in steps:
+        for p, form in enumerate(lifted):
+            rows = [{} for _ in range(nbasis)]
+            for j in range(nbasis):
+                for i, (x, y) in enumerate(zip(columns[p * nbasis + j], reference[p * nbasis + j])):
+                    if x != y:
+                        rows[i][j] = (x - y) / delta
+            if any(rows):
+                form[s] = rows
+    for w, columns in checks:
+        for p, form in enumerate(lifted):
+            value = [{} for _ in range(nbasis)]
+            for s, rows in form.items():
+                _add_rows(value, rows, w[s])
+            cols = columns[p * nbasis : (p + 1) * nbasis]
+            if any(value[i].get(j, QQ0) != x for j, col in enumerate(cols) for i, x in enumerate(col)):
+                raise NonlinearFitError()
+    return lifted
 
 
-def _constant_lift(
-    residues: dict[tuple[int, int], list[Fraction]],
-) -> dict[tuple[int, int], list[WeightExpr]]:
-    return {
-        key: [WeightExpr.constant(v) for v in vec] for key, vec in residues.items()
-    }
+def _add_rows(target: list[dict[int, Fraction]], rows: list[dict[int, Fraction]], factor=1):
+    """target += factor * rows, for sparse rows."""
+    for acc, row in zip(target, rows):
+        for j, v in row.items():
+            acc[j] = acc.get(j, 0) + factor * v
+
+
+def _weight_matrix(form: CoeffMatrix, size: int) -> tuple[tuple[WeightExpr, ...], ...]:
+    """The ``WeightExpr`` matrix of a coefficient matrix ("1" is the constant part)."""
+    const = form.get("1", [{}] * size)
+    symbols = sorted(s for s in form if s != "1")
+
+    def entry(i: int, j: int) -> WeightExpr:
+        coeffs = tuple((s, c) for s in symbols if (c := form[s][i].get(j)))
+        return WeightExpr(Fraction(const[i].get(j, 0)), coeffs)
+
+    return tuple(tuple(entry(i, j) for j in range(size)) for i in range(size))
 
 
 # ---------------------------------------------------------------------------
@@ -439,30 +444,31 @@ def flatness_check(connection: GMConnection, base: Arrangement) -> FlatnessRepor
     residues sum to zero, this is flatness on the projective complement.
     The h0 residue is read as stored: residues whose sum S does not commute
     with every A_p make the central connection curved, and fail.
-    Each commutator entry is checked as a polynomial identity in the weight
-    symbols.  ``base`` supplies n for the h-names in the witness.
+    Each commutator is checked as a polynomial identity in the weights on
+    the residues' coefficient matrices; the witness is its first nonzero
+    entry, and ``base`` supplies n for its h-names.
     """
     comps = connection.components
-    residues = [[[e.to_poly() for e in row] for row in c.residue] for c in comps]
+    residues = integer_coefficients([c.residue for c in comps])
     size = connection.size
     names = [f"h{i}" for i in range(base.n + 1)]
     for flat in _codim2_flats([c.form for c in comps]):
-        total = [
-            [sum((residues[q][r][c] for q in flat), WeightPoly.zero()) for c in range(size)]
-            for r in range(size)
-        ]
+        total: CoeffMatrix = {}
+        for q in flat:
+            for s, rows in residues[q].items():
+                _add_rows(total.setdefault(s, [{} for _ in rows]), rows)
         # the commutators with S_X sum to [S_X, S_X] = 0, so the last is implied
         for p in flat[:-1]:
-            comm = _poly_commutator(residues[p], total)
-            for r in range(size):
-                for c in range(size):
-                    if not comm[r][c].is_zero:
-                        forms = ", ".join(format_linear(comps[q].form.coeffs, names) for q in flat)
-                        return FlatnessReport(
-                            False,
-                            witness=f"flat {{{forms}}}: [A_p, S_X][{r}][{c}] != 0 "
-                            f"for p = {format_linear(comps[p].form.coeffs, names)}",
-                        )
+            entry = first_nonzero_quadratic(
+                [(1, residues[p], total), (-1, total, residues[p])], size
+            )
+            if entry is not None:
+                forms = ", ".join(format_linear(comps[q].form.coeffs, names) for q in flat)
+                return FlatnessReport(
+                    False,
+                    witness=f"flat {{{forms}}}: [A_p, S_X][{entry[0]}][{entry[1]}] != 0 "
+                    f"for p = {format_linear(comps[p].form.coeffs, names)}",
+                )
     return FlatnessReport(True)
 
 
@@ -486,19 +492,3 @@ def _codim2_flats(forms: Sequence[ProjForm]) -> list[tuple[int, ...]]:
         flats.append(flat)
         covered.update(itertools.combinations(flat, 2))
     return flats
-
-
-def _poly_commutator(a, b):
-    """ab - ba for square matrices of ``WeightPoly``; zero entries are skipped."""
-    size = len(a)
-    zero = WeightPoly.zero()
-    out = [[zero for _ in range(size)] for _ in range(size)]
-    for left, right, sign in ((a, b, 1), (b, a, -1)):
-        for i in range(size):
-            for t in range(size):
-                if left[i][t].is_zero:
-                    continue
-                for j in range(size):
-                    if not right[t][j].is_zero:
-                        out[i][j] = out[i][j] + (left[i][t] * right[t][j]).scale(sign)
-    return out

@@ -11,9 +11,9 @@ A^2 = tr(A) A, which gives the closed form
 cross-checkable against the numeric matrix exponential.  Not every residue
 has rank one: the four triple-point components of ``ceva`` have rank-2
 residues with A^2 = lambda_X A and tr A = 2 lambda_X, so A^2 != tr(A) A.
-``projector_structure`` rejects those, and ``monodromy`` uses the numeric
-exponential for them.  Only the conjugacy class is canonical; the
-representative returned is taken in the nbc basis.
+``projector_structure``, exact on the coefficient matrices of A, rejects
+those, and ``monodromy`` uses the numeric exponential for them.  Only the
+conjugacy class is canonical; the representative is in the nbc basis.
 """
 
 from __future__ import annotations
@@ -27,7 +27,9 @@ import numpy as np
 
 from .arrangement import ProjForm, format_linear
 from .errors import ArrgmError, ResonantResidueError, UnknownComponentError
-from .exactnum import WeightExpr, WeightPoly, cexp_matrix, complex_to_str_pair
+from .exactnum import (
+    WeightExpr, cexp_matrix, complex_to_str_pair, first_nonzero_quadratic, integer_coefficients,
+)
 from .gaussmanin import GMConnection
 
 RESONANCE_TOL = 1e-9
@@ -65,28 +67,22 @@ def residue_of(connection: GMConnection, component: ProjForm | Sequence) -> Weig
 
 
 def projector_structure(matrix: WeightMatrix) -> WeightExpr | None:
-    """Certificate for A * A = tr(A) * A, checked symbolically.
+    """Certificate for A * A = tr(A) * A, checked exactly for all weights.
 
-    Returns the trace as a weight expression when the identity holds for all
-    weights, None otherwise.
+    The identity is checked on the coefficient matrices of A, one pair of
+    weight symbols at a time (``first_nonzero_quadratic``), with tr(A) I
+    as the left factor of the second product.  Returns the trace as a
+    weight expression when the identity holds, None otherwise.
     """
     size = len(matrix)
     if any(len(row) != size for row in matrix):
         raise ValueError("projector_structure needs a square matrix")
-    trace = WeightExpr.constant(0)
-    for i in range(size):
-        trace = trace + matrix[i][i]
-    trace_poly = trace.to_poly()
-    polys = [[e.to_poly() for e in row] for row in matrix]
-    for i in range(size):
-        for j in range(size):
-            acc = WeightPoly.zero()
-            for t in range(size):
-                acc = acc + polys[i][t] * polys[t][j]
-            acc = acc - trace_poly * polys[i][j]
-            if not acc.is_zero:
-                return None
-    return trace
+    (a,) = integer_coefficients([matrix])
+    traces = {s: sum(rows[i].get(i, 0) for i in range(size)) for s, rows in a.items()}
+    scalar = {s: [{i: t} for i in range(size)] for s, t in traces.items() if t}
+    if first_nonzero_quadratic([(1, a, a), (-1, scalar, a)], size) is not None:
+        return None
+    return sum((matrix[i][i] for i in range(size)), WeightExpr.constant(0))
 
 
 def _evaluate_matrix(matrix: WeightMatrix, assignment: Mapping[str, Fraction]) -> np.ndarray:

@@ -99,7 +99,12 @@ def sampled_gm_matrix(family: MovingFamily) -> GMConnection:
     coords = _evaluate_samples(fibers, raw_forms, weight_settings)
     residues = _fit_residues(dlog_rows, nfit * n, coords, len(basis), n)
     forms = [form for form, _ in visible]
-    return _assemble(family, basis, forms, h0, residues, weight_settings)
+    # column j of the residue along forms[p], as the library's class reduction returns it
+    columns = [
+        [[r[(i, j)][p] for i in range(len(basis))] for p in range(len(forms)) for j in range(len(basis))]
+        for r in residues
+    ]
+    return _assemble(family, basis, forms, h0, columns, weight_settings)
 
 
 def _evaluate_samples(

@@ -41,6 +41,7 @@ from arrgm.gaussmanin import MovingFamily, flatness_check, gm_matrix
 from arrgm.matroid import MatroidContext
 from arrgm.monodromy import monodromy, projector_structure
 from arrgm.osalg import ExtElem, OSContext, boundary
+from reference_poly import to_poly
 
 
 def criterion(number: int, label: str):
@@ -208,11 +209,11 @@ def _eigenvalue_rule_violations(arrangement, residues, h0, drop_ah: bool = False
             shift = zero
         size = len(matrix)
         a = [
-            [(matrix[i][j] + shift if i == j else matrix[i][j]).to_poly() for j in range(size)]
+            [to_poly(matrix[i][j] + shift if i == j else matrix[i][j]) for j in range(size)]
             for i in range(size)
         ]
         assert any(not entry.is_zero for row in a for entry in row)
-        lam_a = [[lam.to_poly() * entry for entry in row] for row in a]
+        lam_a = [[to_poly(lam) * entry for entry in row] for row in a]
         square = [
             [sum((a[i][k] * a[k][j] for k in range(size)), WeightPoly.zero()) for j in range(size)]
             for i in range(size)

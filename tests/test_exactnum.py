@@ -10,14 +10,15 @@ import numpy as np
 import pytest
 
 from arrgm._sampling import RatSampler
-from arrgm.errors import InconsistentSystemError, NonlinearFitError
+from arrgm.errors import InconsistentSystemError
 from arrgm.exactnum import (
     QMat,
     WeightExpr,
     WeightPoly,
-    affine_fit_batch,
     cexp_matrix,
     determinant,
+    first_nonzero_quadratic,
+    integer_coefficients,
     matrix_rank,
     rat_from_str,
     rat_to_str,
@@ -58,8 +59,8 @@ class TestWeightExpr:
 
 class TestWeightPoly:
     def test_product_of_exprs(self):
-        a1 = WeightExpr.symbol("a1").to_poly()
-        a2 = WeightExpr.symbol("a2").to_poly()
+        a1 = WeightPoly.symbol("a1")
+        a2 = WeightPoly.symbol("a2")
         p = (a1 + a2) * (a1 - a2)
         expected = a1 * a1 - a2 * a2
         assert (p - expected).is_zero
@@ -202,74 +203,36 @@ class TestSolveRectangular:
         assert info.value.row == 1
 
 
-def affine_fit_one(samples):
-    """One-column ``affine_fit_batch`` of (assignment, value) samples."""
-    (expr,) = affine_fit_batch([a for a, _ in samples], [[v for _, v in samples]])
-    return expr
+def W(const=0, **coeffs):
+    return WeightExpr.make(F(const), {k: F(v) for k, v in coeffs.items()})
 
 
-class TestAffineFit:
-    def test_two_symbol_fit(self):
-        # trace of a residue matrix sampled at three affine-independent points
-        samples = [
-            ({"a1": F(0), "a3": F(0)}, F(0)),
-            ({"a1": F(1), "a3": F(0)}, F(-1)),
-            ({"a1": F(0), "a3": F(1)}, F(-1)),
+class TestCoefficientMatrices:
+    def test_integer_coefficients_share_one_scale(self):
+        a = [[W(F(1, 2), a1=F(1, 3)), W()], [W(ah=2), W(-1)]]
+        b = [[W(a1=F(1, 4))]]
+        assert integer_coefficients([a, b]) == [
+            {"1": [{0: 6}, {1: -12}], "a1": [{0: 4}, {}], "ah": [{}, {0: 24}]},
+            {"a1": [{0: 3}]},
         ]
-        assert affine_fit_one(samples) == WeightExpr.make(0, {"a1": -1, "a3": -1})
 
-    def test_constant(self):
-        samples = [({"a1": F(k)}, F(7, 2)) for k in range(2)]
-        assert affine_fit_one(samples) == WeightExpr.constant(F(7, 2))
+    def test_products_cancel_across_symbol_pairs(self):
+        """[X, X] = 0 for X = a1 M + a2 N although M N != N M: the a1 a2
+        coefficient collects [M, N] + [N, M]."""
+        (x,) = integer_coefficients([[[W(a1=1), W(a2=1)], [W(a2=2), W(a1=3)]]])
+        assert first_nonzero_quadratic([(1, x, x), (-1, x, x)], 2) is None
+        (m, n) = ({"a1": x["a1"]}, {"a2": x["a2"]})
+        assert first_nonzero_quadratic([(1, m, n), (-1, n, m)], 2) == (0, 1)
 
-    def test_quadratic_rejected(self):
-        points = [(0, 0), (1, 0), (0, 1), (1, 1)]
-        samples = [({"a1": F(p), "a2": F(q)}, F(p) * F(q)) for p, q in points]
-        with pytest.raises(NonlinearFitError):
-            affine_fit_one(samples)
-
-    def test_not_spanning_rejected(self):
-        samples = [({"a1": F(0), "a2": F(0)}, F(0)), ({"a1": F(1), "a2": F(1)}, F(2))]
-        with pytest.raises(ValueError):
-            affine_fit_one(samples)
-
-    def test_recovers_random_expressions(self):
-        sampler = RatSampler(13)
-        for _ in range(10):
-            expr = WeightExpr.make(
-                sampler.rational(9, 5),
-                {"a1": sampler.rational(9, 5), "a2": sampler.rational(9, 5), "ah": sampler.rational(9, 5)},
-            )
-            base = {s: sampler.rational(5, 3) for s in ("a1", "a2", "ah")}
-            assignments = [dict(base)]
-            for s in ("a1", "a2", "ah"):
-                shifted = dict(base)
-                shifted[s] += 1
-                assignments.append(shifted)
-            samples = [(a, expr.evaluate(a)) for a in assignments]
-            assert affine_fit_one(samples) == expr
-
-    def test_batch_equals_column_by_column(self):
-        sampler = RatSampler(29)
-        symbols = ("a1", "a2", "ah")
-        assignments = [{s: sampler.rational(7, 5) for s in symbols} for _ in range(5)]
-        columns = []
-        for _ in range(12):
-            expr = WeightExpr.make(
-                sampler.rational(9, 5), {s: sampler.rational(9, 5) for s in symbols[:2]}
-            )
-            columns.append([expr.evaluate(a) for a in assignments])
-        batch = affine_fit_batch(assignments, columns)
-        assert batch == [affine_fit_one(list(zip(assignments, column))) for column in columns]
-
-    def test_batch_rejects_one_nonlinear_column(self):
-        assignments = [{"a1": F(k), "a2": F(k * k)} for k in range(4)]
-        columns = [[F(2 * k + 1) for k in range(4)], [F(k**3) for k in range(4)]]
-        with pytest.raises(NonlinearFitError):
-            affine_fit_batch(assignments, columns)
-        assert affine_fit_batch(assignments, columns[:1]) == [
-            WeightExpr.make(1, {"a1": 2})
-        ]
+    def test_first_nonzero_is_row_major_across_pairs(self):
+        # X Y and Y X vanish in row 0; at [1][0] they are a2 and a1
+        (x, y) = integer_coefficients([
+            [[W(), W()], [W(1), W()]],
+            [[W(a2=1), W()], [W(), W(a1=1)]],
+        ])
+        assert first_nonzero_quadratic([(1, x, y)], 2) == (1, 0)
+        assert first_nonzero_quadratic([(1, y, x)], 2) == (1, 0)
+        assert first_nonzero_quadratic([(1, x, y), (-1, x, y)], 2) is None
 
 
 class TestCexpMatrix:

@@ -5,7 +5,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import sys
 import warnings
 from collections import Counter
 from fractions import Fraction as F
@@ -24,14 +23,16 @@ from arrgm.gaussmanin import (
     GMComponent,
     GMConnection,
     MovingFamily,
-    _affine_lift,
-    _brieskorn_parts,
-    _residue_images,
+    _lift,
+    _residue_stencils,
+    _weight_matrix,
     flatness_check,
     gm_matrix,
     sample_parameter_points,
 )
 from arrgm.matroid import MatroidContext
+from arrgm.osalg import ExtElem
+from reference_poly import poly_flatness_check
 from reference_sampled import (
     ConnectionFitError,
     _fit_residues,
@@ -278,15 +279,20 @@ def curvature_vanishes(conn, base, points, weight_points) -> bool:
     return True
 
 
-def with_entry_added(conn, delta, components) -> GMConnection:
-    """``conn`` with ``delta`` added to entry [0][0] of the given components."""
+def with_entries_added(conn, changes) -> GMConnection:
+    """``conn`` with ``changes[component][(i, j)]`` added to the entries."""
     comps = []
     for idx, comp in enumerate(conn.components):
         rows = [list(row) for row in comp.residue]
-        if idx in components:
-            rows[0][0] = rows[0][0] + delta
+        for (i, j), delta in changes.get(idx, {}).items():
+            rows[i][j] = rows[i][j] + delta
         comps.append(GMComponent(comp.form, tuple(tuple(r) for r in rows)))
     return GMConnection(conn.basis, tuple(comps), conn.weight_symbol_order)
+
+
+def with_entry_added(conn, delta, components) -> GMConnection:
+    """``conn`` with ``delta`` added to entry [0][0] of the given components."""
+    return with_entries_added(conn, {idx: {(0, 0): delta} for idx in components})
 
 
 @pytest.fixture(scope="module")
@@ -376,6 +382,44 @@ class TestFlatness:
         monkeypatch.setattr(gaussmanin, "RatSampler", NoSampler)
         assert flatness_check(ceva_connection, ceva().arrangement).ok
 
+    @pytest.mark.parametrize("name", ["example1", "ceva", "p2-6", "p3-6"])
+    def test_agrees_with_polynomial_oracle(self, name):
+        """Coefficient-matrix flatness = the ``WeightPoly`` expansion, witness included."""
+        base = SYMBOLIC_FAMILIES[name]().base
+        conn = symbolic_connection(name)
+        assert flatness_check(conn, base) == poly_flatness_check(conn, base)
+
+    @pytest.mark.parametrize("compensate", [False, True], ids=["plain", "compensated"])
+    def test_perturbed_agree_with_polynomial_oracle(self, compensate):
+        """30 perturbed connections each way: one entry moved by a constant,
+        a weight or both, or a scalar matrix added, which commutes with
+        everything and so stays flat; with ``compensate`` the h0 residue
+        takes every change back, so the residues still sum to zero."""
+        sampler = RatSampler(61 + compensate)
+        outcomes = Counter()
+        for trial in range(30):
+            name = ("example1", "ceva")[trial % 2]
+            conn = symbolic_connection(name)
+            base = SYMBOLIC_FAMILIES[name]().base
+            size, last = conn.size, len(conn.components) - 1
+            comp = sampler.integer(0, last - 1)
+            delta = W(
+                sampler.rational(5, 3) * sampler.integer(0, 1),
+                **{f"a{sampler.integer(1, 3)}": sampler.rational(5, 3), "ah": sampler.integer(0, 1)},
+            )
+            if trial % 3 == 0:
+                entries = {(i, i): delta for i in range(size)}
+            else:
+                entries = {(sampler.integer(0, size - 1), sampler.integer(0, size - 1)): delta}
+            changes = {comp: entries}
+            if compensate:
+                changes[last] = {key: -value for key, value in entries.items()}
+            bad = with_entries_added(conn, changes)
+            report = flatness_check(bad, base)
+            assert report == poly_flatness_check(bad, base)
+            outcomes[report.ok] += 1
+        assert outcomes == Counter({False: 20, True: 10})
+
 
 class TestCevaConnection:
     def test_first_column(self):
@@ -417,6 +461,10 @@ def p2_6():
     return generic(2, [[1, 1, 1], [1, 2, -3], [2, -1, 3]])
 
 
+def p3_6():
+    return generic(3, [[1, 1, 1, 1], [1, 2, -3, -1]])
+
+
 def p3_7():
     """Planes {0, 1, 5, 6} meet in a point: not normal crossing."""
     return generic(3, [[1, 1, 1, 1], [1, 2, -3, -1], [2, -1, 3, 1]])
@@ -441,6 +489,26 @@ ORACLE_FAMILIES = {
 @functools.cache
 def oracle_family_connection(name: str) -> GMConnection:
     return gm_matrix(ORACLE_FAMILIES[name]())
+
+
+SYMBOLIC_FAMILIES = {
+    "example1": lambda: MovingFamily(example1().arrangement),
+    "ceva": lambda: MovingFamily(ceva().arrangement),
+    "p2-6": lambda: MovingFamily(p2_6()),
+    "p3-6": lambda: MovingFamily(p3_6()),
+}
+
+
+@functools.cache
+def symbolic_connection(name: str) -> GMConnection:
+    return gm_matrix(SYMBOLIC_FAMILIES[name]())
+
+
+@pytest.mark.parametrize("name", ["example1", "ceva", "p2-6"])
+def test_symbolic_residues_have_no_constant_term(name):
+    """The residues are homogeneous linear in the weights."""
+    conn = symbolic_connection(name)
+    assert all(e.const == 0 for c in conn.components for row in c.residue for e in row)
 
 
 class TestByteIdentity:
@@ -504,8 +572,14 @@ def test_closed_form_on_h0_is_minus_the_others(name):
         base.n, [chart.affine(form) for form in discriminant(base)], 1, RatSampler(3)
     )
     fiber = FiberContext(base, point)
-    parts = _brieskorn_parts(base, [h0], conn.basis)
-    images = _residue_images(parts, base, fiber.moving_index, weights)
+    a = {**weights.a_dict, fiber.moving_index: weights.ah, base.infinity_index: weights.a0}
+    images = [
+        sum(
+            (ExtElem.make(dict(piece)).scale(a[i]) for i, piece in pieces),
+            ExtElem.zero(),
+        )
+        for pieces in _residue_stencils(base, [h0], conn.basis, fiber.moving_index)
+    ]
     columns = ClassReducer(fiber, weights).reduce_batch(images)
     size = conn.size
     closed = [
@@ -562,8 +636,9 @@ class TestBatchedChecks:
         with pytest.raises(ConnectionFitError):
             _fit_residues(dlog_rows, 5 * 2, coords, 2, 2)
 
-    def lift_data(self):
-        """Residues of affine expressions at m + 3 settings of (a1, a2, ah)."""
+    def lift_data(self, const=False):
+        """Residues of linear expressions (plus a constant term when ``const``)
+        at m + 3 settings of (a1, a2, ah), as the columns of two components."""
         settings = [
             Weights.make({1: F(1, 3) + d1, 2: F(1, 5) + d2}, F(1, 2) + dh)
             for d1, d2, dh in [
@@ -571,34 +646,74 @@ class TestBatchedChecks:
                 (F(1, 7), F(1, 7), F(1, 7)),
             ]
         ]
-        exprs = {
-            (i, j): [WeightExpr.make(i - j, {"a1": p + 1, "ah": j - p}) for p in range(2)]
-            for i in range(2)
-            for j in range(2)
-        }
+        matrices = [
+            tuple(
+                tuple(
+                    WeightExpr.make((i - j) * const, {"a1": p + 1, "a2": i * j, "ah": j - p})
+                    for j in range(2)
+                )
+                for i in range(2)
+            )
+            for p in range(2)
+        ]
         symbol_order = (1, 2)
-        residues = [
-            {key: [e.evaluate(w.symbol_assignment(symbol_order)) for e in vec] for key, vec in exprs.items()}
+        columns = [
+            [
+                [matrix[i][j].evaluate(w.symbol_assignment(symbol_order)) for i in range(2)]
+                for matrix in matrices
+                for j in range(2)
+            ]
             for w in settings
         ]
-        return residues, settings, symbol_order, exprs
+        return columns, settings, symbol_order, matrices
 
     def test_lift_recovers_expressions(self):
-        residues, settings, order, exprs = self.lift_data()
-        assert _affine_lift(residues, settings, order, 2, 2) == exprs
+        columns, settings, order, matrices = self.lift_data()
+        lifted = _lift(columns, settings, order, 2)
+        assert [_weight_matrix(form, 2) for form in lifted] == matrices
+        assert all("1" not in form for form in lifted)
+
+    def test_numeric_lift_is_the_constant_part(self):
+        columns, settings, order, _ = self.lift_data()
+        lifted = _lift(columns[:1], settings[:1], order, 2)
+        assert [_weight_matrix(form, 2) for form in lifted] == [
+            tuple(tuple(WeightExpr.constant(columns[0][p * 2 + j][i]) for j in range(2)) for i in range(2))
+            for p in range(2)
+        ]
+
+    def test_constant_term_fails_lift(self):
+        columns, settings, order, _ = self.lift_data(const=True)
+        with pytest.raises(NonlinearFitError):
+            _lift(columns, settings, order, 2)
+
+    def test_quadratic_fails_lift(self):
+        """a1 a2 from a1 = a2 = delta: the difference quotients give a2 and a1,
+        which the diagonal step a1 a2 + delta^2 cannot tell apart from it;
+        the base setting does (a1 a2 against 2 a1 a2)."""
+        delta = F(1, 7)
+        settings = [
+            Weights.make({1: delta + d1, 2: delta + d2}, F(1, 2) + dh)
+            for d1, d2, dh in [
+                (0, 0, 0), (delta, 0, 0), (0, delta, 0), (0, 0, delta), (delta, delta, delta),
+            ]
+        ]
+        columns = [[[w.a_dict[1] * w.a_dict[2]]] for w in settings]
+        with pytest.raises(NonlinearFitError):
+            _lift(columns, settings, (1, 2), 1)
 
     @pytest.mark.parametrize("setting", [0, 2, 4])
     def test_perturbed_setting_fails_lift(self, setting):
-        residues, settings, order, _ = self.lift_data()
-        residues[setting][(1, 0)][1] += F(1, 11)
+        columns, settings, order, _ = self.lift_data()
+        columns[setting][1 * 2 + 0][1] += F(1, 11)
         with pytest.raises(NonlinearFitError):
-            _affine_lift(residues, settings, order, 2, 2)
+            _lift(columns, settings, order, 2)
 
 
 def test_closed_form_call_structure(monkeypatch):
     """Structural guard on the closed form: no partial fractions, one
-    parameter point and one fiber per call, one class reduction per weight
-    setting, and one exact solve lifting every residue entry to the weights."""
+    parameter point, one fiber and one set of stencils per call, one class
+    reduction per weight setting, and one lift of every residue to its
+    coefficient matrices."""
     calls = Counter()
 
     def counting(module, name, count=lambda result: 1):
@@ -617,25 +732,19 @@ def test_closed_form_call_structure(monkeypatch):
     counting(gaussmanin, "sample_parameter_points", count=len)
     counting(FiberContext, "__init__")
     counting(ClassReducer, "reduce_batch")
-    lifts = Counter()
-    real_batch = gaussmanin.affine_fit_batch
-
-    def counting_batch(*args, **kwargs):
-        lifts[sys._getframe(1).f_code.co_name] += 1
-        return real_batch(*args, **kwargs)
-
-    monkeypatch.setattr(gaussmanin, "affine_fit_batch", counting_batch)
+    counting(gaussmanin, "_residue_stencils")
+    counting(gaussmanin, "_lift")
     numeric = Weights.make({i: F(i, 11) for i in range(1, 6)}, F(3, 7))
-    for weights, settings, lift in [(None, 8, 1), (numeric, 1, 0)]:
+    for weights, settings in [(None, 8), (numeric, 1)]:
         calls.clear()
-        lifts.clear()
         gm_matrix(MovingFamily(ceva().arrangement, weights))
         assert calls == Counter({
             "sample_parameter_points": 1,
             "__init__": 1,
+            "_residue_stencils": 1,
             "reduce_batch": settings,
+            "_lift": 1,
         })
-        assert lifts == Counter({"_affine_lift": lift})
 
 
 @pytest.mark.parametrize(

@@ -11,9 +11,10 @@ import pytest
 from arrgm.arrangement import ProjForm
 from arrgm.errors import ResonantResidueError, UnknownComponentError
 from arrgm.exactnum import WeightExpr
-from arrgm.fixtures import example1
+from arrgm.fixtures import ceva, example1
 from arrgm.gaussmanin import MovingFamily, gm_matrix
 from arrgm.monodromy import monodromy, projector_structure, residue_of
+from reference_poly import poly_projector_structure
 
 
 def P(*coeffs):
@@ -72,6 +73,27 @@ class TestProjectorStructure:
     def test_identity_fails(self):
         ident = [[W(1), W()], [W(), W(1)]]
         assert projector_structure(ident) is None
+
+    def test_constant_rank_one(self):
+        assert projector_structure([[W(1), W(2)], [W(), W()]]) == W(1)
+
+    @pytest.mark.parametrize("fixture", [example1, ceva], ids=["example1", "ceva"])
+    def test_agrees_with_polynomial_oracle(self, fixture):
+        """Coefficient-matrix certificate = the ``WeightPoly`` expansion, on
+        every computed and every published residue; the rank-2 residues of
+        the four ceva triple points are rejected both ways."""
+        fx = fixture()
+        conn = gm_matrix(MovingFamily(fx.arrangement))
+        rejected = set()
+        for residues in ({c.form: c.residue for c in conn.components}, fx.residues):
+            for form, matrix in residues.items():
+                trace = projector_structure(matrix)
+                assert trace == poly_projector_structure(matrix)
+                if trace is None:
+                    rejected.add((residues is fx.residues, form))
+        if fixture is ceva:
+            triple_points = {P(1, 0, 0), P(0, 1, 0), P(0, 0, 1), P(1, 1, 1)}
+            assert rejected == {(published, f) for published in (False, True) for f in triple_points}
 
 
 class TestMonodromy:
