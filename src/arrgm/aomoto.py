@@ -26,8 +26,9 @@ All computation is over exact rationals; the moving hyperplane is always
 specialized at a rational parameter point off the discriminant.  There the
 combinatorics of the fiber (matroid, Orlik-Solomon normal forms, nbc lists)
 does not depend on the point, so a class reduction computed in one such
-fiber holds in all of them.  ``gaussmanin.gm_matrix`` draws one fiber and
-reduces its closed-form residue images there.
+fiber holds in all of them.  ``gaussmanin.gm_matrix`` builds one such fiber
+(``gaussmanin.generic_fiber``) and reduces its closed-form residue images
+there.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from .errors import (
 )
 from .exactnum import (
     Rat,
-    WeightExpr,
     WeightPoly,
     determinant,
     matrix_rank,
@@ -312,39 +312,24 @@ class FiberContext:
         """Finite fixed indices in order, backing the symbols a1..am."""
         return [i for i in self.finite_indices if i != self.moving_index]
 
-    def omega_terms(self, weights: Weights | None) -> list[tuple[int, object]]:
-        """Pairs (index, coefficient) of omega; symbolic when weights is None."""
-        fixed = self.weight_symbol_order()
-        out: list[tuple[int, object]] = []
-        if weights is None:
-            for k, idx in enumerate(fixed, start=1):
-                out.append((idx, WeightExpr.symbol(f"a{k}")))
-            if self.moving_index is not None:
-                out.append((self.moving_index, WeightExpr.symbol("ah")))
-        else:
-            values = weights.a_dict
-            for idx in fixed:
-                out.append((idx, values[idx]))
-            if self.moving_index is not None:
-                if weights.ah is None:
-                    raise ValueError("family mode needs the moving weight ah")
-                out.append((self.moving_index, weights.ah))
+    def omega_terms(self, weights: Weights) -> list[tuple[int, Fraction]]:
+        """Pairs (index, weight) of omega at numeric weights."""
+        values = weights.a_dict
+        out = [(idx, values[idx]) for idx in self.weight_symbol_order()]
+        if self.moving_index is not None:
+            if weights.ah is None:
+                raise ValueError("family mode needs the moving weight ah")
+            out.append((self.moving_index, weights.ah))
         return out
 
-    def wedge_omega_matrix(self, weights: Weights | None, p: int):
-        """Matrix of wedge-with-omega from nbc (p-1)-monomials to nbc p-monomials.
-
-        Entries are ``Fraction`` for numeric weights and ``WeightExpr`` when
-        ``weights`` is None (symbolic mode).
-        """
+    def wedge_omega_matrix(self, weights: Weights, p: int) -> list[list[Fraction]]:
+        """Matrix of wedge-with-omega from nbc (p-1)-monomials to nbc p-monomials."""
         domain = self.nbc(p - 1) if p >= 1 else []
         codomain = self.nbc(p)
         if p == 0:
             return [[ ] for _ in codomain]
         row_index = {t: r for r, t in enumerate(codomain)}
-        symbolic = weights is None
-        zero = WeightExpr.constant(0) if symbolic else QQ0
-        matrix = [[zero for _ in domain] for _ in codomain]
+        matrix = [[QQ0 for _ in domain] for _ in codomain]
         for col, base_tuple in enumerate(domain):
             for idx, coeff in self.omega_terms(weights):
                 merged = wedge_monomials((idx,), base_tuple)
@@ -356,8 +341,7 @@ class FiberContext:
                     r = row_index.get(out_tup)
                     if r is None:
                         raise AssertionError("normal form left the nbc span")
-                    contribution = coeff.scale(sign * c) if symbolic else coeff * sign * c
-                    matrix[r][col] = matrix[r][col] + contribution
+                    matrix[r][col] = matrix[r][col] + coeff * sign * c
         return matrix
 
 

@@ -4,8 +4,9 @@ Subcommands cover every pipeline stage: ``lattice``, ``bad-loci``,
 ``circuits``, ``nbc``, ``os-relations``, ``aomoto-dims``, ``discriminant``,
 ``gauss-manin``, ``monodromy`` and ``verify-paper``.  Input files are JSON;
 the arrangement argument also accepts the names of the two built-in example
-families (``example1``, ``ceva``).  All sampling flows through one seeded
-generator, so identical invocations produce byte-identical output.
+families (``example1``, ``ceva``).  Nothing is sampled: the fiber and the
+weight settings are fixed by construction, so identical invocations produce
+byte-identical output.
 
 Exit codes: 0 success, 2 validation failure (a typed ``ArrgmError`` raised
 while checking the input, or an unreadable file), 3 resonance, 4 internal
@@ -21,9 +22,7 @@ import json
 import sys
 import traceback
 from . import fixtures as fixture_mod
-from ._sampling import RatSampler
 from .arrangement import (
-    AffineChart,
     Arrangement,
     ProjForm,
     bad_loci,
@@ -41,12 +40,11 @@ from .errors import (
 )
 from .exactnum import rat_from_str, rat_to_str
 from .gaussmanin import (
-    DEFAULT_SEED,
     GMConnection,
     MovingFamily,
     flatness_check,
+    generic_fiber,
     gm_matrix,
-    sample_parameter_points,
 )
 from .matroid import MatroidContext
 from .monodromy import monodromy, projector_structure, residue_of
@@ -198,10 +196,7 @@ def cmd_aomoto_dims(args) -> int:
     if weights is None:
         raise ArrgmError("aomoto-dims needs numeric weights")
     if weights.ah is not None:
-        chart = AffineChart.of(arr)
-        affine = [chart.affine(c) for c in discriminant(arr)]
-        (point,) = sample_parameter_points(arr.n, affine, 1, RatSampler(args.seed))
-        fiber = FiberContext(arr, point)
+        fiber, _ = generic_fiber(arr)
     else:
         fiber = FiberContext(arr, None)
     dims = cohomology_dims(fiber, weights)
@@ -213,8 +208,7 @@ def cmd_aomoto_dims(args) -> int:
 def cmd_gauss_manin(args) -> int:
     arr = load_arrangement(args.arrangement)
     weights = load_weights(args.weights, arr)
-    family = MovingFamily(arr, weights, seed=args.seed)
-    conn = gm_matrix(family)
+    conn = gm_matrix(MovingFamily(arr, weights))
     _emit(args, conn.to_json(), _connection_text(conn, arr.n))
     return EXIT_OK
 
@@ -229,8 +223,7 @@ def cmd_monodromy(args) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         raise ArrgmError(f"bad --component literal {args.component!r}: {exc}") from exc
     component = ProjForm.make(coeffs)
-    family = MovingFamily(arr, None, seed=args.seed)
-    conn = gm_matrix(family)
+    conn = gm_matrix(MovingFamily(arr))
     matrix = residue_of(conn, component)
     assignment = conn.assignment_for(weights)
     unassigned = sorted({s for row in matrix for e in row for s, _ in e.coeffs} - set(assignment))
@@ -239,7 +232,7 @@ def cmd_monodromy(args) -> int:
             f"weights file {args.weights} has no value for {', '.join(unassigned)}, "
             f"which the residue along {args.component} uses"
         )
-    result = monodromy(matrix, assignment, mode=args.mode)
+    result = monodromy(matrix, assignment)
     payload = result.to_json()
     text_rows = [
         "  ".join(f"{z.real:+.12f}{z.imag:+.12f}j" for z in row) for row in result.matrix
@@ -307,8 +300,7 @@ def cmd_verify_paper(args) -> int:
     report: list[str] = []
     failures = _verify_combinatorics(fixture, report)
 
-    family = MovingFamily(arr, None, seed=args.seed)
-    conn = gm_matrix(family)
+    conn = gm_matrix(MovingFamily(arr))
     unexpected, known = _verify_connection(fixture, conn, report)
     if unexpected == 0 and known == 0:
         report.append(f"PASS residue matrices ({len(conn.components)} components)")
@@ -335,7 +327,7 @@ def cmd_verify_paper(args) -> int:
                 f"FAIL projector structure on published residue {format_linear(form.coeffs, _h_names(arr.n + 1))}"
             )
             continue
-        result = monodromy(matrix, assignment, mode="both")
+        result = monodromy(matrix, assignment)
         if result.method != "both":
             mono_fail += 1
             report.append("FAIL monodromy cross-check")
@@ -374,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
         if weights_default is not None:
             p.add_argument("--weights", default=weights_default, help="JSON file or 'symbolic'")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         p.add_argument("--format", choices=["json", "text"], default="json")
         p.add_argument("--output", default=None)
 
@@ -405,12 +396,10 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="dual-space form as comma-separated rationals, e.g. '1,-1,0' for h0-h1",
     )
-    p.add_argument("--mode", choices=["closed_form", "numeric", "both"], default="both")
     p.set_defaults(func=cmd_monodromy)
 
     p = sub.add_parser("verify-paper")
     p.add_argument("fixture", choices=["example1", "ceva"])
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.set_defaults(func=cmd_verify_paper)
 
     return parser

@@ -48,7 +48,8 @@ class ResonantWeightsError(ArrgmError):
 
 
 class SampleRejectedError(ArrgmError):
-    """A parameter or weight sample hit a resonance or the discriminant; resample."""
+    """A fiber or a class reduction is degenerate: a parameter point on the
+    discriminant, or weights resonant there (the reduction is inconsistent)."""
 
 
 class UnknownComponentError(ArrgmError):

@@ -33,30 +33,27 @@ and no size is exempt.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from ._sampling import RatSampler
 from .arrangement import (
     AffineChart,
     AffineForm,
     Arrangement,
     ProjForm,
-    bad_loci,
     discriminant,
     format_linear,
 )
-from .errors import ArrgmError, NonlinearFitError, SampleRejectedError
+from .errors import ArrgmError, NonlinearFitError
 from .exactnum import (
-    CoeffMatrix, WeightExpr, first_nonzero_quadratic, integer_coefficients, matrix_rank,
+    CoeffMatrix, WeightExpr, first_nonzero_quadratic, integer_coefficients, nullspace,
 )
 from .aomoto import ClassReducer, FiberContext, Weights, validate_weights
 from .osalg import ExtElem, boundary, wedge, wedge_monomials
 
 QQ0 = Fraction(0)
-
-DEFAULT_SEED = 987654321
 
 
 # ---------------------------------------------------------------------------
@@ -68,13 +65,12 @@ class MovingFamily:
     """Fixed arrangement plus the moving hyperplane x_s = 1 + sum l_i x_i.
 
     ``weights`` carries numeric residues when the caller wants a numeric
-    connection; None selects the symbolic pipeline (weights are sampled and
-    entries lifted to linear expressions).
+    connection; None selects the symbolic pipeline (residues computed at
+    fixed generic weight settings and lifted to linear expressions).
     """
 
     base: Arrangement
     weights: Weights | None = None
-    seed: int = DEFAULT_SEED
 
     @property
     def n(self) -> int:
@@ -141,89 +137,49 @@ class GMConnection:
 
 
 # ---------------------------------------------------------------------------
-# sampling helpers
+# generic fiber and weight settings, by construction
 # ---------------------------------------------------------------------------
 
-def sample_parameter_points(
-    n: int,
-    affine_components: Sequence[AffineForm],
-    count: int,
-    sampler: RatSampler,
-) -> list[tuple[Fraction, ...]]:
-    """``count`` distinct rational points of C^n off every given affine component."""
-    points: list[tuple[Fraction, ...]] = []
-    attempts = 0
-    while len(points) < count:
-        attempts += 1
-        if attempts > 200 * count:
-            raise SampleRejectedError("could not sample enough off-discriminant points")
-        candidate = tuple(sampler.rational(24, 7) for _ in range(n))
-        if candidate in points:
-            continue
-        if any(f.evaluate(candidate) == 0 for f in affine_components):
-            continue
-        points.append(candidate)
-    return points
+def generic_fiber(base: Arrangement) -> tuple[FiberContext, list[ProjForm]]:
+    """The discriminant components and the fiber at the first point
+    (t, t^2, ..., t^n), t = 1, 2, ..., off all of them.
 
-
-def _sample_weight_settings(family: MovingFamily, flats) -> list[Weights]:
-    """m+3 affinely independent generic weight settings (deterministic).
-
-    Base point plus one perturbation per symbol plus a diagonal perturbation;
-    every setting must pass the genericity checks.
+    A component with a nonzero linear part is, along this curve, a nonzero
+    polynomial of degree at most n in t, and one without (h0) is a nonzero
+    constant in the chart; so the first t <= n * len(components) + 1 that
+    is a root of none of them is found without any retry.  The chart is
+    checked before the discriminant is computed.
     """
-    finite = family.base.finite_indices
+    chart = AffineChart.of(base)
+    components = discriminant(base)
+    affine = [chart.affine(form) for form in components]
+    for t in itertools.count(1):
+        point = tuple(Fraction(t**k) for k in range(1, base.n + 1))
+        if all(f.evaluate(point) != 0 for f in affine):
+            return FiberContext(base, point), components
+
+
+def _weight_settings(base: Arrangement) -> list[Weights]:
+    """m + 3 affinely independent weight settings, generic by construction.
+
+    With m finite weights and q = (m + 1)(m + 4), the base setting w0 has
+    a = k/q on the k-th finite index and ah = (m + 1)/q; then come w0 + e_s/q
+    for every symbol s (finite indices, then ah) and the diagonal
+    w0 + (1, ..., 1)/q.  Every numerator is positive and their total is at
+    most (m + 1)(m + 4)/2 < q, so every nonempty proper sum of
+    {a_i, ah, a0} lies in (-1, 0) or (0, 1): no residue, ah included, and
+    no flat sum of the base or of the extended fiber is an integer.
+    """
+    finite = base.finite_indices
     m = len(finite)
-
-    def candidate_base(shift: int) -> Weights:
-        values = {}
-        for pos, idx in enumerate(finite):
-            values[idx] = Fraction(2 * pos + 3, 2 * m + 5) + Fraction(shift, 97)
-        ah = Fraction(1, 2) + Fraction(shift, 101)
-        return Weights.make(values, ah)
-
-    def is_generic(w: Weights) -> bool:
-        report = validate_weights(family.base, w, bad_flats=flats)
-        return report.ok and w.ah != 0
-
-    base = None
-    for shift in range(60):
-        cand = candidate_base(shift)
-        if is_generic(cand):
-            base = cand
-            break
-    if base is None:
-        raise SampleRejectedError("no generic base weight setting found")
-
-    settings = [base]
-    symbols: list = finite + ["ah"]
-    for delta_scale in range(1, 40):
-        delta = Fraction(1, 89 + 2 * delta_scale)
-        trial: list[Weights] = []
-        ok = True
-        for sym in symbols:
-            values = base.a_dict
-            ah = base.ah
-            if sym == "ah":
-                ah = ah + delta
-            else:
-                values = dict(values)
-                values[sym] = values[sym] + delta
-            w = Weights.make(values, ah)
-            if not is_generic(w):
-                ok = False
-                break
-            trial.append(w)
-        if ok:
-            diag = Weights.make(
-                {i: v + delta for i, v in base.a_dict.items()}, base.ah + delta
-            )
-            if is_generic(diag):
-                settings.extend(trial)
-                settings.append(diag)
-                break
-    if len(settings) != m + 3:
-        raise SampleRejectedError("could not build affinely independent weight settings")
+    q = (m + 1) * (m + 4)
+    a = {idx: Fraction(k, q) for k, idx in enumerate(finite, start=1)}
+    ah = Fraction(m + 1, q)
+    step = Fraction(1, q)
+    settings = [Weights.make(a, ah)]
+    settings += [Weights.make({**a, idx: a[idx] + step}, ah) for idx in finite]
+    settings.append(Weights.make(a, ah + step))
+    settings.append(Weights.make({idx: v + step for idx, v in a.items()}, ah + step))
     return settings
 
 
@@ -234,41 +190,35 @@ def _sample_weight_settings(family: MovingFamily, flats) -> list[Weights]:
 def gm_matrix(family: MovingFamily) -> GMConnection:
     """Compute the full connection matrix with exact residues.
 
-    Pipeline: draw one generic fiber, evaluate the closed-form residue of
-    every affine discriminant component at each weight setting (one class
-    reduction per setting, images from ``_residue_stencils``), lift the
-    residues to the weights, and append the derived h0 component.
+    Pipeline: build one fiber off the discriminant (``generic_fiber``),
+    evaluate the closed-form residue of every affine discriminant component
+    at each weight setting (one class reduction per setting, images from
+    ``_residue_stencils``), lift the residues to the weights, and append the
+    derived h0 component.
     """
     base = family.base
     n = base.n
     chart = AffineChart.of(base)
-    components = discriminant(base)
-    h0 = chart.projective(AffineForm.make(1, [0] * n))
-    affine_all = [(form, chart.affine(form)) for form in components]
-    visible = [(form, aff) for form, aff in affine_all if any(c != 0 for c in aff.lin)]
-    flats = bad_loci(base)
-
     if family.weights is not None:
         if family.weights.ah is None:
             raise ArrgmError("numeric weights of a moving family need the moving weight ah")
-        report = validate_weights(base, family.weights, bad_flats=flats)
+        report = validate_weights(base, family.weights)
         if not report.ok:
             raise ArrgmError(
                 "weights fail genericity: " + "; ".join(report.violations)
             )
         weight_settings = [family.weights]
     else:
-        weight_settings = _sample_weight_settings(family, flats)
+        weight_settings = _weight_settings(base)
 
     # The class reduction holds in every fiber off the discriminant.
-    (point,) = sample_parameter_points(
-        n, [aff for _, aff in visible], 1, RatSampler(family.seed)
-    )
-    fiber = FiberContext(base, point)
+    fiber, components = generic_fiber(base)
     basis = fiber.fixed_nbc()
     if not basis:
         raise ArrgmError("fixed arrangement has no nbc bases in top degree")
-    forms = [form for form, _ in visible]
+    h0 = chart.projective(AffineForm.make(1, [0] * n))
+    affine_all = [(form, chart.affine(form)) for form in components]
+    forms = [form for form, aff in affine_all if any(c != 0 for c in aff.lin)]
     stencils = _residue_stencils(base, forms, basis, fiber.moving_index)
     columns_by_setting = []
     for weights in weight_settings:
@@ -368,7 +318,7 @@ def _lift(
 
     At numeric weights a residue is its constant part, symbol "1".  The
     symbolic settings are w0, w0 + delta e_k per symbol k, and a diagonal
-    step (``_sample_weight_settings``).  With R(w) the residues at w,
+    step (``_weight_settings``).  With R(w) the residues at w,
     A^(k) = (R(w0 + delta e_k) - R(w0)) / delta, and R(w0) and R(diag) must
     equal sum_k w_k A^(k) exactly, or the residues are not homogeneous
     linear in the weights: :class:`NonlinearFitError`.
@@ -476,18 +426,23 @@ def _codim2_flats(forms: Sequence[ProjForm]) -> list[tuple[int, ...]]:
     """Rank-2 flats of the central arrangement of ``forms``, as index tuples.
 
     Each flat is the closure of a pair of (pairwise independent) forms: the
-    indices of every form in their span.
+    indices of every form in their span, which are the forms orthogonal to
+    the pair's kernel.  One kernel per flat, scaled to integers, and an
+    integer dot product per form decide it.
     """
     flats: list[tuple[int, ...]] = []
     covered: set[tuple[int, int]] = set()
     for pair in itertools.combinations(range(len(forms)), 2):
         if pair in covered:
             continue
-        rows = [forms[i].coeffs for i in pair]
+        kernel = []
+        for v in nullspace([forms[i].coeffs for i in pair]):
+            scale = math.lcm(*(x.denominator for x in v))
+            kernel.append([x.numerator * (scale // x.denominator) for x in v])
         flat = tuple(
             r
-            for r in range(len(forms))
-            if r in pair or matrix_rank(rows + [forms[r].coeffs]) == 2
+            for r, form in enumerate(forms)
+            if not any(sum(c * x for c, x in zip(form.coeffs, v)) for v in kernel)
         )
         flats.append(flat)
         covered.update(itertools.combinations(flat, 2))

@@ -8,12 +8,13 @@ A^2 = tr(A) A, which gives the closed form
     T = I + (exp(-2 pi i t) - 1) / t * A      (t = tr A != 0)
     T = I - 2 pi i A                          (t = 0, then A^2 = 0)
 
-cross-checkable against the numeric matrix exponential.  Not every residue
-has rank one: the four triple-point components of ``ceva`` have rank-2
-residues with A^2 = lambda_X A and tr A = 2 lambda_X, so A^2 != tr(A) A.
-``projector_structure``, exact on the coefficient matrices of A, rejects
-those, and ``monodromy`` uses the numeric exponential for them.  Only the
-conjugacy class is canonical; the representative is in the nbc basis.
+which ``monodromy`` cross-checks against the numeric matrix exponential.
+Not every residue has rank one: the four triple-point components of
+``ceva`` have rank-2 residues with A^2 = lambda_X A and tr A = 2 lambda_X,
+so A^2 != tr(A) A.  ``projector_structure``, exact on the coefficient
+matrices of A, rejects those, and ``monodromy`` returns the numeric
+exponential alone for them.  Only the conjugacy class is canonical; the
+representative is in the nbc basis.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ WeightMatrix = Sequence[Sequence[WeightExpr]]
 @dataclass(frozen=True)
 class MonodromyResult:
     matrix: np.ndarray
-    method: str  # "closed_form" | "numeric" | "both"
+    method: str  # "both" (closed form, cross-checked) | "numeric"
     condition_report: tuple[str, ...]
 
     def to_json(self) -> dict:
@@ -114,55 +115,34 @@ def _resonance_report(a: np.ndarray) -> tuple[list[str], bool]:
     return report, resonant
 
 
-def monodromy(
-    matrix: WeightMatrix,
-    assignment: Mapping[str, Fraction],
-    mode: str = "both",
-) -> MonodromyResult:
+def monodromy(matrix: WeightMatrix, assignment: Mapping[str, Fraction]) -> MonodromyResult:
     """Monodromy representative exp(-2 pi i A) at numeric weights.
 
-    ``mode`` is "closed_form", "numeric" or "both"; the closed form needs the
-    rank structure A^2 = tr(A) A, which rank-one residues have.  For a residue
-    without it (the rank-2 triple-point residues of ``ceva``, where
-    A^2 = lambda_X A with tr A = 2 lambda_X), "closed_form" raises and "both"
-    returns the numeric exponential alone.  Residues whose eigenvalues differ
-    by a nonzero integer raise :class:`ResonantResidueError` (the
-    conjugacy-class formula does not apply there).
+    Where ``projector_structure`` certifies A^2 = tr(A) A (rank-one
+    residues), the closed form is returned, cross-checked against the
+    numeric matrix exponential (method "both").  Otherwise (the rank-2
+    triple-point residues of ``ceva``, where A^2 = lambda_X A with
+    tr A = 2 lambda_X) the numeric exponential is returned alone (method
+    "numeric").  Residues whose eigenvalues differ by a nonzero integer
+    raise :class:`ResonantResidueError` (the conjugacy-class formula does
+    not apply there).
     """
-    if mode not in ("closed_form", "numeric", "both"):
-        raise ValueError(f"unknown mode {mode!r}")
     a = _evaluate_matrix(matrix, assignment)
     report, resonant = _resonance_report(a)
     if resonant:
         raise ResonantResidueError()
 
-    closed = None
-    if mode in ("closed_form", "both"):
-        trace_expr = projector_structure(matrix)
-        if trace_expr is None:
-            if mode == "closed_form":
-                raise ArrgmError("residue matrix lacks the rank structure A^2 = tr(A) A")
-        else:
-            t = trace_expr.evaluate(assignment)
-            ident = np.eye(len(a), dtype=complex)
-            if t != 0:
-                factor = (cmath.exp(-2j * cmath.pi * float(t)) - 1) / float(t)
-                closed = ident + factor * a
-            else:
-                closed = ident - 2j * cmath.pi * a
-
-    numeric = None
-    if mode in ("numeric", "both") or closed is None:
-        numeric = cexp_matrix(-2j * np.pi * a)
-
-    if closed is not None and numeric is not None:
-        gap = np.max(np.abs(closed - numeric))
-        if gap > CROSSCHECK_TOL:
-            raise ArrgmError(
-                f"closed-form and numeric exponentials disagree by {gap:.3e}"
-            )
-        return MonodromyResult(closed, "both", tuple(report))
-    if closed is not None:
-        return MonodromyResult(closed, "closed_form", tuple(report))
-    assert numeric is not None
-    return MonodromyResult(numeric, "numeric", tuple(report))
+    trace_expr = projector_structure(matrix)
+    numeric = cexp_matrix(-2j * np.pi * a)
+    if trace_expr is None:
+        return MonodromyResult(numeric, "numeric", tuple(report))
+    t = trace_expr.evaluate(assignment)
+    ident = np.eye(len(a), dtype=complex)
+    if t != 0:
+        closed = ident + (cmath.exp(-2j * cmath.pi * float(t)) - 1) / float(t) * a
+    else:
+        closed = ident - 2j * cmath.pi * a
+    gap = np.max(np.abs(closed - numeric))
+    if gap > CROSSCHECK_TOL:
+        raise ArrgmError(f"closed-form and numeric exponentials disagree by {gap:.3e}")
+    return MonodromyResult(closed, "both", tuple(report))

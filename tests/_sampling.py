@@ -1,9 +1,8 @@
-"""Deterministic rational sample streams.
+"""Deterministic rational sample streams for the tests and the sampled oracle.
 
-All randomized choices in the package flow through :class:`RatSampler`, a
-small multiplicative congruential generator over integers.  A fixed seed
-therefore yields bit-identical runs on every platform, which keeps golden
-outputs stable.
+:class:`RatSampler` is a small multiplicative congruential generator over
+integers, so a fixed seed yields bit-identical draws on every platform.
+The library itself samples nothing.
 """
 
 from __future__ import annotations

@@ -19,20 +19,16 @@ from dataclasses import replace
 from fractions import Fraction
 from typing import Sequence
 
-from arrgm._sampling import RatSampler
-from arrgm.arrangement import AffineChart, AffineForm, ProjForm, bad_loci, discriminant
+from arrgm.arrangement import AffineChart, AffineForm, ProjForm, discriminant
 from arrgm.aomoto import ClassReducer, FiberContext, RatForm, Weights, reduce_rational_form
 from arrgm.errors import ArrgmError, InconsistentSystemError, SampleRejectedError
 from arrgm.exactnum import WeightPoly, determinant, matrix_rank, solve_linear
-from arrgm.gaussmanin import (
-    GMConnection,
-    MovingFamily,
-    _assemble,
-    _sample_weight_settings,
-    sample_parameter_points,
-)
+from arrgm.gaussmanin import GMConnection, MovingFamily, _assemble, _weight_settings
+
+from _sampling import RatSampler
 
 QQ0 = Fraction(0)
+SEED = 987654321  # any seed gives the same connection
 
 
 class ConnectionFitError(ArrgmError):
@@ -78,9 +74,9 @@ def sampled_gm_matrix(family: MovingFamily) -> GMConnection:
     if family.weights is not None:
         weight_settings = [family.weights]
     else:
-        weight_settings = _sample_weight_settings(family, bad_loci(base))
+        weight_settings = _weight_settings(base)
     nfit = -(-len(visible) // n) + 1
-    sampler = RatSampler(family.seed)
+    sampler = RatSampler(SEED)
     for _ in range(8):
         points = sample_parameter_points(n, [aff for _, aff in visible], nfit + 2, sampler)
         dlog_rows = _dlog_rows(visible, points)
@@ -105,6 +101,28 @@ def sampled_gm_matrix(family: MovingFamily) -> GMConnection:
         for r in residues
     ]
     return _assemble(family, basis, forms, h0, columns, weight_settings)
+
+
+def sample_parameter_points(
+    n: int,
+    affine_components: Sequence[AffineForm],
+    count: int,
+    sampler: RatSampler,
+) -> list[tuple[Fraction, ...]]:
+    """``count`` distinct rational points of C^n off every given affine component."""
+    points: list[tuple[Fraction, ...]] = []
+    attempts = 0
+    while len(points) < count:
+        attempts += 1
+        if attempts > 200 * count:
+            raise SampleRejectedError("could not sample enough off-discriminant points")
+        candidate = tuple(sampler.rational(24, 7) for _ in range(n))
+        if candidate in points:
+            continue
+        if any(f.evaluate(candidate) == 0 for f in affine_components):
+            continue
+        points.append(candidate)
+    return points
 
 
 def _evaluate_samples(

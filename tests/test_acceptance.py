@@ -24,7 +24,6 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from arrgm._sampling import RatSampler
 from arrgm.arrangement import ProjForm, discriminant, format_linear, validate
 from arrgm.aomoto import (
     FiberContext,
@@ -35,12 +34,14 @@ from arrgm.aomoto import (
     reduce_rational_form,
     validate_weights,
 )
-from arrgm.exactnum import WeightExpr, WeightPoly
+from arrgm.exactnum import WeightExpr, WeightPoly, cexp_matrix
 from arrgm.fixtures import ceva, example1
 from arrgm.gaussmanin import MovingFamily, flatness_check, gm_matrix
 from arrgm.matroid import MatroidContext
 from arrgm.monodromy import monodromy, projector_structure
 from arrgm.osalg import ExtElem, OSContext, boundary
+
+from _sampling import RatSampler
 from reference_poly import to_poly
 
 
@@ -352,10 +353,12 @@ def test_criterion_7_monodromy():
         trace = projector_structure(matrix)
         assert trace is not None
         assert trace == fx.traces[form]
-        closed = monodromy(matrix, assignment, mode="closed_form")
-        numeric = monodromy(matrix, assignment, mode="numeric")
-        assert np.max(np.abs(closed.matrix - numeric.matrix)) <= 1e-10
-        det = np.linalg.det(numeric.matrix)
+        closed = monodromy(matrix, assignment)
+        assert closed.method == "both"
+        a = np.array([[float(e.evaluate(assignment)) for e in row] for row in matrix], dtype=complex)
+        numeric = cexp_matrix(-2j * np.pi * a)
+        assert np.max(np.abs(closed.matrix - numeric)) <= 1e-10
+        det = np.linalg.det(numeric)
         expected = np.exp(-2j * np.pi * float(trace.evaluate(assignment)))
         assert abs(det - expected) <= 1e-9
     assert time.monotonic() - started < 5.0

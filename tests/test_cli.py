@@ -105,6 +105,22 @@ def test_monodromy_component(tmp_path: Path):
     assert len(data["matrix"]) == 3
 
 
+def test_monodromy_rank_two_residue(tmp_path: Path):
+    """A ceva triple point has a rank-2 residue without the projector
+    structure: the numeric exponential, exit 0."""
+    weights = tmp_path / "w.json"
+    weights.write_text(
+        json.dumps({"a": {str(i): f"{i}/13" for i in range(1, 6)}, "ah": "3/11"})
+    )
+    proc = run_cli(
+        "monodromy",
+        "--arrangement", "ceva",
+        "--weights", str(weights),
+        "--component", "0,1,0",
+    )
+    assert json.loads(proc.stdout)["method"] == "numeric"
+
+
 def test_monodromy_resonant_exit_code(tmp_path: Path):
     weights = tmp_path / "w.json"
     # a1 + a3 + ah = 1: the residue along h0 - h2 has eigenvalues {1, 0, 0}

@@ -9,7 +9,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from arrgm._sampling import RatSampler
+from _sampling import RatSampler
 from arrgm.errors import InconsistentSystemError
 from arrgm.exactnum import (
     QMat,

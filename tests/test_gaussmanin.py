@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 import warnings
 from collections import Counter
@@ -11,12 +12,14 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from arrgm import aomoto, exactnum, gaussmanin
-from arrgm._sampling import RatSampler
-from arrgm.arrangement import AffineChart, AffineForm, ProjForm, discriminant, validate
-from arrgm.aomoto import ClassReducer, FiberContext, Weights
-from arrgm.errors import NonlinearFitError
+from arrgm.arrangement import (
+    AffineChart, AffineForm, ProjForm, bad_loci, discriminant, validate,
+)
+from arrgm.aomoto import ClassReducer, FiberContext, Weights, validate_weights, weights_for_extended
+from arrgm.errors import ArrgmError, NonlinearFitError
 from arrgm.exactnum import WeightExpr, WeightPoly
 from arrgm.fixtures import ceva, example1
 from arrgm.gaussmanin import (
@@ -26,17 +29,21 @@ from arrgm.gaussmanin import (
     _lift,
     _residue_stencils,
     _weight_matrix,
+    _weight_settings,
     flatness_check,
+    generic_fiber,
     gm_matrix,
-    sample_parameter_points,
 )
 from arrgm.matroid import MatroidContext
 from arrgm.osalg import ExtElem
+
+from _sampling import RatSampler
 from reference_poly import poly_flatness_check
 from reference_sampled import (
     ConnectionFitError,
     _fit_residues,
     raw_derivative,
+    sample_parameter_points,
     sampled_gm_matrix,
 )
 
@@ -230,12 +237,6 @@ class TestExample1Connection:
             (c.form, c.residue) for c in conn.components
         ]
 
-    def test_seed_changes_samples_not_result(self, conn):
-        conn2 = gm_matrix(MovingFamily(example1().arrangement, seed=20240517))
-        assert [(c.form, c.residue) for c in conn2.components] == [
-            (c.form, c.residue) for c in conn.components
-        ]
-
 
 def curvature_vanishes(conn, base, points, weight_points) -> bool:
     """Reference curvature check at fixed rational points and weights.
@@ -373,14 +374,6 @@ class TestFlatness:
         assert conn.size == 10
         assert flatness_check(conn, arr).ok
         assert not flatness_check(with_entry_added(conn, W(1), (0,)), arr).ok
-
-    def test_draws_no_samples(self, monkeypatch, ceva_connection):
-        class NoSampler:
-            def __init__(self, *args, **kwargs):
-                raise AssertionError("flatness_check drew a sample")
-
-        monkeypatch.setattr(gaussmanin, "RatSampler", NoSampler)
-        assert flatness_check(ceva_connection, ceva().arrangement).ok
 
     @pytest.mark.parametrize("name", ["example1", "ceva", "p2-6", "p3-6"])
     def test_agrees_with_polynomial_oracle(self, name):
@@ -711,9 +704,9 @@ class TestBatchedChecks:
 
 def test_closed_form_call_structure(monkeypatch):
     """Structural guard on the closed form: no partial fractions, one
-    parameter point, one fiber and one set of stencils per call, one class
-    reduction per weight setting, and one lift of every residue to its
-    coefficient matrices."""
+    generic fiber and one set of stencils per call, one class reduction per
+    weight setting, and one lift of every residue to its coefficient
+    matrices."""
     calls = Counter()
 
     def counting(module, name, count=lambda result: 1):
@@ -729,7 +722,7 @@ def test_closed_form_call_structure(monkeypatch):
     for module in (aomoto, gaussmanin):
         if hasattr(module, "reduce_rational_form"):
             counting(module, "reduce_rational_form")
-    counting(gaussmanin, "sample_parameter_points", count=len)
+    counting(gaussmanin, "generic_fiber")
     counting(FiberContext, "__init__")
     counting(ClassReducer, "reduce_batch")
     counting(gaussmanin, "_residue_stencils")
@@ -739,7 +732,7 @@ def test_closed_form_call_structure(monkeypatch):
         calls.clear()
         gm_matrix(MovingFamily(ceva().arrangement, weights))
         assert calls == Counter({
-            "sample_parameter_points": 1,
+            "generic_fiber": 1,
             "__init__": 1,
             "_residue_stencils": 1,
             "reduce_batch": settings,
@@ -787,3 +780,92 @@ def test_rerank_warning_once_per_call():
             gm_matrix(MovingFamily(arr))
         reranked = [w for w in caught if "re-ranked" in str(w.message)]
         assert len(reranked) == 1
+
+
+def curve_point(n: int, t: int) -> tuple[F, ...]:
+    return tuple(F(t) ** k for k in range(1, n + 1))
+
+
+@st.composite
+def small_arrangements(draw):
+    """The coordinate frame of P^n, n = 1..3, plus 1 to 3 forms with entries
+    in -2..2; concurrent extra forms make many of them not normal crossing."""
+    n = draw(st.integers(1, 3))
+    row = st.lists(st.integers(-2, 2), min_size=n + 1, max_size=n + 1).filter(any)
+    extra = draw(st.lists(row, min_size=1, max_size=3))
+    try:
+        return generic(n, extra)
+    except ArrgmError:  # a form repeats
+        assume(False)
+
+
+@settings(max_examples=30, deadline=None)
+@given(arr=small_arrangements(), data=st.data())
+@example(arr=ceva().arrangement, data=None)
+@example(arr=p3_7(), data=None)
+def test_fiber_and_weight_settings_generic_by_construction(arr, data):
+    """Every weight setting passes the genericity checks on the base and on
+    the extended fiber, and the fiber point lies off every component and has
+    the combinatorics of any other point off the discriminant."""
+    fiber, components = generic_fiber(arr)
+    assert components == discriminant(arr)
+    affine = [AffineChart.of(arr).affine(form) for form in components]
+    t = fiber.params[0]
+    assert fiber.params == curve_point(arr.n, t)
+    assert t <= arr.n * len(components) + 1
+    assert all(f.evaluate(fiber.params) != 0 for f in affine)
+
+    settings_ = _weight_settings(arr)
+    assert len(settings_) == len(arr.finite_indices) + 3
+    flats, fiber_flats = bad_loci(arr), bad_loci(fiber.arr)
+    for weights in settings_:
+        assert weights.ah != 0
+        assert validate_weights(arr, weights, bad_flats=flats).ok
+        extended = weights_for_extended(fiber, weights)
+        assert validate_weights(fiber.arr, extended, bad_flats=fiber_flats).ok
+
+    if data is None:
+        other = next(
+            p for p in (curve_point(arr.n, s) for s in itertools.count(t + 1))
+            if all(f.evaluate(p) != 0 for f in affine)
+        )
+    else:
+        coordinate = st.fractions(-5, 5, max_denominator=4)
+        other = data.draw(st.tuples(*[coordinate] * arr.n))
+        assume(all(f.evaluate(other) != 0 for f in affine))
+    second = FiberContext(arr, other)
+    assert second.fixed_nbc() == fiber.fixed_nbc()
+    assert [second.nbc(p) for p in range(arr.n + 1)] == [fiber.nbc(p) for p in range(arr.n + 1)]
+
+
+@pytest.mark.parametrize("name", ["example1", "ceva", "p2-6"])
+def test_connection_independent_of_fiber_and_settings(monkeypatch, name):
+    """The connection is the same in the next fiber of the curve
+    (t, t^2, ..., t^n) off the discriminant and at the weight settings built
+    with q + 1 in place of q."""
+    real_fiber, real_settings = generic_fiber, _weight_settings
+    used = Counter()
+
+    def next_fiber(base):
+        fiber, components = real_fiber(base)
+        affine = [AffineChart.of(base).affine(form) for form in components]
+        t = fiber.params[0] + 1
+        while not all(f.evaluate(curve_point(base.n, t)) != 0 for f in affine):
+            t += 1
+        used["fiber"] += 1
+        return FiberContext(base, curve_point(base.n, t)), components
+
+    def other_q_settings(base):
+        m = len(base.finite_indices)
+        q = (m + 1) * (m + 4)
+        scale = F(q, q + 1)  # every k/q becomes k/(q + 1)
+        used["settings"] += 1
+        return [
+            Weights.make({i: scale * v for i, v in w.a}, scale * w.ah)
+            for w in real_settings(base)
+        ]
+
+    monkeypatch.setattr(gaussmanin, "generic_fiber", next_fiber)
+    monkeypatch.setattr(gaussmanin, "_weight_settings", other_q_settings)
+    assert gm_matrix(SYMBOLIC_FAMILIES[name]()) == symbolic_connection(name)
+    assert used == Counter({"fiber": 1, "settings": 1})

@@ -10,7 +10,7 @@ import pytest
 
 from arrgm.arrangement import ProjForm
 from arrgm.errors import ResonantResidueError, UnknownComponentError
-from arrgm.exactnum import WeightExpr
+from arrgm.exactnum import WeightExpr, cexp_matrix
 from arrgm.fixtures import ceva, example1
 from arrgm.gaussmanin import MovingFamily, gm_matrix
 from arrgm.monodromy import monodromy, projector_structure, residue_of
@@ -99,40 +99,39 @@ class TestProjectorStructure:
 class TestMonodromy:
     def test_zero_matrix(self):
         zero = [[W(), W()], [W(), W()]]
-        result = monodromy(zero, ASSIGN, mode="both")
+        result = monodromy(zero, ASSIGN)
+        assert result.method == "both"
         assert np.allclose(result.matrix, np.eye(2), atol=1e-14)
 
     def test_scalar_quarter(self):
-        result = monodromy([[W(a1=1)]], {"a1": F(1, 4)}, mode="both")
+        result = monodromy([[W(a1=1)]], {"a1": F(1, 4)})
         assert abs(result.matrix[0][0] - (-1j)) < 1e-12
 
     def test_closed_form_vs_numeric_on_h1(self):
         a = example1().residue([0, 1, 0])
         assign = {"a1": F(1, 3), "a2": F(0), "a3": F(1, 5), "ah": F(0)}
-        both = monodromy(a, assign, mode="both")
-        closed = monodromy(a, assign, mode="closed_form")
-        numeric = monodromy(a, assign, mode="numeric")
+        both = monodromy(a, assign)
         assert both.method == "both"
-        assert np.max(np.abs(closed.matrix - numeric.matrix)) < 1e-10
-        # T = I + (e^{-2 pi i t} - 1)/t * A with t = -a1 - a3 = -8/15
-        t = float(F(-8, 15))
         a_eval = np.array(
             [[float(e.evaluate(assign)) for e in row] for row in a], dtype=complex
         )
+        assert np.max(np.abs(both.matrix - cexp_matrix(-2j * np.pi * a_eval))) < 1e-10
+        # T = I + (e^{-2 pi i t} - 1)/t * A with t = -a1 - a3 = -8/15
+        t = float(F(-8, 15))
         expected = np.eye(3) + (cmath.exp(-2j * cmath.pi * t) - 1) / t * a_eval
         assert np.max(np.abs(both.matrix - expected)) < 1e-13
 
     def test_determinant_identity(self):
         fx = example1()
         for form, matrix in fx.residues.items():
-            result = monodromy(matrix, ASSIGN, mode="both")
+            result = monodromy(matrix, ASSIGN)
             trace = float(fx.traces[form].evaluate(ASSIGN))
             det = np.linalg.det(result.matrix)
             assert abs(det - cmath.exp(-2j * cmath.pi * trace)) < 1e-9
 
     def test_eigenvalue_exponentials(self):
         a = example1().residue([0, 0, 1])
-        result = monodromy(a, ASSIGN, mode="numeric")
+        result = monodromy(a, ASSIGN)
         a_eval = np.array(
             [[float(e.evaluate(ASSIGN)) for e in row] for row in a], dtype=complex
         )
@@ -148,16 +147,30 @@ class TestMonodromy:
         a = example1().residue([1, 0, -1])
         assign = {"a1": F(1, 2), "a2": F(1, 7), "a3": F(1, 2), "ah": F(-1, 5)}
         with pytest.raises(ResonantResidueError):
-            monodromy(a, assign, mode="both")
+            monodromy(a, assign)
 
     def test_condition_report_present(self):
-        result = monodromy(example1().residue([0, 1, 0]), ASSIGN, mode="numeric")
+        result = monodromy(example1().residue([0, 1, 0]), ASSIGN)
         assert result.condition_report
         assert all("margin" in line or "integer" in line for line in result.condition_report)
 
     def test_json_shape(self):
-        result = monodromy([[W(a1=1)]], {"a1": F(1, 4)}, mode="numeric")
+        result = monodromy([[W(a1=1)]], {"a1": F(1, 4)})
         payload = result.to_json()
-        assert payload["method"] == "numeric"
+        assert payload["method"] == "both"
         assert isinstance(payload["matrix"][0][0], list)
         assert len(payload["matrix"][0][0]) == 2
+
+    @pytest.mark.parametrize("triple_point", [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
+    def test_rank_two_residue_takes_numeric_exponential(self, triple_point):
+        """The rank-2 triple-point residues of ceva lack the projector
+        structure: the numeric exponential alone, no error."""
+        conn = gm_matrix(MovingFamily(ceva().arrangement))
+        matrix = residue_of(conn, P(*triple_point))
+        assign = {**{f"a{i}": F(i, 13) for i in range(1, 6)}, "ah": F(3, 11)}
+        result = monodromy(matrix, assign)
+        assert result.method == "numeric"
+        a_eval = np.array(
+            [[float(e.evaluate(assign)) for e in row] for row in matrix], dtype=complex
+        )
+        assert np.array_equal(result.matrix, cexp_matrix(-2j * np.pi * a_eval))

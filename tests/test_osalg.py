@@ -6,7 +6,7 @@ import itertools
 import math
 from fractions import Fraction as F
 
-from arrgm._sampling import RatSampler
+from _sampling import RatSampler
 from arrgm.exactnum import matrix_rank
 from arrgm.fixtures import ceva, example1
 from arrgm.osalg import ExtElem, OSContext, boundary, normal_form, relation_basis_Jn
