@@ -27,7 +27,6 @@ from .exactnum import (
     Rat,
     WeightExpr,
     WeightPoly,
-    cexp_matrix,
     rat_from_str,
     rat_to_str,
     solve_linear,
@@ -50,7 +49,7 @@ __all__ = [
     "FiberContext", "RatForm", "Weights",
     "cohomology_dims", "reduce_rational_form", "validate_weights",
     "QMat", "Rat", "WeightExpr", "WeightPoly",
-    "cexp_matrix", "rat_from_str", "rat_to_str", "solve_linear",
+    "rat_from_str", "rat_to_str", "solve_linear",
     "GMConnection", "MovingFamily", "flatness_check", "gm_matrix",
     "broken_circuits", "circuits", "is_dependent", "nbc_bases", "nbc_sets",
     "MonodromyResult", "monodromy", "projector_structure", "residue_of",

@@ -20,11 +20,10 @@ provides
   is integral), so a solve returns particular solutions and a kernel basis,
   or reports the failing row of an inconsistent system, and the
   determinant is the signed last pivot over the row scales.
-* ``cexp_matrix`` -- complex matrix exponential by scaling-and-squaring with
-  a degree-13 Pade approximant (used for monodromy representatives).
 
-Everything here is immutable after construction and safe to share between
-threads.
+The only floating point is ``complex_to_str_pair``, which serializes the
+monodromy entries.  Everything here is immutable after construction and
+safe to share between threads.
 """
 
 from __future__ import annotations
@@ -33,8 +32,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
-
-import numpy as np
 
 from .errors import InconsistentSystemError
 
@@ -45,7 +42,7 @@ QQ1 = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
-# rational literals
+# rational and complex literals
 # ---------------------------------------------------------------------------
 
 def rat_to_str(q: Rat) -> str:
@@ -59,6 +56,11 @@ def rat_to_str(q: Rat) -> str:
 def rat_from_str(s: str) -> Rat:
     """Parse a ``"p/q"`` or ``"p"`` literal."""
     return Fraction(s.strip())
+
+
+def complex_to_str_pair(z: complex) -> list[str]:
+    """Serialize a complex number as a decimal-string pair with 17 significant digits."""
+    return [f"{z.real:.17g}", f"{z.imag:.17g}"]
 
 
 # ---------------------------------------------------------------------------
@@ -535,61 +537,3 @@ def first_nonzero_quadratic(
             return r, min(cols)
     return None
 
-
-# ---------------------------------------------------------------------------
-# complex matrix exponential
-# ---------------------------------------------------------------------------
-
-# Pade(13, 13) numerator coefficients for exp, highest order last.
-_PADE13 = (
-    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
-    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
-)
-_THETA13 = 5.371920351148152
-
-
-def cexp_matrix(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a square complex matrix.
-
-    Scaling-and-squaring with the degree-13 diagonal Pade approximant; the
-    scaled input has 1-norm below the standard threshold, which keeps the
-    relative backward error of the approximant under 1e-13.
-    """
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("cexp_matrix requires a square matrix")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("cexp_matrix requires finite entries")
-    n = a.shape[0]
-    if n == 0:
-        return np.zeros((0, 0), dtype=complex)
-
-    norm = np.linalg.norm(a, 1)
-    squarings = 0
-    if norm > _THETA13:
-        squarings = max(0, int(math.ceil(math.log2(norm / _THETA13))))
-    scaled = a / (2.0 ** squarings)
-
-    ident = np.eye(n, dtype=complex)
-    a2 = scaled @ scaled
-    a4 = a2 @ a2
-    a6 = a2 @ a4
-    b = _PADE13
-    u = scaled @ (
-        a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-        + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident
-    )
-    v = (
-        a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-        + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident
-    )
-    result = np.linalg.solve(v - u, v + u)
-    for _ in range(squarings):
-        result = result @ result
-    return result
-
-
-def complex_to_str_pair(z: complex) -> list[str]:
-    """Serialize a complex number as a decimal-string pair with 17 significant digits."""
-    return [f"{z.real:.17g}", f"{z.imag:.17g}"]

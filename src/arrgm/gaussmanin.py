@@ -46,7 +46,7 @@ from .arrangement import (
     discriminant,
     format_linear,
 )
-from .errors import ArrgmError, NonlinearFitError
+from .errors import ArrgmError, NonlinearFitError, ResonantWeightsError
 from .exactnum import (
     CoeffMatrix, WeightExpr, first_nonzero_quadratic, integer_coefficients, nullspace,
 )
@@ -103,9 +103,6 @@ class GMConnection:
     @property
     def size(self) -> int:
         return len(self.basis)
-
-    def component_forms(self) -> list[ProjForm]:
-        return [c.form for c in self.components]
 
     def residue(self, form: ProjForm) -> tuple[tuple[WeightExpr, ...], ...] | None:
         for comp in self.components:
@@ -204,8 +201,8 @@ def gm_matrix(family: MovingFamily) -> GMConnection:
             raise ArrgmError("numeric weights of a moving family need the moving weight ah")
         report = validate_weights(base, family.weights)
         if not report.ok:
-            raise ArrgmError(
-                "weights fail genericity: " + "; ".join(report.violations)
+            raise ResonantWeightsError(
+                "weights fail the genericity conditions: " + "; ".join(report.violations)
             )
         weight_settings = [family.weights]
     else:

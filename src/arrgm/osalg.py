@@ -65,13 +65,6 @@ class ExtElem:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def degree(self) -> int | None:
-        """Common degree of all monomials, or None for 0 or mixed elements."""
-        degrees = {len(t) for t, _ in self.terms}
-        if len(degrees) == 1:
-            return degrees.pop()
-        return None
-
     def coefficient(self, indices: IndexTuple) -> Rat:
         for t, c in self.terms:
             if t == indices:

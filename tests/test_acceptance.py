@@ -34,7 +34,7 @@ from arrgm.aomoto import (
     reduce_rational_form,
     validate_weights,
 )
-from arrgm.exactnum import WeightExpr, WeightPoly, cexp_matrix
+from arrgm.exactnum import WeightExpr, WeightPoly
 from arrgm.fixtures import ceva, example1
 from arrgm.gaussmanin import MovingFamily, flatness_check, gm_matrix
 from arrgm.matroid import MatroidContext
@@ -42,6 +42,7 @@ from arrgm.monodromy import monodromy, projector_structure
 from arrgm.osalg import ExtElem, OSContext, boundary
 
 from _sampling import RatSampler
+from reference_expm import expm_reference, max_gap
 from reference_poly import to_poly
 
 
@@ -354,11 +355,9 @@ def test_criterion_7_monodromy():
         assert trace is not None
         assert trace == fx.traces[form]
         closed = monodromy(matrix, assignment)
-        assert closed.method == "both"
-        a = np.array([[float(e.evaluate(assignment)) for e in row] for row in matrix], dtype=complex)
-        numeric = cexp_matrix(-2j * np.pi * a)
-        assert np.max(np.abs(closed.matrix - numeric)) <= 1e-10
-        det = np.linalg.det(numeric)
+        numeric = expm_reference(matrix, assignment)
+        assert max_gap(closed.matrix, numeric) <= 1e-12
+        det = np.linalg.det(np.array(closed.matrix))
         expected = np.exp(-2j * np.pi * float(trace.evaluate(assignment)))
         assert abs(det - expected) <= 1e-9
     assert time.monotonic() - started < 5.0

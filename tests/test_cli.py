@@ -5,14 +5,19 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
 from arrgm import cli, gaussmanin
 from arrgm.arrangement import ProjForm, validate
+from arrgm.aomoto import Weights
 from arrgm.errors import ArrgmError
+from arrgm.fixtures import fixtures
 from arrgm.gaussmanin import MovingFamily, gm_matrix
+from arrgm.monodromy import residue_of
+from reference_expm import expm_reference, max_gap
 
 CLI = [sys.executable, "-m", "arrgm.cli"]
 
@@ -89,36 +94,45 @@ def test_gauss_manin_output_file(tmp_path: Path):
     assert data["components"][0]["residue"][0][0]["coeffs"]
 
 
+def monodromy_gap(fixture: str, weights: dict, component: str, payload: dict) -> float:
+    """Distance of the CLI's monodromy matrix from the 30-digit exponential."""
+    arr = fixtures()[fixture].arrangement
+    conn = gm_matrix(MovingFamily(arr))
+    matrix = residue_of(conn, [F(c) for c in component.split(",")])
+    w = Weights.make({int(i): F(v) for i, v in weights["a"].items()}, F(weights["ah"]))
+    got = [[complex(float(re), float(im)) for re, im in row] for row in payload["matrix"]]
+    return max_gap(got, expm_reference(matrix, conn.assignment_for(w)))
+
+
 def test_monodromy_component(tmp_path: Path):
+    data = {"a": {"1": "1/3", "2": "1/7", "3": "1/5"}, "ah": "-1/2"}
     weights = tmp_path / "w.json"
-    weights.write_text(
-        json.dumps({"a": {"1": "1/3", "2": "1/7", "3": "1/5"}, "ah": "-1/2"})
-    )
+    weights.write_text(json.dumps(data))
     proc = run_cli(
         "monodromy",
         "--arrangement", "example1",
         "--weights", str(weights),
         "--component", "0,1,0",
     )
-    data = json.loads(proc.stdout)
-    assert data["method"] == "both"
-    assert len(data["matrix"]) == 3
+    payload = json.loads(proc.stdout)
+    assert set(payload) == {"matrix", "conditions"}
+    assert len(payload["matrix"]) == 3
+    assert monodromy_gap("example1", data, "0,1,0", payload) < 1e-12
 
 
 def test_monodromy_rank_two_residue(tmp_path: Path):
     """A ceva triple point has a rank-2 residue without the projector
-    structure: the numeric exponential, exit 0."""
+    structure A^2 = tr(A) A: the closed form still applies, exit 0."""
+    data = {"a": {str(i): f"{i}/13" for i in range(1, 6)}, "ah": "3/11"}
     weights = tmp_path / "w.json"
-    weights.write_text(
-        json.dumps({"a": {str(i): f"{i}/13" for i in range(1, 6)}, "ah": "3/11"})
-    )
+    weights.write_text(json.dumps(data))
     proc = run_cli(
         "monodromy",
         "--arrangement", "ceva",
         "--weights", str(weights),
         "--component", "0,1,0",
     )
-    assert json.loads(proc.stdout)["method"] == "numeric"
+    assert monodromy_gap("ceva", data, "0,1,0", json.loads(proc.stdout)) < 1e-12
 
 
 def test_monodromy_resonant_exit_code(tmp_path: Path):
@@ -136,6 +150,16 @@ def test_monodromy_resonant_exit_code(tmp_path: Path):
     )
     err = json.loads(proc.stderr)
     assert err["error"] == "ResonantResidueError"
+
+
+@pytest.mark.parametrize("command", ["gauss-manin", "aomoto-dims"])
+def test_nongeneric_weights_exit_code(tmp_path: Path, capsys, command):
+    """a1 = 1 is an integer weight: both commands report resonance, exit 3."""
+    weights = tmp_path / "w.json"
+    weights.write_text(json.dumps({"a": {"1": "1", "2": "1/7", "3": "1/5"}, "ah": "-1/2"}))
+    code, err = run_main(capsys, command, "--arrangement", "example1", "--weights", str(weights))
+    assert code == 3
+    assert err["error"] == "ResonantWeightsError" and "a1 = 1 is an integer" in err["message"]
 
 
 def test_validation_exit_code(tmp_path: Path):
@@ -176,6 +200,16 @@ def test_verify_paper_reports_known_deviations():
     assert "PASS monodromy closed forms" in proc.stdout
     assert "known deviation" in proc.stdout
     assert "UNEXPECTED" not in proc.stdout
+
+
+def test_import_leaves_numpy_out():
+    """The library is pure Python: importing it loads no numpy."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, arrgm, arrgm.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def run_main(capsys, *argv) -> tuple[int, dict | None]:

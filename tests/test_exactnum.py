@@ -1,12 +1,10 @@
-"""Exact kernel: rationals, weight expressions, linear algebra, matrix exponential."""
+"""Exact kernel: rationals, weight expressions, linear algebra."""
 
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction as F
 
-import numpy as np
 import pytest
 
 from _sampling import RatSampler
@@ -15,7 +13,6 @@ from arrgm.exactnum import (
     QMat,
     WeightExpr,
     WeightPoly,
-    cexp_matrix,
     determinant,
     first_nonzero_quadratic,
     integer_coefficients,
@@ -233,41 +230,3 @@ class TestCoefficientMatrices:
         assert first_nonzero_quadratic([(1, x, y)], 2) == (1, 0)
         assert first_nonzero_quadratic([(1, y, x)], 2) == (1, 0)
         assert first_nonzero_quadratic([(1, x, y), (-1, x, y)], 2) is None
-
-
-class TestCexpMatrix:
-    def test_zero_matrix(self):
-        assert np.allclose(cexp_matrix(np.zeros((3, 3))), np.eye(3), atol=1e-15)
-
-    def test_diagonal(self):
-        got = cexp_matrix(np.diag([1j * math.pi, 0.0]))
-        assert np.allclose(got, np.diag([-1.0, 1.0]), atol=1e-12)
-
-    def test_nilpotent_series_truncates(self):
-        got = cexp_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        assert np.max(np.abs(got - np.array([[1, 1], [0, 1]]))) <= 1e-14
-
-    def test_inverse_property(self):
-        rng = np.random.default_rng(5)
-        for _ in range(8):
-            a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            a *= 2.0 / max(1.0, np.linalg.norm(a, 1))
-            prod = cexp_matrix(a) @ cexp_matrix(-a)
-            assert np.max(np.abs(prod - np.eye(4))) < 1e-10
-
-    def test_conjugation_equivariance(self):
-        rng = np.random.default_rng(11)
-        for _ in range(5):
-            a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-            p = np.eye(3) + 0.3 * rng.standard_normal((3, 3))
-            lhs = cexp_matrix(p @ a @ np.linalg.inv(p))
-            rhs = p @ cexp_matrix(a) @ np.linalg.inv(p)
-            assert np.max(np.abs(lhs - rhs)) < 1e-9
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            cexp_matrix(np.array([[np.inf, 0], [0, 0]], dtype=complex))
-
-    def test_rejects_nonsquare(self):
-        with pytest.raises(ValueError):
-            cexp_matrix(np.zeros((2, 3)))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import functools
 import hashlib
 import itertools
@@ -11,6 +12,7 @@ from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations
 
+import mpmath
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -35,6 +37,7 @@ from arrgm.gaussmanin import (
     gm_matrix,
 )
 from arrgm.matroid import MatroidContext
+from arrgm.monodromy import monodromy
 from arrgm.osalg import ExtElem
 
 from _sampling import RatSampler
@@ -836,6 +839,22 @@ def test_fiber_and_weight_settings_generic_by_construction(arr, data):
     second = FiberContext(arr, other)
     assert second.fixed_nbc() == fiber.fixed_nbc()
     assert [second.nbc(p) for p in range(arr.n + 1)] == [fiber.nbc(p) for p in range(arr.n + 1)]
+
+
+@settings(max_examples=20, deadline=None)
+@given(arr=small_arrangements())
+@example(arr=ceva().arrangement)
+def test_monodromy_of_every_component(arr):
+    """At the base weight setting every residue takes the closed-form
+    monodromy, and det T = exp(-2 pi i tr A)."""
+    weights = _weight_settings(arr)[0]
+    conn = gm_matrix(MovingFamily(arr, weights))
+    assignment = conn.assignment_for(weights)
+    for comp in conn.components:
+        result = monodromy(comp.residue, assignment)
+        trace = sum(comp.residue[i][i].evaluate(assignment) for i in range(conn.size))
+        det = complex(mpmath.det(mpmath.matrix(result.matrix)))
+        assert abs(det - cmath.exp(-2j * cmath.pi * float(trace))) < 1e-10
 
 
 @pytest.mark.parametrize("name", ["example1", "ceva", "p2-6"])

@@ -8,12 +8,13 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from arrgm.arrangement import ProjForm
-from arrgm.errors import ResonantResidueError, UnknownComponentError
-from arrgm.exactnum import WeightExpr, cexp_matrix
+from arrgm.arrangement import ProjForm, validate
+from arrgm.errors import ArrgmError, ResonantResidueError, UnknownComponentError
+from arrgm.exactnum import WeightExpr
 from arrgm.fixtures import ceva, example1
-from arrgm.gaussmanin import MovingFamily, gm_matrix
+from arrgm.gaussmanin import MovingFamily, _weight_settings, gm_matrix
 from arrgm.monodromy import monodromy, projector_structure, residue_of
+from reference_expm import expm_reference, max_gap
 from reference_poly import poly_projector_structure
 
 
@@ -24,6 +25,18 @@ def P(*coeffs):
 def W(const=0, **coeffs):
     return WeightExpr.make(F(const), {k: F(v) for k, v in coeffs.items()})
 
+
+def generic(n, extra):
+    """The coordinate frame of P^n (z0 at infinity) plus the given forms."""
+    frame = [[int(i == j) for j in range(n + 1)] for i in range(n + 1)]
+    return validate([P(*row) for row in frame + extra], 0)
+
+
+ARRANGEMENTS = {
+    "example1": lambda: example1().arrangement,
+    "ceva": lambda: ceva().arrangement,
+    "p2-6": lambda: generic(2, [[1, 1, 1], [1, 2, -3], [2, -1, 3]]),
+}
 
 ASSIGN = {"a1": F(1, 3), "a2": F(1, 7), "a3": F(1, 5), "ah": F(-1, 2)}
 
@@ -100,7 +113,6 @@ class TestMonodromy:
     def test_zero_matrix(self):
         zero = [[W(), W()], [W(), W()]]
         result = monodromy(zero, ASSIGN)
-        assert result.method == "both"
         assert np.allclose(result.matrix, np.eye(2), atol=1e-14)
 
     def test_scalar_quarter(self):
@@ -110,23 +122,20 @@ class TestMonodromy:
     def test_closed_form_vs_numeric_on_h1(self):
         a = example1().residue([0, 1, 0])
         assign = {"a1": F(1, 3), "a2": F(0), "a3": F(1, 5), "ah": F(0)}
-        both = monodromy(a, assign)
-        assert both.method == "both"
-        a_eval = np.array(
-            [[float(e.evaluate(assign)) for e in row] for row in a], dtype=complex
-        )
-        assert np.max(np.abs(both.matrix - cexp_matrix(-2j * np.pi * a_eval))) < 1e-10
+        result = monodromy(a, assign)
+        assert max_gap(result.matrix, expm_reference(a, assign)) < 1e-12
         # T = I + (e^{-2 pi i t} - 1)/t * A with t = -a1 - a3 = -8/15
         t = float(F(-8, 15))
+        a_eval = np.array([[float(e.evaluate(assign)) for e in row] for row in a])
         expected = np.eye(3) + (cmath.exp(-2j * cmath.pi * t) - 1) / t * a_eval
-        assert np.max(np.abs(both.matrix - expected)) < 1e-13
+        assert np.max(np.abs(np.array(result.matrix) - expected)) < 1e-13
 
     def test_determinant_identity(self):
         fx = example1()
         for form, matrix in fx.residues.items():
             result = monodromy(matrix, ASSIGN)
             trace = float(fx.traces[form].evaluate(ASSIGN))
-            det = np.linalg.det(result.matrix)
+            det = np.linalg.det(np.array(result.matrix))
             assert abs(det - cmath.exp(-2j * cmath.pi * trace)) < 1e-9
 
     def test_eigenvalue_exponentials(self):
@@ -136,7 +145,7 @@ class TestMonodromy:
             [[float(e.evaluate(ASSIGN)) for e in row] for row in a], dtype=complex
         )
         expected = list(np.exp(-2j * np.pi * np.linalg.eigvals(a_eval)))
-        got = list(np.linalg.eigvals(result.matrix))
+        got = list(np.linalg.eigvals(np.array(result.matrix)))
         for value in expected:
             best = min(got, key=lambda z: abs(z - value))
             assert abs(best - value) < 1e-8
@@ -150,27 +159,70 @@ class TestMonodromy:
             monodromy(a, assign)
 
     def test_condition_report_present(self):
+        """One exact line: the quadratic identity and its discriminant."""
         result = monodromy(example1().residue([0, 1, 0]), ASSIGN)
-        assert result.condition_report
-        assert all("margin" in line or "integer" in line for line in result.condition_report)
+        # A^2 = tr(A) A with tr A = -a1 - a3 = -8/15, so D = 64/225
+        assert result.condition_report == (
+            "A^2 = alpha A + beta I with alpha = -8/15, beta = 0; "
+            "D = alpha^2 + 4 beta = 64/225 is not the square of a nonzero integer",
+        )
 
     def test_json_shape(self):
         result = monodromy([[W(a1=1)]], {"a1": F(1, 4)})
         payload = result.to_json()
-        assert payload["method"] == "both"
+        assert set(payload) == {"matrix", "conditions"}
         assert isinstance(payload["matrix"][0][0], list)
         assert len(payload["matrix"][0][0]) == 2
 
     @pytest.mark.parametrize("triple_point", [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
-    def test_rank_two_residue_takes_numeric_exponential(self, triple_point):
+    def test_rank_two_residue_takes_closed_form(self, triple_point):
         """The rank-2 triple-point residues of ceva lack the projector
-        structure: the numeric exponential alone, no error."""
+        structure A^2 = tr(A) A but satisfy A^2 = alpha A + beta I: the
+        closed form, equal to the matrix exponential."""
         conn = gm_matrix(MovingFamily(ceva().arrangement))
         matrix = residue_of(conn, P(*triple_point))
+        assert projector_structure(matrix) is None
         assign = {**{f"a{i}": F(i, 13) for i in range(1, 6)}, "ah": F(3, 11)}
         result = monodromy(matrix, assign)
-        assert result.method == "numeric"
-        a_eval = np.array(
-            [[float(e.evaluate(assign)) for e in row] for row in matrix], dtype=complex
-        )
-        assert np.array_equal(result.matrix, cexp_matrix(-2j * np.pi * a_eval))
+        assert max_gap(result.matrix, expm_reference(matrix, assign)) < 1e-12
+
+    @pytest.mark.parametrize("name", list(ARRANGEMENTS))
+    def test_every_computed_residue(self, name):
+        """Every component of the connection, at three weight settings,
+        agrees with the 30-digit matrix exponential."""
+        arr = ARRANGEMENTS[name]()
+        conn = gm_matrix(MovingFamily(arr))
+        for weights in _weight_settings(arr)[:3]:
+            assign = conn.assignment_for(weights)
+            for comp in conn.components:
+                result = monodromy(comp.residue, assign)
+                assert max_gap(result.matrix, expm_reference(comp.residue, assign)) < 1e-12
+
+
+class TestClosedFormEdgeCases:
+    def test_integer_scalar_is_not_resonant(self):
+        """A single eigenvalue has no nonzero differences, integer or not."""
+        assert abs(monodromy([[W(a1=1)]], {"a1": F(2)}).matrix[0][0] - 1) < 1e-14
+        result = monodromy([[W(-3), W()], [W(), W(-3)]], {})
+        assert np.allclose(result.matrix, np.eye(2), atol=1e-14)
+
+    def test_nilpotent_rank_one(self):
+        """A^2 = 0: T = I - 2 pi i A."""
+        a = [[W(), W(a1=1)], [W(), W()]]
+        result = monodromy(a, {"a1": F(1, 3)})
+        expected = [[1, -2j * cmath.pi / 3], [0, 1]]
+        assert max_gap(result.matrix, expected) < 1e-15
+
+    @pytest.mark.parametrize("value", [F(2), F(-1)])
+    def test_integer_lambda_is_resonant(self, value):
+        """A^2 = lambda A with lambda in Z minus {0}: eigenvalues 0 and lambda."""
+        a = [[W(a1=1), W(a1=1)], [W(), W()]]
+        with pytest.raises(ResonantResidueError):
+            monodromy(a, {"a1": value})
+
+    def test_no_quadratic_identity(self):
+        """Three distinct eigenvalues: no identity A^2 = alpha A + beta I."""
+        a = [[W(), W(), W()], [W(), W(F(1, 3)), W()], [W(), W(), W(F(1, 5))]]
+        with pytest.raises(ArrgmError) as info:
+            monodromy(a, {})
+        assert not isinstance(info.value, ResonantResidueError)
