@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import ArrgmError, DuplicateHyperplaneError, LeadingFrameError
-from .exactnum import QMat, Rat, matrix_rank, nullspace, rat_from_str, rat_to_str
+from .exactnum import Rat, format_terms, matrix_rank, nullspace, rat_from_str, rat_to_str
 
 
 @dataclass(frozen=True)
@@ -65,21 +65,7 @@ class ProjForm:
 
 
 def format_linear(coeffs: Sequence[int], names: Sequence[str]) -> str:
-    parts: list[str] = []
-    for c, name in zip(coeffs, names):
-        if c == 0:
-            continue
-        if c == 1:
-            term = name
-        elif c == -1:
-            term = f"-{name}"
-        else:
-            term = f"{c}*{name}"
-        if parts and not term.startswith("-"):
-            parts.append(f"+{term}")
-        else:
-            parts.append(term)
-    return "".join(parts) or "0"
+    return format_terms(zip(coeffs, names))
 
 
 @dataclass(frozen=True)
@@ -171,28 +157,6 @@ class AffineForm:
         return self.constant + sum(
             (c * Fraction(p) for c, p in zip(self.lin, point)), Fraction(0)
         )
-
-    def __str__(self) -> str:
-        coeffs = [self.constant] + list(self.lin)
-        names = ["1"] + [f"x{i}" for i in range(1, len(self.lin) + 1)]
-        parts = []
-        for c, name in zip(coeffs, names):
-            if c == 0:
-                continue
-            if name == "1":
-                parts.append(rat_to_str(c))
-                continue
-            if c == 1:
-                term = name
-            elif c == -1:
-                term = f"-{name}"
-            else:
-                term = f"{rat_to_str(c)}*{name}"
-            if parts and not term.startswith("-"):
-                parts.append(f"+{term}")
-            else:
-                parts.append(term)
-        return "".join(parts) or "0"
 
 
 @dataclass(frozen=True)
@@ -287,7 +251,9 @@ def _flat_from_support(arr: Arrangement, support: Iterable[int]) -> Flat | None:
     """Close a support set; None when the intersection is empty in P^n."""
     support = sorted(set(support))
     if not support:
-        return Flat((), 0, QMat.identity(arr.n + 1).entries)
+        return Flat((), 0, tuple(
+            tuple(Fraction(int(i == j)) for j in range(arr.n + 1)) for i in range(arr.n + 1)
+        ))
     kernel = nullspace(arr.form_rows(support))
     if not kernel:
         return None  # empty projective intersection

@@ -33,7 +33,6 @@ from .arrangement import (
 from .aomoto import FiberContext, Weights, cohomology_dims
 from .errors import (
     ArrgmError,
-    NotLogarithmicError,
     ResonantResidueError,
     ResonantWeightsError,
     SampleRejectedError,
@@ -410,7 +409,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ResonantWeightsError, ResonantResidueError) as exc:
         _error(exc, EXIT_RESONANCE)
         return EXIT_RESONANCE
-    except (NotLogarithmicError, SampleRejectedError) as exc:
+    except SampleRejectedError as exc:
         _error(exc, EXIT_INTERNAL)
         return EXIT_INTERNAL
     except (ArrgmError, OSError, json.JSONDecodeError) as exc:

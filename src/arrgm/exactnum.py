@@ -7,20 +7,19 @@ provides
 * ``WeightExpr``  -- exact affine-linear expressions in the weight symbols
   ``a1..am, ah`` (the residue symbols).  The dependent symbol ``a0`` is
   eliminated on construction through ``a0 = -(a1 + ... + am) - ah``.
-* ``WeightPoly``  -- sparse multivariate polynomials over ``Rat`` with string
-  symbols (the numerators of rational forms in the coordinates x1..xn).
 * ``integer_coefficients``, ``first_nonzero_quadratic`` -- matrices of weight
   expressions as per-symbol sparse coefficient matrices, and the exact
   check of a quadratic matrix identity among them, one pair of symbols at a
   time (flatness commutators, the projector identity A^2 = tr(A) A).
-* ``QMat``, ``solve_linear``, ``determinant``, ``matrix_rank``, ``nullspace``
-  -- dense exact matrices and the library's one exact elimination: rows are
-  cleared to integers and reduced by fraction-free (Bareiss) elimination.
+* ``solve_linear``, ``determinant``, ``matrix_rank``, ``nullspace`` -- the
+  library's one exact elimination, on lists of rows: rows are cleared to
+  integers and reduced by fraction-free (Bareiss) elimination.
   The back substitution is fraction-free too (with d the last pivot, d x
   is integral), so a solve returns particular solutions and a kernel basis,
   or reports the failing row of an inconsistent system, and the
   determinant is the signed last pivot over the row scales.
 
+``format_terms`` renders every signed sum of terms the package prints.
 The only floating point is ``complex_to_str_pair``, which serializes the
 monodromy entries.  Everything here is immutable after construction and
 safe to share between threads.
@@ -61,6 +60,29 @@ def rat_from_str(s: str) -> Rat:
 def complex_to_str_pair(z: complex) -> list[str]:
     """Serialize a complex number as a decimal-string pair with 17 significant digits."""
     return [f"{z.real:.17g}", f"{z.imag:.17g}"]
+
+
+def format_terms(terms: Iterable[tuple[Rat | int, str | None]]) -> str:
+    """A signed sum such as ``1/2-a1+3*ah`` from (coefficient, name) pairs.
+
+    The name None marks the constant term, written as its value.  Zero
+    terms are skipped, coefficients 1 and -1 are written as the sign alone,
+    and the empty sum is ``"0"``.
+    """
+    parts: list[str] = []
+    for c, name in terms:
+        if c == 0:
+            continue
+        if name is None:
+            term = rat_to_str(c)
+        elif c == 1:
+            term = name
+        elif c == -1:
+            term = f"-{name}"
+        else:
+            term = f"{rat_to_str(c)}*{name}"
+        parts.append(f"+{term}" if parts and not term.startswith("-") else term)
+    return "".join(parts) or "0"
 
 
 # ---------------------------------------------------------------------------
@@ -124,12 +146,6 @@ class WeightExpr:
     def symbol(sym: str) -> "WeightExpr":
         return WeightExpr.make(0, {sym: 1})
 
-    def coeff(self, sym: str) -> Rat:
-        for s, c in self.coeffs:
-            if s == sym:
-                return c
-        return QQ0
-
     @property
     def is_constant(self) -> bool:
         return not self.coeffs
@@ -172,104 +188,7 @@ class WeightExpr:
         )
 
     def __str__(self) -> str:
-        parts: list[str] = []
-        if self.const != 0 or not self.coeffs:
-            parts.append(rat_to_str(self.const))
-        for s, c in self.coeffs:
-            if c == 1:
-                term = s
-            elif c == -1:
-                term = f"-{s}"
-            else:
-                term = f"{rat_to_str(c)}*{s}"
-            if parts and not term.startswith("-"):
-                parts.append(f"+{term}")
-            else:
-                parts.append(term)
-        return "".join(parts)
-
-
-# ---------------------------------------------------------------------------
-# sparse multivariate polynomials
-# ---------------------------------------------------------------------------
-
-Monomial = tuple[tuple[str, int], ...]  # sorted ((symbol, exponent), ...), exponents > 0
-
-
-@dataclass(frozen=True)
-class WeightPoly:
-    """Sparse polynomial over ``Rat`` in named symbols, canonical form.
-
-    Keys are sorted ``(symbol, exponent)`` tuples; no zero coefficients are
-    stored; the zero polynomial has no terms.  Symbols are arbitrary strings,
-    so the same type also carries the numerators of rational forms in the
-    coordinate symbols x1..xn.
-    """
-
-    terms: tuple[tuple[Monomial, Rat], ...]
-
-    @staticmethod
-    def make(terms: Mapping[Monomial, Rat | int]) -> "WeightPoly":
-        clean: dict[Monomial, Fraction] = {}
-        for mono, c in terms.items():
-            c = Fraction(c)
-            if c == 0:
-                continue
-            mono = tuple(sorted((s, e) for s, e in mono if e != 0))
-            clean[mono] = clean.get(mono, QQ0) + c
-        return WeightPoly(tuple(sorted((m, c) for m, c in clean.items() if c != 0)))
-
-    @staticmethod
-    def zero() -> "WeightPoly":
-        return WeightPoly(())
-
-    @staticmethod
-    def constant(value: Rat | int) -> "WeightPoly":
-        return WeightPoly.make({(): Fraction(value)})
-
-    @staticmethod
-    def symbol(sym: str) -> "WeightPoly":
-        return WeightPoly.make({((sym, 1),): QQ1})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "WeightPoly") -> "WeightPoly":
-        acc = dict(self.terms)
-        for m, c in other.terms:
-            acc[m] = acc.get(m, QQ0) + c
-        return WeightPoly.make(acc)
-
-    def __sub__(self, other: "WeightPoly") -> "WeightPoly":
-        return self + other.scale(-1)
-
-    def scale(self, factor: Rat | int) -> "WeightPoly":
-        f = Fraction(factor)
-        if f == 0:
-            return WeightPoly.zero()
-        return WeightPoly(tuple((m, c * f) for m, c in self.terms))
-
-    def __mul__(self, other: "WeightPoly") -> "WeightPoly":
-        acc: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms:
-            d1 = dict(m1)
-            for m2, c2 in other.terms:
-                merged = dict(d1)
-                for s, e in m2:
-                    merged[s] = merged.get(s, 0) + e
-                key = tuple(sorted(merged.items()))
-                acc[key] = acc.get(key, QQ0) + c1 * c2
-        return WeightPoly.make(acc)
-
-    def evaluate(self, assignment: Mapping[str, Rat]) -> Rat:
-        total = QQ0
-        for mono, c in self.terms:
-            value = c
-            for s, e in mono:
-                value *= assignment[s] ** e
-            total += value
-        return total
+        return format_terms([(self.const, None), *((c, s) for s, c in self.coeffs)])
 
 
 # ---------------------------------------------------------------------------
@@ -277,34 +196,6 @@ class WeightPoly:
 # ---------------------------------------------------------------------------
 
 Vector = list[Fraction]
-Matrix = list[list[Fraction]]
-
-
-@dataclass(frozen=True)
-class QMat:
-    """Dense matrix of rationals."""
-
-    rows: int
-    cols: int
-    entries: tuple[tuple[Rat, ...], ...]
-
-    @staticmethod
-    def make(entries: Sequence[Sequence[Rat | int]]) -> "QMat":
-        rows = len(entries)
-        cols = len(entries[0]) if rows else 0
-        data = []
-        for row in entries:
-            if len(row) != cols:
-                raise ValueError("ragged matrix")
-            data.append(tuple(Fraction(x) for x in row))
-        return QMat(rows, cols, tuple(data))
-
-    @staticmethod
-    def identity(n: int) -> "QMat":
-        return QMat.make([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    def row_lists(self) -> Matrix:
-        return [list(r) for r in self.entries]
 
 
 @dataclass
@@ -373,7 +264,7 @@ def _bareiss_echelon(rows: list[list[int]], ncols_a: int) -> tuple[list[int], li
 
 
 def solve_linear(
-    matrix: QMat | Sequence[Sequence[Rat | int]],
+    matrix: Sequence[Sequence[Rat | int]],
     rhs: Sequence[Sequence[Rat | int]] | None = None,
 ) -> LinearSolution:
     """Solve ``M x = b`` exactly for each right-hand side ``b`` in ``rhs``.
@@ -391,9 +282,8 @@ def solve_linear(
     unsatisfiable equation raises :class:`InconsistentSystemError` carrying
     the original row index.
     """
-    rows = matrix.entries if isinstance(matrix, QMat) else matrix
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
+    nrows = len(matrix)
+    ncols = len(matrix[0]) if nrows else 0
     rhs_list = list(rhs or [])
     for b in rhs_list:
         if len(b) != nrows:
@@ -401,7 +291,7 @@ def solve_linear(
     if not nrows:
         return LinearSolution([[] for _ in rhs_list], [], 0, [])
 
-    ech, row_scales = _integer_rows(rows)
+    ech, row_scales = _integer_rows(matrix)
     rhs_ints, rhs_scales = _integer_rows(rhs_list)
     for i, (row, scale) in enumerate(zip(ech, row_scales)):
         row.extend(scale * b[i] for b in rhs_ints)

@@ -26,11 +26,10 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .arrangement import Arrangement
-from .exactnum import Rat, rat_from_str, rat_to_str
+from .exactnum import Rat, format_terms, rat_to_str
 from .matroid import MatroidContext
 
 QQ0 = Fraction(0)
-QQ1 = Fraction(1)
 
 IndexTuple = tuple[int, ...]
 
@@ -89,29 +88,11 @@ class ExtElem:
     def to_json(self) -> dict:
         return {"terms": [{"idx": list(t), "c": rat_to_str(c)} for t, c in self.terms]}
 
-    @staticmethod
-    def from_json(data: dict) -> "ExtElem":
-        return ExtElem.make(
-            {tuple(item["idx"]): rat_from_str(item["c"]) for item in data["terms"]}
-        )
-
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for t, c in self.terms:
-            label = "e" + "".join(f"({i})" if i > 9 else str(i) for i in t) if t else "1"
-            if c == 1:
-                term = label
-            elif c == -1:
-                term = f"-{label}"
-            else:
-                term = f"{rat_to_str(c)}*{label}"
-            if parts and not term.startswith("-"):
-                parts.append(f"+{term}")
-            else:
-                parts.append(term)
-        return "".join(parts)
+        return format_terms(
+            (c, "e" + "".join(f"({i})" if i > 9 else str(i) for i in t) if t else "1")
+            for t, c in self.terms
+        )
 
 
 def wedge_monomials(left: IndexTuple, right: IndexTuple) -> tuple[int, IndexTuple] | None:

@@ -12,8 +12,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from arrgm.arrangement import format_linear
-from arrgm.exactnum import WeightExpr, WeightPoly
+from arrgm.exactnum import WeightExpr
 from arrgm.gaussmanin import FlatnessReport, GMConnection, _codim2_flats
+from arrgm.partialfrac import WeightPoly
 
 
 def to_poly(expr: WeightExpr) -> WeightPoly:

@@ -3,9 +3,10 @@
 This is the paper's derive-and-reduce route to the residues, kept to check
 the closed form of ``gaussmanin.gm_matrix`` against an independent
 computation.  Differentiating a basis class e_J against the parameter l_k
-produces the coefficient a_h (x_k / x_s) e_J (``raw_derivative``).  At each
-rational parameter sample the raw derivatives are reduced to dlog forms by
-partial fractions in the fiber there (``reduce_rational_form``), and their
+produces the coefficient a_h (x_k / x_s) e_J; ``raw_derivative`` returns the
+form without a_h.  At each rational parameter sample the raw derivatives are
+reduced to dlog forms by partial fractions in the fiber there
+(``arrgm.partialfrac.reduce_rational_form``), and their
 classes over the nbc basis are taken at every weight setting.  The sampled
 coordinate functions are fitted as sum_p r_p dlog f_p over the affine
 discriminant components by one exact solve, and each fitted entry is
@@ -15,15 +16,15 @@ component are the library's.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction
 from typing import Sequence
 
 from arrgm.arrangement import AffineChart, AffineForm, ProjForm, discriminant
-from arrgm.aomoto import ClassReducer, FiberContext, RatForm, Weights, reduce_rational_form
+from arrgm.aomoto import ClassReducer, FiberContext, Weights
 from arrgm.errors import ArrgmError, InconsistentSystemError, SampleRejectedError
-from arrgm.exactnum import WeightPoly, determinant, matrix_rank, solve_linear
+from arrgm.exactnum import determinant, matrix_rank, solve_linear
 from arrgm.gaussmanin import GMConnection, MovingFamily, _assemble, _weight_settings
+from arrgm.partialfrac import FiberChart, RatForm, WeightPoly, reduce_rational_form
 
 from _sampling import RatSampler
 
@@ -39,12 +40,13 @@ class ConnectionFitError(ArrgmError):
 
 
 def raw_derivative(family: MovingFamily, basis: Sequence[int], k: int) -> RatForm:
-    """dl_k coefficient of the connection image of e_J: a_h (x_k / x_s) e_J.
+    """dl_k coefficient of the connection image of e_J over a_h: (x_k / x_s) e_J.
 
     Expanded over the coordinate volume form, e_J contributes the constant
     Jacobian factor of its forms in the family's affine chart, so the result
     is the rational form (x_k * det_J) / (prod_{j in J} f_j * x_s)
-    dx_1..dx_n tagged with the symbolic factor ``ah``.
+    dx_1..dx_n.  The symbolic factor a_h is left out: it is applied after
+    the class reduction.
     """
     n = family.n
     if not 1 <= k <= n:
@@ -55,7 +57,7 @@ def raw_derivative(family: MovingFamily, basis: Sequence[int], k: int) -> RatFor
     if det == 0:
         raise ArrgmError(f"basis tuple {J} has dependent affine forms")
     numerator = WeightPoly.make({((f"x{k}", 1),): det})
-    return RatForm.make(numerator, list(J) + [family.moving_index], n, weight_factor="ah")
+    return RatForm.make(numerator, list(J) + [family.moving_index], n)
 
 
 def sampled_gm_matrix(family: MovingFamily) -> GMConnection:
@@ -86,12 +88,7 @@ def sampled_gm_matrix(family: MovingFamily) -> GMConnection:
         raise SampleRejectedError("dlog sample matrix is rank deficient")
     fibers = [FiberContext(base, point) for point in points]
     basis = fibers[0].fixed_nbc()
-    # ah is applied after the class reduction
-    raw_forms = [
-        replace(raw_derivative(family, J, k), weight_factor=None)
-        for J in basis
-        for k in range(1, n + 1)
-    ]
+    raw_forms = [raw_derivative(family, J, k) for J in basis for k in range(1, n + 1)]
     coords = _evaluate_samples(fibers, raw_forms, weight_settings)
     residues = _fit_residues(dlog_rows, nfit * n, coords, len(basis), n)
     forms = [form for form, _ in visible]
@@ -138,7 +135,8 @@ def _evaluate_samples(
     fiber's combinatorics, the same at every sample, so one class reduction
     per weight setting, built in the first fiber, takes them all.
     """
-    reduced = [reduce_rational_form(form, fiber) for fiber in fibers for form in raw_forms]
+    charts = [FiberChart(fiber) for fiber in fibers]
+    reduced = [reduce_rational_form(form, chart) for chart in charts for form in raw_forms]
     per_point = len(raw_forms)
     coords = []
     for weights in weight_settings:

@@ -25,21 +25,16 @@ import numpy as np
 import pytest
 
 from arrgm.arrangement import ProjForm, discriminant, format_linear, validate
-from arrgm.aomoto import (
-    FiberContext,
-    RatForm,
-    Weights,
-    cohomology_dims,
-    log_comb_evaluate,
-    reduce_rational_form,
-    validate_weights,
-)
-from arrgm.exactnum import WeightExpr, WeightPoly
+from arrgm.aomoto import FiberContext, Weights, cohomology_dims, validate_weights
+from arrgm.exactnum import WeightExpr
 from arrgm.fixtures import ceva, example1
 from arrgm.gaussmanin import MovingFamily, flatness_check, gm_matrix
 from arrgm.matroid import MatroidContext
 from arrgm.monodromy import monodromy, projector_structure
 from arrgm.osalg import ExtElem, OSContext, boundary
+from arrgm.partialfrac import (
+    FiberChart, RatForm, WeightPoly, log_comb_evaluate, reduce_rational_form,
+)
 
 from _sampling import RatSampler
 from reference_expm import expm_reference, max_gap
@@ -366,10 +361,10 @@ def test_criterion_7_monodromy():
 @criterion(8, "randomized reduction oracle")
 def test_criterion_8_reduction_oracle():
     started = time.monotonic()
-    fiber = FiberContext(example1().arrangement, [F(2), F(3)])
+    chart = FiberChart(FiberContext(example1().arrangement, [F(2), F(3)]))
     sampler = RatSampler(0xBEEF)
-    finite = fiber.finite_indices
-    n = fiber.n
+    finite = chart.fiber.finite_indices
+    n = chart.n
     checked = 0
     while checked < 200:
         size = sampler.integer(n, len(finite))
@@ -391,14 +386,14 @@ def test_criterion_8_reduction_oracle():
         if numerator.is_zero:
             continue
         form = RatForm.make(numerator, poles, n)
-        reduced = reduce_rational_form(form, fiber)
+        reduced = reduce_rational_form(form, chart)
         points = 0
         while points < 3:
             point = (sampler.rational(30, 7), sampler.rational(30, 7))
-            if any(fiber.affine[i].evaluate(point) == 0 for i in finite):
+            if any(chart.affine[i].evaluate(point) == 0 for i in finite):
                 continue
-            assert form.evaluate(fiber, point) == log_comb_evaluate(
-                fiber, reduced, point
+            assert form.evaluate(chart, point) == log_comb_evaluate(
+                chart, reduced, point
             )
             points += 1
         checked += 1

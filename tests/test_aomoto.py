@@ -2,27 +2,28 @@
 
 from __future__ import annotations
 
+import ast
+import importlib
 import itertools
 from fractions import Fraction as F
 
 import pytest
 
 from arrgm.arrangement import AffineChart, ProjForm, discriminant, validate
-from arrgm.aomoto import (
-    AffineCircuit,
-    ClassReducer,
-    FiberContext,
-    RatForm,
-    Weights,
-    cohomology_dims,
-    log_comb_evaluate,
-    reduce_rational_form,
-    validate_weights,
-)
+from arrgm.aomoto import ClassReducer, FiberContext, Weights, cohomology_dims, validate_weights
 from arrgm.errors import NotLogarithmicError, ResonantWeightsError
-from arrgm.exactnum import WeightPoly, matrix_rank, solve_linear
+from arrgm.exactnum import matrix_rank, solve_linear
 from arrgm.fixtures import ceva, example1
 from arrgm.osalg import ExtElem, wedge
+from arrgm.partialfrac import (
+    AffineCircuit,
+    FiberChart,
+    RatForm,
+    WeightPoly,
+    _poly_affine,
+    log_comb_evaluate,
+    reduce_rational_form,
+)
 
 from _sampling import RatSampler
 from reference_sampled import sample_parameter_points
@@ -138,56 +139,50 @@ class TestCohomologyDims:
 
 
 class TestReduceRationalForm:
-    def fiber(self):
-        return FiberContext(example1().arrangement, [F(2), F(3)])
+    def chart(self):
+        return FiberChart(FiberContext(example1().arrangement, [F(2), F(3)]))
 
     def test_triple_pole(self):
-        fiber = self.fiber()
         form = RatForm.make(WeightPoly.constant(1), [1, 2, 3], 2)
-        assert reduce_rational_form(form, fiber) == E(1, 2) - E(1, 3) + E(2, 3)
+        assert reduce_rational_form(form, self.chart()) == E(1, 2) - E(1, 3) + E(2, 3)
 
     def test_plain_monomial(self):
-        fiber = self.fiber()
         form = RatForm.make(WeightPoly.constant(1), [1, 2], 2)
-        assert reduce_rational_form(form, fiber) == E(1, 2)
+        assert reduce_rational_form(form, self.chart()) == E(1, 2)
 
     def test_moving_point_line(self):
         # x/x_s dx/x = dx/x_s = (1/l) dlog x_s
         fiber = point_line()
         form = RatForm.make(WeightPoly.constant(1), [fiber.moving_index], 1)
-        got = reduce_rational_form(form, fiber)
+        got = reduce_rational_form(form, FiberChart(fiber))
         assert got == ExtElem.monomial((fiber.moving_index,), F(1, 3))
 
     def test_pointwise_oracle(self):
-        fiber = self.fiber()
-        sampler = RatSampler(23)
+        chart = self.chart()
         points = [(F(5), F(7)), (F(-2, 3), F(9, 4)), (F(13, 6), F(-8, 5))]
         numerator = xpoly(x1=F(2), x2=F(-1, 3)) + WeightPoly.constant(F(1, 2))
-        form = RatForm.make(numerator, [1, 2, 3, fiber.moving_index], 2)
-        reduced = reduce_rational_form(form, fiber)
+        form = RatForm.make(numerator, [1, 2, 3, chart.fiber.moving_index], 2)
+        reduced = reduce_rational_form(form, chart)
         for point in points:
-            assert form.evaluate(fiber, point) == log_comb_evaluate(fiber, reduced, point)
-        del sampler
+            assert form.evaluate(chart, point) == log_comb_evaluate(chart, reduced, point)
 
     def test_non_logarithmic_rejected(self):
         # dx1 dx2 alone has a higher-order pole at infinity
-        fiber = self.fiber()
         form = RatForm.make(WeightPoly.constant(1), [], 2)
         with pytest.raises(NotLogarithmicError):
-            reduce_rational_form(form, fiber)
+            reduce_rational_form(form, self.chart())
 
     def test_unknown_pole_rejected(self):
-        fiber = self.fiber()
         form = RatForm.make(WeightPoly.constant(1), [1, 99], 2)
         with pytest.raises(NotLogarithmicError):
-            reduce_rational_form(form, fiber)
+            reduce_rational_form(form, self.chart())
 
     def test_central_triple_requires_cancellation(self):
         """A lone central-circuit denominator is not logarithmic over Ceva."""
-        fiber = FiberContext(ceva().arrangement, [F(2), F(3)])
+        chart = FiberChart(FiberContext(ceva().arrangement, [F(2), F(3)]))
         form = RatForm.make(WeightPoly.constant(1), [1, 2, 5], 2)
         with pytest.raises(NotLogarithmicError):
-            reduce_rational_form(form, fiber)
+            reduce_rational_form(form, chart)
 
     def test_ceva_common_denominator_round_trip(self):
         """Expand dlog combinations over a common denominator and reduce back.
@@ -196,9 +191,9 @@ class TestReduceRationalForm:
         circuit {1, 2, 5}: the intermediate non-logarithmic pieces have to
         cancel exactly.
         """
-        fiber = FiberContext(ceva().arrangement, [F(2), F(5)])
+        chart = FiberChart(FiberContext(ceva().arrangement, [F(2), F(5)]))
         points = [(F(7), F(11, 3)), (F(-5, 2), F(17, 4))]
-        s = fiber.moving_index
+        s = chart.fiber.moving_index
         combos = [
             E(1, 2) + E(2, 5, c=F(3, 2)) - E(1, 5, c=F(2, 7)),
             E(1, 2) - E(3, 4, c=2) + E(2, s, c=F(1, 3)),
@@ -208,23 +203,21 @@ class TestReduceRationalForm:
             poles = sorted(set(i for tup, _ in combo.terms for i in tup))
             numerator = WeightPoly.zero()
             for tup, c in combo.terms:
-                piece = WeightPoly.constant(c * fiber.jacobian_det(tup))
+                piece = WeightPoly.constant(c * chart.jacobian_det(tup))
                 for i in poles:
                     if i not in tup:
-                        from arrgm.aomoto import _poly_affine
-
-                        piece = piece * _poly_affine(fiber.affine[i])
+                        piece = piece * _poly_affine(chart.affine[i])
                 numerator = numerator + piece
             form = RatForm.make(numerator, poles, 2)
-            reduced = reduce_rational_form(form, fiber)
+            reduced = reduce_rational_form(form, chart)
             for point in points:
-                assert form.evaluate(fiber, point) == log_comb_evaluate(
-                    fiber, reduced, point
+                assert form.evaluate(chart, point) == log_comb_evaluate(
+                    chart, reduced, point
                 )
             # the reduced combination agrees with the original one as a form
             for point in points:
-                assert log_comb_evaluate(fiber, combo, point) == log_comb_evaluate(
-                    fiber, reduced, point
+                assert log_comb_evaluate(chart, combo, point) == log_comb_evaluate(
+                    chart, reduced, point
                 )
 
 
@@ -255,14 +248,14 @@ class TestClassReduction:
         w = Weights.make({1: F(1, 3), 2: F(1, 7), 3: F(1, 5)}, F(-1, 2))
         reducer = ClassReducer(fiber, w)
         for idx, basis in enumerate(reducer.fixed_basis):
-            coords = reducer.reduce(E(*basis))
+            coords = reducer.reduce_batch([E(*basis)])[0]
             assert coords == [F(1) if i == idx else F(0) for i in range(3)]
 
     def test_moving_point_class(self):
         # e_s reduces to (-a1/ah) e_1 on the punctured line family
         fiber = point_line()
         w = Weights.make({1: F(1, 3)}, F(-1, 5))
-        coords = ClassReducer(fiber, w).reduce(ExtElem.monomial((fiber.moving_index,)))
+        coords = ClassReducer(fiber, w).reduce_batch([ExtElem.monomial((fiber.moving_index,))])[0]
         assert coords == [F(1, 3) / F(1, 5)]  # -a1/ah = (1/3)/(1/5)
 
     def test_exact_classes_vanish(self):
@@ -275,35 +268,35 @@ class TestClassReduction:
             for idx, coeff in omega_terms:
                 omega_wedge = omega_wedge + wedge(E(idx, c=coeff), E(*k))
             nf = fiber.os.normal_form(omega_wedge)
-            assert reducer.reduce(nf) == [F(0)] * 6
+            assert reducer.reduce_batch([nf])[0] == [F(0)] * 6
 
     def test_reduction_linear_in_input(self):
         fiber = FiberContext(example1().arrangement, [F(5), F(-3)])
         w = Weights.make({1: F(2, 3), 2: F(1, 7), 3: F(1, 5)}, F(-1, 2))
         reducer = ClassReducer(fiber, w)
         g1, g2 = E(1, fiber.moving_index), E(2, fiber.moving_index)
-        lhs = reducer.reduce(g1.scale(F(3, 2)) + g2.scale(-2))
+        [lhs] = reducer.reduce_batch([g1.scale(F(3, 2)) + g2.scale(-2)])
         c1, c2 = reducer.reduce_batch([g1, g2])
         assert lhs == [F(3, 2) * a - 2 * b for a, b in zip(c1, c2)]
 
 
-def enumerated_affine_circuits(fiber: FiberContext) -> list[AffineCircuit]:
+def enumerated_affine_circuits(chart: FiberChart) -> list[AffineCircuit]:
     """Reference: enumerate subsets of the finite forms by size, one solve each."""
     out: list[AffineCircuit] = []
     supports: list[set[int]] = []
-    for size in range(2, fiber.n + 2):
-        for subset in itertools.combinations(fiber.finite_indices, size):
+    for size in range(2, chart.n + 2):
+        for subset in itertools.combinations(chart.fiber.finite_indices, size):
             sset = set(subset)
             if any(known <= sset for known in supports):
                 continue
-            lin_cols = [[fiber.affine[i].lin[j] for i in subset] for j in range(fiber.n)]
+            lin_cols = [[chart.affine[i].lin[j] for i in subset] for j in range(chart.n)]
             kernel = solve_linear(lin_cols, []).kernel
             if not kernel:
                 continue
             assert len(kernel) == 1
             lead = next(x for x in kernel[0] if x != 0)
             mu = [x / lead for x in kernel[0]]
-            c = sum((m * fiber.affine[i].constant for m, i in zip(mu, subset)), F(0))
+            c = sum((m * chart.affine[i].constant for m, i in zip(mu, subset)), F(0))
             out.append(AffineCircuit(subset, tuple(mu), c))
             supports.append(sset)
     out.sort(key=lambda circ: circ.support)
@@ -340,8 +333,8 @@ def test_affine_circuits_match_enumeration(name):
     arr = LADDER[name]()
     _, points = affine_discriminant_and_samples(arr)
     for params in [None] + points:
-        fiber = FiberContext(arr, params)
-        assert fiber.affine_circuits() == enumerated_affine_circuits(fiber)
+        chart = FiberChart(FiberContext(arr, params))
+        assert chart.affine_circuits() == enumerated_affine_circuits(chart)
 
 
 @pytest.mark.parametrize("name", list(LADDER))
@@ -368,3 +361,25 @@ def test_fiber_combinatorics_constant_off_discriminant(name):
         on = [x - step * c for x, c in zip(point, aff.lin)]
         assert aff.evaluate(on) == 0
         assert combinatorics(FiberContext(arr, on)) != shared
+
+
+@pytest.mark.parametrize("module", ["aomoto", "gaussmanin", "monodromy", "cli"])
+def test_partial_fractions_stay_out_of_the_pipeline(module):
+    """The closed-form pipeline never reaches the paper's partial-fraction
+    route: none of its modules imports ``partialfrac``, and ``FiberContext``
+    holds only the fiber's combinatorics and omega."""
+    path = importlib.import_module(f"arrgm.{module}").__file__
+    imported = set()
+    for node in ast.walk(ast.parse(open(path, encoding="utf-8").read())):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(f"{node.module or ''}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert not any("partialfrac" in name.split(".") for name in imported)
+    moved = {
+        "affine", "lin_rows", "jacobian_det", "frame_inverse", "affine_circuits",
+        "circuit_in", "_affine_circuits", "_frame_inverse",
+    }
+    members = set(dir(FiberContext)) | set(vars(FiberContext(example1().arrangement, [F(2), F(3)])))
+    assert not members & moved

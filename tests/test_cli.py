@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -297,3 +298,55 @@ def test_non_coordinate_infinity_rejected_before_discriminant(tmp_path: Path, mo
     assert code == 2
     assert err["error"] == "ArrgmError" and err["message"] == str(direct.value)
     assert "not a coordinate hyperplane" in err["message"]
+
+
+# sha256 of ``--format text`` stdout, recorded before the term printers were merged
+TEXT_DIGESTS = {
+    "example1": {
+        "lattice": "cf3090309df4556ab5989e6bf3ff983e76010188b7bc4183c3f2240004d8750c",
+        "bad-loci": "fcf33dfbe13c2354bf0e1b063f9fb422747a46cee00b7420bceff2b81457b345",
+        "circuits": "a4e89ee15cfe853f0573b7e61b0f084c6cfe061be11f4eb97cc02eb2ef688442",
+        "nbc": "83636fda8c1c243a6904186793dd19fcd85e468efcb5898491907b6fca3e4ba7",
+        "os-relations": "fcf33dfbe13c2354bf0e1b063f9fb422747a46cee00b7420bceff2b81457b345",
+        "discriminant": "27e173174607c9846e6334ad8b5f0acdc3bb8d59c8d006479e8ba2cd03acd8e2",
+        "gauss-manin": "b00fc0bc874c6d9f37d4e89fe1a51b9d43570102e98ffb511310afbf6ff0fe28",
+    },
+    "ceva": {
+        "lattice": "936d576f31d932d6a08f35bd1c824d2652fb8e646673492d5afb6b43a6180bb2",
+        "bad-loci": "a95fe60837474c3594c0b893db6e9e290966175578a668859b5e3d27a3d13a79",
+        "circuits": "0781a46a5ed598429932db755737d9b50aa96d7934ee152da289d536f2c3981e",
+        "nbc": "2947de6cb5771fa54e36209b282e9137c5a98c164726533dd1fe092dbc2cd599",
+        "os-relations": "92b1311aacdb0de74fe60669b77556dd465999de57f9809b95b26f1d0472e834",
+        "discriminant": "b4ae5a22e5fad8b85a80e2780c2438bec6bd2a514e03e61d3cd4864512e1a13b",
+        "gauss-manin": "123df1984f8933239623e7e4468b7b3c4f70ad27be8ce728380cfdbefd10b4b0",
+    },
+    "p2-6": {
+        "lattice": "6ae9635c70a4d202efd640244c49f0692f6bc59b0c898a7743b279d6e85e7bf0",
+        "bad-loci": "fcf33dfbe13c2354bf0e1b063f9fb422747a46cee00b7420bceff2b81457b345",
+        "circuits": "4b4a2453f19d7cb9dd0003825ab66afdaf4701d0c8c47f0e20eee316e6daa488",
+        "nbc": "3aea431f8c02067550874beb0b660014235dbfc0ad24349f5fb18cfb6b01b756",
+        "os-relations": "fcf33dfbe13c2354bf0e1b063f9fb422747a46cee00b7420bceff2b81457b345",
+        "discriminant": "8b0b6b0d9c414e591d2d6ed27f8bcab36f2e502b36d5c773ea2c8abf280f59f0",
+        "gauss-manin": "d4ec8f8bd193d580096d192d24c95b773ff82d28dc19216decbce983525a6bab",
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "arrangement, command",
+    [(arr, cmd) for arr, digests in TEXT_DIGESTS.items() for cmd in digests],
+)
+def test_text_output_digest(tmp_path: Path, capsys, arrangement, command):
+    """The text output is fixed too: every term printer, ``ProjForm``,
+    ``WeightExpr`` and ``ExtElem`` alike, renders as it always did.  p2-6 is
+    the coordinate frame of P^2 plus three lines in general position."""
+    if arrangement == "p2-6":
+        rows = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1], [1, 2, -3], [2, -1, 3]]
+        path = tmp_path / "p2-6.json"
+        path.write_text(json.dumps(validate([ProjForm.make(r) for r in rows], 0).to_json()))
+        arrangement = str(path)
+    code = cli.main([command, "--arrangement", arrangement, "--format", "text"])
+    out = capsys.readouterr().out
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == TEXT_DIGESTS[Path(arrangement).stem][command]

@@ -145,15 +145,16 @@ class TestNormalForm:
 
     def test_rewrite_is_exact_as_forms(self):
         """Pointwise check of the rewriting through the dlog realization."""
-        from arrgm.aomoto import FiberContext, log_comb_evaluate
+        from arrgm.aomoto import FiberContext
+        from arrgm.partialfrac import FiberChart, log_comb_evaluate
 
-        fiber = FiberContext(ceva().arrangement, None)
-        ctx = fiber.os
+        chart = FiberChart(FiberContext(ceva().arrangement, None))
+        ctx = chart.fiber.os
         points = [(F(5), F(7)), (F(2, 3), F(9, 4)), (F(-3), F(11, 5))]
         for pair in itertools.combinations(range(1, 6), 2):
             elem = E(*pair)
             nf = ctx.normal_form(elem)
             for point in points:
-                assert log_comb_evaluate(fiber, elem, point) == log_comb_evaluate(
-                    fiber, nf, point
+                assert log_comb_evaluate(chart, elem, point) == log_comb_evaluate(
+                    chart, nf, point
                 )
