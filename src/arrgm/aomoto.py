@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .arrangement import AffineChart, AffineForm, Arrangement, validate
+from .arrangement import AffineChart, AffineForm, Arrangement, bad_loci, validate
 from .errors import InconsistentSystemError, ResonantWeightsError, SampleRejectedError
 from .exactnum import Rat, matrix_rank, solve_linear
 from .matroid import MatroidContext
@@ -93,8 +93,6 @@ def validate_weights(arr: Arrangement, weights: Weights, bad_flats=None) -> Weig
     one and ah for a moving hyperplane when present), and sum_{i in I_L} a_i
     for every non-normal-crossing flat L.
     """
-    from .arrangement import bad_loci
-
     values = weights.a_dict
     violations: list[str] = []
 
@@ -153,7 +151,7 @@ class FiberContext:
         self.matroid = MatroidContext(self.arr)
         self.os = OSContext(self.arr, self.matroid)
         self._nbc_cache: dict[int, list[tuple[int, ...]]] = {}
-        self._top_coordinates: dict[ExtElem, list[Fraction]] = {}
+        self._wedge_terms: dict[int, list[tuple[int, int, int, Fraction]]] = {}
 
     # -- basics -------------------------------------------------------------
 
@@ -179,18 +177,6 @@ class FiberContext:
         """
         return [t for t in self.nbc(self.n) if self.moving_index not in t]
 
-    def top_coordinates(self, g: ExtElem) -> list[Fraction]:
-        """Coordinates of the normal form of a top-degree g over ``nbc(n)``.
-
-        They do not depend on the weights, so they are kept for every
-        reducer of this fiber.
-        """
-        coords = self._top_coordinates.get(g)
-        if coords is None:
-            coords = self.os.nbc_coordinates(g, self.nbc(self.n))
-            self._top_coordinates[g] = coords
-        return coords
-
     # -- omega and wedge maps -------------------------------------------------
 
     def weight_symbol_order(self) -> list[int]:
@@ -208,25 +194,25 @@ class FiberContext:
         return out
 
     def wedge_omega_matrix(self, weights: Weights, p: int) -> list[list[Fraction]]:
-        """Matrix of wedge-with-omega from nbc (p-1)-monomials to nbc p-monomials."""
-        domain = self.nbc(p - 1) if p >= 1 else []
-        codomain = self.nbc(p)
-        if p == 0:
-            return [[ ] for _ in codomain]
-        row_index = {t: r for r, t in enumerate(codomain)}
-        matrix = [[QQ0 for _ in domain] for _ in codomain]
-        for col, base_tuple in enumerate(domain):
-            for idx, coeff in self.omega_terms(weights):
-                merged = wedge_monomials((idx,), base_tuple)
-                if merged is None:
-                    continue
-                sign, tup = merged
-                nf = self.os.normal_form_monomial(tup)
-                for out_tup, c in nf.terms:
-                    r = row_index.get(out_tup)
-                    if r is None:
-                        raise AssertionError("normal form left the nbc span")
-                    matrix[r][col] = matrix[r][col] + coeff * sign * c
+        """Matrix of wedge-with-omega from nbc (p-1)-monomials to nbc p-monomials.
+
+        Entry (r, col) sums c a_i over the terms (r, col, i, c), c the nbc
+        coordinates of e_i ^ e_T; they do not depend on the weights, so they
+        are kept for every reducer of this fiber.
+        """
+        if p not in self._wedge_terms:
+            row_index = {t: r for r, t in enumerate(self.nbc(p))}
+            indices = [i for i in (*self.weight_symbol_order(), self.moving_index) if i is not None]
+            terms = self._wedge_terms[p] = []
+            for col, tup in enumerate(self.nbc(p - 1) if p >= 1 else []):
+                for i in indices:
+                    if (merged := wedge_monomials((i,), tup)) is not None:
+                        for out, c in self.os.normal_form_monomial(merged[1]).terms:
+                            terms.append((row_index[out], col, i, merged[0] * c))
+        a = dict(self.omega_terms(weights))
+        matrix = [[QQ0] * (len(self.nbc(p - 1)) if p >= 1 else 0) for _ in self.nbc(p)]
+        for r, col, i, c in self._wedge_terms[p]:
+            matrix[r][col] += c * a[i]
         return matrix
 
 
@@ -255,8 +241,11 @@ class ClassReducer:
             for tup, wedge_row in zip(fiber.nbc(n), wedge_rows)
         ]
 
-    def reduce_batch(self, elems: Sequence[ExtElem]) -> list[list[Fraction]]:
-        rhs = [self.fiber.top_coordinates(g) for g in elems]
+    def reduce_batch(self, elems: Sequence[ExtElem | list[Fraction]]) -> list[list[Fraction]]:
+        """The fixed nbc coordinates of the classes of top-degree elements,
+        each given as an ``ExtElem`` or as its coordinates over ``fiber.nbc(n)``."""
+        top = self.fiber.nbc(self.fiber.n)
+        rhs = [self.fiber.os.nbc_coordinates(g, top) if isinstance(g, ExtElem) else g for g in elems]
         try:
             solution = solve_linear(self.rows, rhs)
         except InconsistentSystemError as exc:
@@ -274,7 +263,8 @@ def cohomology_dims(fiber: FiberContext, weights: Weights) -> list[int]:
     genericity report or by nonvanishing cohomology below the top degree)
     raises :class:`ResonantWeightsError`.
     """
-    report = validate_weights(fiber.arr, weights_for_extended(fiber, weights))
+    extended = weights_for_extended(fiber, weights)
+    report = validate_weights(fiber.arr, extended, bad_loci(fiber.arr, fiber.matroid))
     if not report.ok:
         raise ResonantWeightsError(
             "weights fail the genericity conditions: " + "; ".join(report.violations)

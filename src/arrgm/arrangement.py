@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -247,54 +248,51 @@ class Lattice:
         }
 
 
-def _flat_from_support(arr: Arrangement, support: Iterable[int]) -> Flat | None:
-    """Close a support set; None when the intersection is empty in P^n."""
-    support = sorted(set(support))
-    if not support:
-        return Flat((), 0, tuple(
-            tuple(Fraction(int(i == j)) for j in range(arr.n + 1)) for i in range(arr.n + 1)
-        ))
-    kernel = nullspace(arr.form_rows(support))
-    if not kernel:
-        return None  # empty projective intersection
-    # the closure test runs on integer multiples of the kernel vectors
-    scaled = []
-    for vec in kernel:
-        lcm = math.lcm(*(x.denominator for x in vec))
-        scaled.append([int(x * lcm) for x in vec])
-    closed = [
-        i for i, plane in enumerate(arr.hyperplanes)
-        if all(sum(c * x for c, x in zip(plane.coeffs, vec)) == 0 for vec in scaled)
+def _closed_flats(arr: Arrangement, matroid, seeds) -> list[Flat]:
+    """The closures of the supports ``seeds(matroid)`` and the flats grown
+    from them one hyperplane at a time while the rank stays <= n, listed by
+    rank, then lexicographically by support.
+
+    closure(S) = {i : rank(S u i) = rank(S)}, from the integer ranks cached
+    by ``matroid``: the ``MatroidContext`` of ``arr`` or of an arrangement
+    that appends hyperplanes to it.  None builds one without its re-rank
+    warning, as the flats do not depend on the order.
+    """
+    if matroid is None:
+        from .matroid import MatroidContext
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            matroid = MatroidContext(arr)
+    rank = matroid.rank_of
+
+    def closure(support: tuple[int, ...]) -> tuple[int, ...]:
+        support = tuple(sorted(support))
+        return tuple(
+            i for i in range(arr.size)
+            if i in support or rank(tuple(sorted((*support, i)))) == rank(support)
+        )
+
+    found: set[tuple[int, ...]] = set()
+    frontier = [closure(support) for support in seeds(matroid)]
+    while frontier:
+        support = frontier.pop()
+        if support not in found:
+            found.add(support)
+            if rank(support) < arr.n:
+                frontier += [closure((*support, i)) for i in range(arr.size) if i not in support]
+    identity = tuple(tuple(Fraction(int(i == j)) for j in range(arr.n + 1)) for i in range(arr.n + 1))
+    flats = [
+        Flat(s, rank(s), tuple(tuple(v) for v in nullspace(arr.form_rows(s))) if s else identity)
+        for s in found
     ]
-    rank = arr.n + 1 - len(kernel)
-    return Flat(tuple(closed), rank, tuple(tuple(v) for v in kernel))
+    return sorted(flats, key=lambda f: (f.rank, f.support))
 
 
 def lattice(arr: Arrangement) -> Lattice:
-    """All nonempty intersections, computed by iterative closure.
-
-    Starts from the ambient space and the hyperplanes, then repeatedly
-    intersects known flats with single hyperplanes, closing and deduplicating
-    by support.  Flats are listed by rank, then lexicographically by support.
-    """
-    found: dict[tuple[int, ...], Flat] = {}
-    ambient = _flat_from_support(arr, [])
-    assert ambient is not None
-    found[ambient.support] = ambient
-    frontier = [ambient]
-    while frontier:
-        new_frontier = []
-        for flat in frontier:
-            for i in range(arr.size):
-                if i in flat.support:
-                    continue
-                candidate = _flat_from_support(arr, list(flat.support) + [i])
-                if candidate is None or candidate.support in found:
-                    continue
-                found[candidate.support] = candidate
-                new_frontier.append(candidate)
-        frontier = new_frontier
-    flats = tuple(sorted(found.values(), key=lambda f: (f.rank, f.support)))
+    """All nonempty intersections: the flats grown from the ambient space,
+    listed by rank, then lexicographically by support, with their covers."""
+    flats = tuple(_closed_flats(arr, None, lambda matroid: [()]))
     index = {f.support: k for k, f in enumerate(flats)}
     covers = []
     for f in flats:
@@ -304,13 +302,17 @@ def lattice(arr: Arrangement) -> Lattice:
     return Lattice(flats, tuple(covers))
 
 
-def bad_loci(arr: Arrangement) -> list[Flat]:
+def bad_loci(arr: Arrangement, matroid=None) -> list[Flat]:
     """Flats with more hyperplanes through them than their codimension.
 
-    These are exactly the non-normal-crossing strata; equivalently the flats
-    whose support contains a circuit.
+    These are exactly the non-normal-crossing strata: the flats whose
+    support contains a circuit, grown from the circuits of rank <= n
+    (``_closed_flats``; ``matroid`` as there).
     """
-    return [f for f in lattice(arr).flats if len(f.support) > f.rank]
+    return _closed_flats(arr, matroid, lambda matroid: [
+        c.support for c in matroid.circuits()
+        if len(c.support) <= arr.n + 1 and c.support[-1] < arr.size
+    ])
 
 
 # ---------------------------------------------------------------------------

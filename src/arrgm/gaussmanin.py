@@ -18,10 +18,15 @@ degree-one affine component contributes -dlog h0, so its residue is minus
 the sum of all the others.
 
 Every residue is homogeneous linear in the weights, A_X = sum_k a_k A_X^(k)
-with a0 eliminated, and is carried as these per-symbol coefficient
-matrices.  ``gm_matrix`` builds one fiber and the integer stencils of the
-images once per call, reduces the images in one solve per weight setting,
-and takes the A_X^(k) as difference quotients between the settings.
+with a0 eliminated.  The image of e_J is linear in eta_{J,P}, so with
+{J_r} a basis of the span of the local lifts of a component, found by one
+exact elimination, A_X e_J = sum_r c_{J,r} A_X e_{J_r} with rational c
+that does not depend on the weights: sum_X rank A_X basis columns carry
+every residue.  ``gm_matrix`` builds once per call the fiber, the c, the
+nbc coordinates of the basis columns' pieces and the wedge-with-omega
+terms of the class solve; a weight setting combines them with its weights
+and runs one solve.  The A_X^(k) of the basis columns are difference
+quotients between the settings, and every column is expanded from them.
 
 ``flatness_check`` verifies integrability exactly and completely by Kohno's
 codimension-2 criterion: for every rank-2 flat X of the components and every
@@ -43,12 +48,13 @@ from .arrangement import (
     AffineForm,
     Arrangement,
     ProjForm,
+    bad_loci,
     discriminant,
     format_linear,
 )
 from .errors import ArrgmError, NonlinearFitError, ResonantWeightsError
 from .exactnum import (
-    CoeffMatrix, WeightExpr, first_nonzero_quadratic, integer_coefficients, nullspace,
+    CoeffMatrix, WeightExpr, first_nonzero_quadratic, integer_coefficients, nullspace, solve_linear,
 )
 from .aomoto import ClassReducer, FiberContext, Weights, validate_weights
 from .osalg import ExtElem, boundary, wedge, wedge_monomials
@@ -187,52 +193,45 @@ def _weight_settings(base: Arrangement) -> list[Weights]:
 def gm_matrix(family: MovingFamily) -> GMConnection:
     """Compute the full connection matrix with exact residues.
 
-    Pipeline: build one fiber off the discriminant (``generic_fiber``),
-    evaluate the closed-form residue of every affine discriminant component
-    at each weight setting (one class reduction per setting, images from
-    ``_residue_stencils``), lift the residues to the weights, and append the
-    derived h0 component.
+    One fiber off the discriminant (``generic_fiber``) and the stencils of
+    ``_residue_stencils`` are built once; each weight setting combines the
+    stencils with its weights and reduces them in one class solve, and
+    ``_assemble`` lifts, expands and appends the derived h0 component.
     """
     base = family.base
-    n = base.n
     chart = AffineChart.of(base)
-    if family.weights is not None:
-        if family.weights.ah is None:
-            raise ArrgmError("numeric weights of a moving family need the moving weight ah")
-        report = validate_weights(base, family.weights)
+    if family.weights is not None and family.weights.ah is None:
+        raise ArrgmError("numeric weights of a moving family need the moving weight ah")
+    # The class reduction holds in every fiber off the discriminant.
+    fiber, components = generic_fiber(base)
+    if family.weights is None:
+        weight_settings = _weight_settings(base)
+    else:
+        report = validate_weights(base, family.weights, bad_loci(base, fiber.matroid))
         if not report.ok:
             raise ResonantWeightsError(
                 "weights fail the genericity conditions: " + "; ".join(report.violations)
             )
         weight_settings = [family.weights]
-    else:
-        weight_settings = _weight_settings(base)
-
-    # The class reduction holds in every fiber off the discriminant.
-    fiber, components = generic_fiber(base)
     basis = fiber.fixed_nbc()
     if not basis:
         raise ArrgmError("fixed arrangement has no nbc bases in top degree")
-    h0 = chart.projective(AffineForm.make(1, [0] * n))
-    affine_all = [(form, chart.affine(form)) for form in components]
-    forms = [form for form, aff in affine_all if any(c != 0 for c in aff.lin)]
-    stencils = _residue_stencils(base, forms, basis, fiber.moving_index)
+    h0 = chart.projective(AffineForm.make(1, [0] * base.n))
+    forms = [form for form in components if any(chart.affine(form).lin)]
+    # A component without a linear part is proportional to h0 itself.
+    assert all(form in forms or form == h0 for form in components)
+    expansions, stencils = _residue_stencils(fiber, forms)
     columns_by_setting = []
     for weights in weight_settings:
         a = {**weights.a_dict, fiber.moving_index: weights.ah, base.infinity_index: weights.a0}
         images = []
-        for pieces in stencils:
-            acc: dict[tuple[int, ...], Fraction] = {}
-            for i, piece in pieces:
-                for t, c in piece:
-                    acc[t] = acc.get(t, QQ0) + c * a[i]
-            images.append(ExtElem(tuple(sorted((t, v) for t, v in acc.items() if v))))
+        for stencil in stencils:
+            image = [QQ0] * len(fiber.nbc(base.n))
+            for t, i, c in stencil:
+                image[t] += c * a[i]
+            images.append(image)
         columns_by_setting.append(ClassReducer(fiber, weights).reduce_batch(images))
-
-    # A component invisible in the affine chart has no linear part, which
-    # forces it to be proportional to h0 itself; nothing else to add here.
-    assert all(form == h0 for form, aff in affine_all if not any(c != 0 for c in aff.lin))
-    return _assemble(family, basis, forms, h0, columns_by_setting, weight_settings)
+    return _assemble(family, basis, forms, h0, columns_by_setting, weight_settings, expansions)
 
 
 def _assemble(
@@ -242,34 +241,33 @@ def _assemble(
     h0: ProjForm,
     columns_by_setting: list[list[list[Fraction]]],
     weight_settings: list[Weights],
+    expansions: list[list[list[tuple[int, Fraction]]]],
 ) -> GMConnection:
-    """The connection from the residues of the affine components ``forms``.
+    """The connection from reduced columns and the expansions of ``forms``.
 
-    ``columns_by_setting[w][p * len(basis) + j]`` is column j of the residue
-    along ``forms[p]`` at ``weight_settings[w]``.  Residues are lifted to
-    coefficient matrices, components are put in canonical form order, and
-    the h0 residue, minus the sum of the others, goes last.
+    ``columns_by_setting[w][k]`` is column k at ``weight_settings[w]``, and
+    column j of the residue along ``forms[p]`` is the sum of c times column
+    k over the pairs (k, c) of ``expansions[p][j]``.  The columns are lifted
+    to the weights, components are put in canonical form order, and the h0
+    residue, minus the sum of the others, goes last.
     """
     nbasis = len(basis)
     symbol_order = tuple(family.base.finite_indices)
-    lifted = _lift(columns_by_setting, weight_settings, symbol_order, nbasis)
-    h0_form: CoeffMatrix = {}
-    for form in lifted:
-        for s, rows in form.items():
-            _add_rows(h0_form.setdefault(s, [{} for _ in rows]), rows, -1)
-    comps = [GMComponent(f, _weight_matrix(c, nbasis)) for f, c in zip(forms, lifted)]
+    lifted = _lift(columns_by_setting, weight_settings, symbol_order)
+    comps = [
+        GMComponent(form, _weight_matrix(_expand(lifted, expansion), nbasis))
+        for form, expansion in zip(forms, expansions)
+    ]
     comps.sort(key=lambda c: c.form.coeffs)
-    comps.append(GMComponent(h0, _weight_matrix(h0_form, nbasis)))
+    h0_expansion = [[(k, -c) for e in expansions for k, c in e[j]] for j in range(nbasis)]
+    comps.append(GMComponent(h0, _weight_matrix(_expand(lifted, h0_expansion), nbasis)))
     return GMConnection(tuple(basis), tuple(comps), symbol_order)
 
 
 def _residue_stencils(
-    base: Arrangement,
-    forms: Sequence[ProjForm],
-    basis: Sequence[tuple[int, ...]],
-    moving_index: int,
-) -> list[list[tuple[int, list[tuple[tuple[int, ...], int]]]]]:
-    """Weight-independent pieces of the residue images, in (form, J) order.
+    fiber: FiberContext, forms: Sequence[ProjForm]
+) -> tuple[list[list[list[tuple[int, Fraction]]]], list[list[tuple[int, int, Fraction]]]]:
+    """Per form, the expansion of its residue columns; per basis column, its stencil.
 
     For the component of the point P, S_X holds the hyperplanes through P,
     infinity included, and the moving one; with a_inf = a0,
@@ -278,96 +276,104 @@ def _residue_stencils(
                 = sum_{i in S_X} a_i [eta_{J,P} - e_i ^ d eta_{J,P}],
 
     and B = A_X satisfies B^2 = lambda_X B, as d omega_X = lambda_X and
-    d^2 = 0.  Returns the pairs (i, piece) of each (form, J), a piece as
-    (monomial, integer) pairs without the monomials through infinity,
-    which vanish in the fiber's chart; the caller takes the class [.].
+    d^2 = 0.  The pivot columns {J_r} of one exact elimination over the
+    local lifts give eta_{J,P} = sum_r c_{J,r} eta_{J_r,P}.  The expansion
+    of (form, J) lists the pairs (k, c_{J,r}), k the index of J_r among the
+    basis columns of all forms, and the stencil of a basis column the
+    triples (t, i, c), c the coordinate on ``fiber.nbc(n)[t]`` of its piece
+    at i, without the monomials through infinity, which vanish in the
+    fiber's chart.
     """
-    inf = base.infinity_index
-    e_inf = ExtElem.monomial((inf,))
-    lifts = [boundary(wedge(e_inf, ExtElem.monomial(J))) for J in basis]
-    stencils = []
+    base, basis, inf = fiber.base, fiber.fixed_nbc(), fiber.base.infinity_index
+    lifts = [boundary(wedge(ExtElem.monomial((inf,)), ExtElem.monomial(J))) for J in basis]
+    expansions, stencils = [], []
     for form in forms:
-        support = {moving_index} | {
+        support = {fiber.moving_index} | {
             i for i, plane in enumerate(base.hyperplanes) if plane.evaluate(form.coeffs) == 0
         }
-        for eta in lifts:
-            local = ExtElem(tuple((t, c) for t, c in eta.terms if support.issuperset(t)))
-            d_local = boundary(local).terms
-            pieces = []
+        local = [{t: c for t, c in eta.terms if support.issuperset(t)} for eta in lifts]
+        monomials = sorted(set().union(*local))
+        solution = solve_linear([[eta.get(t, 0) for eta in local] for t in monomials])
+        pivots = solution.pivot_cols
+        free = dict(zip([j for j in range(len(basis)) if j not in pivots], solution.kernel))
+        # local_j = -sum_r v[J_r] local_{J_r}, v the kernel vector of a free column j
+        expansions.append([
+            [(len(stencils) + pivots.index(j), 1)] if j in pivots else
+            [(len(stencils) + r, -free[j][col]) for r, col in enumerate(pivots) if free[j][col]]
+            for j in range(len(basis))
+        ])
+        for col in pivots:
+            d_eta = boundary(ExtElem.make(local[col])).terms
+            stencil = []
             for i in sorted(support):
-                acc = {t: int(c) for t, c in local.terms if inf not in t}
-                for t, c in d_local:
+                piece = {t: c for t, c in local[col].items() if inf not in t}
+                for t, c in d_eta:
                     merged = wedge_monomials((i,), t)
                     if merged is not None and inf not in merged[1]:
-                        acc[merged[1]] = acc.get(merged[1], 0) - merged[0] * int(c)
-                pieces.append((i, [(t, c) for t, c in acc.items() if c]))
-            stencils.append(pieces)
-    return stencils
+                        piece[merged[1]] = piece.get(merged[1], 0) - merged[0] * c
+                coords = fiber.os.nbc_coordinates(ExtElem.make(piece), fiber.nbc(base.n))
+                stencil += [(t, i, c) for t, c in enumerate(coords) if c]
+            stencils.append(stencil)
+    return expansions, stencils
 
 
 def _lift(
     columns_by_setting: list[list[list[Fraction]]],
     weight_settings: list[Weights],
     symbol_order: tuple[int, ...],
-    nbasis: int,
-) -> list[CoeffMatrix]:
-    """The coefficient matrices {symbol: sparse rows} of every residue.
+) -> list[dict[int, dict[str, Fraction]]]:
+    """Every column as sparse entries {row: {symbol: coefficient}}.
 
-    At numeric weights a residue is its constant part, symbol "1".  The
+    At numeric weights a column is its constant part, symbol "1".  The
     symbolic settings are w0, w0 + delta e_k per symbol k, and a diagonal
-    step (``_weight_settings``).  With R(w) the residues at w,
-    A^(k) = (R(w0 + delta e_k) - R(w0)) / delta, and R(w0) and R(diag) must
-    equal sum_k w_k A^(k) exactly, or the residues are not homogeneous
-    linear in the weights: :class:`NonlinearFitError`.
+    step (``_weight_settings``).  With R(w) a column at w,
+    R^(k) = (R(w0 + delta e_k) - R(w0)) / delta, and R(w0) and R(diag) must
+    equal sum_k w_k R^(k) exactly, or the columns are not homogeneous
+    linear in the weights: :class:`NonlinearFitError`.  Every residue
+    column is a fixed linear combination of these, so this checks it too.
     """
     base = columns_by_setting[0]
     if len(weight_settings) == 1:
-        steps, checks = [("1", base, [[QQ0] * nbasis] * len(base), 1)], []
-    else:
-        w0, *shifted, diag = [w.symbol_assignment(symbol_order) for w in weight_settings]
-        steps = [
-            (s, columns, base, w[s] - w0[s])
-            for s, w, columns in zip(w0, shifted, columns_by_setting[1:-1])
-        ]
-        checks = [(w0, base), (diag, columns_by_setting[-1])]
-    lifted: list[CoeffMatrix] = [{} for _ in range(len(base) // nbasis)]
-    for s, columns, reference, delta in steps:
-        for p, form in enumerate(lifted):
-            rows = [{} for _ in range(nbasis)]
-            for j in range(nbasis):
-                for i, (x, y) in enumerate(zip(columns[p * nbasis + j], reference[p * nbasis + j])):
-                    if x != y:
-                        rows[i][j] = (x - y) / delta
-            if any(rows):
-                form[s] = rows
-    for w, columns in checks:
-        for p, form in enumerate(lifted):
-            value = [{} for _ in range(nbasis)]
-            for s, rows in form.items():
-                _add_rows(value, rows, w[s])
-            cols = columns[p * nbasis : (p + 1) * nbasis]
-            if any(value[i].get(j, QQ0) != x for j, col in enumerate(cols) for i, x in enumerate(col)):
-                raise NonlinearFitError()
+        return [{i: {"1": x} for i, x in enumerate(column) if x} for column in base]
+    w0, *shifted, diag = [w.symbol_assignment(symbol_order) for w in weight_settings]
+    lifted: list[dict[int, dict[str, Fraction]]] = [{} for _ in base]
+    for s, w, columns in zip(w0, shifted, columns_by_setting[1:-1]):
+        for entries, column, reference in zip(lifted, columns, base):
+            for i, (x, y) in enumerate(zip(column, reference)):
+                if x != y:
+                    entries.setdefault(i, {})[s] = (x - y) / (w[s] - w0[s])
+    for w, columns in ((w0, base), (diag, columns_by_setting[-1])):
+        for entries, column in zip(lifted, columns):
+            for i, x in enumerate(column):
+                if sum((w[s] * v for s, v in entries.get(i, {}).items()), QQ0) != x:
+                    raise NonlinearFitError()
     return lifted
 
 
-def _add_rows(target: list[dict[int, Fraction]], rows: list[dict[int, Fraction]], factor=1):
-    """target += factor * rows, for sparse rows."""
-    for acc, row in zip(target, rows):
-        for j, v in row.items():
-            acc[j] = acc.get(j, 0) + factor * v
+def _expand(
+    lifted: list[dict[int, dict[str, Fraction]]], expansion: list[list[tuple[int, Fraction]]]
+) -> dict[tuple[int, int], dict[str, Fraction]]:
+    """Entries {(i, j): {symbol: coefficient}} of the matrix whose column j is
+    the sum of c times lifted column k over the pairs (k, c) of ``expansion[j]``."""
+    entries: dict[tuple[int, int], dict[str, Fraction]] = {}
+    for j, terms in enumerate(expansion):
+        for k, c in terms:
+            for i, coeffs in lifted[k].items():
+                target = entries.setdefault((i, j), {})
+                for s, v in coeffs.items():
+                    target[s] = target.get(s, QQ0) + c * v
+    return entries
 
 
-def _weight_matrix(form: CoeffMatrix, size: int) -> tuple[tuple[WeightExpr, ...], ...]:
-    """The ``WeightExpr`` matrix of a coefficient matrix ("1" is the constant part)."""
-    const = form.get("1", [{}] * size)
-    symbols = sorted(s for s in form if s != "1")
-
-    def entry(i: int, j: int) -> WeightExpr:
-        coeffs = tuple((s, c) for s in symbols if (c := form[s][i].get(j)))
-        return WeightExpr(Fraction(const[i].get(j, 0)), coeffs)
-
-    return tuple(tuple(entry(i, j) for j in range(size)) for i in range(size))
+def _weight_matrix(
+    entries: dict[tuple[int, int], dict[str, Fraction]], size: int
+) -> tuple[tuple[WeightExpr, ...], ...]:
+    """The ``WeightExpr`` matrix of sparse entries ("1" is the constant part)."""
+    rows = [[WeightExpr(QQ0, ())] * size for _ in range(size)]
+    for (i, j), coeffs in entries.items():
+        terms = tuple(sorted((s, c) for s, c in coeffs.items() if c and s != "1"))
+        rows[i][j] = WeightExpr(Fraction(coeffs.get("1", 0)), terms)
+    return tuple(tuple(row) for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +409,9 @@ def flatness_check(connection: GMConnection, base: Arrangement) -> FlatnessRepor
         total: CoeffMatrix = {}
         for q in flat:
             for s, rows in residues[q].items():
-                _add_rows(total.setdefault(s, [{} for _ in rows]), rows)
+                for acc, row in zip(total.setdefault(s, [{} for _ in rows]), rows):
+                    for j, v in row.items():
+                        acc[j] = acc.get(j, 0) + v
         # the commutators with S_X sum to [S_X, S_X] = 0, so the last is implied
         for p in flat[:-1]:
             entry = first_nonzero_quadratic(

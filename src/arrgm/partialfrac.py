@@ -257,11 +257,10 @@ class RatForm:
 
     numerator: WeightPoly
     poles: frozenset[int]
-    wedge: tuple[int, ...]
 
     @staticmethod
-    def make(numerator: WeightPoly, poles: Sequence[int], n: int) -> "RatForm":
-        return RatForm(numerator, frozenset(poles), tuple(range(1, n + 1)))
+    def make(numerator: WeightPoly, poles: Sequence[int]) -> "RatForm":
+        return RatForm(numerator, frozenset(poles))
 
     def evaluate(self, chart: FiberChart, point: Sequence[Rat]) -> Fraction:
         """Value of the dx1..dxn coefficient at an off-pole rational point."""

@@ -27,6 +27,7 @@ from arrgm.gaussmanin import GMConnection, MovingFamily, _assemble, _weight_sett
 from arrgm.partialfrac import FiberChart, RatForm, WeightPoly, reduce_rational_form
 
 from _sampling import RatSampler
+from reference_full import identity_expansions
 
 QQ0 = Fraction(0)
 SEED = 987654321  # any seed gives the same connection
@@ -57,7 +58,7 @@ def raw_derivative(family: MovingFamily, basis: Sequence[int], k: int) -> RatFor
     if det == 0:
         raise ArrgmError(f"basis tuple {J} has dependent affine forms")
     numerator = WeightPoly.make({((f"x{k}", 1),): det})
-    return RatForm.make(numerator, list(J) + [family.moving_index], n)
+    return RatForm.make(numerator, list(J) + [family.moving_index])
 
 
 def sampled_gm_matrix(family: MovingFamily) -> GMConnection:
@@ -97,7 +98,8 @@ def sampled_gm_matrix(family: MovingFamily) -> GMConnection:
         [[r[(i, j)][p] for i in range(len(basis))] for p in range(len(forms)) for j in range(len(basis))]
         for r in residues
     ]
-    return _assemble(family, basis, forms, h0, columns, weight_settings)
+    expansions = identity_expansions(len(forms), len(basis))
+    return _assemble(family, basis, forms, h0, columns, weight_settings, expansions)
 
 
 def sample_parameter_points(

@@ -385,7 +385,7 @@ def test_criterion_8_reduction_oracle():
         numerator = WeightPoly.make(terms)
         if numerator.is_zero:
             continue
-        form = RatForm.make(numerator, poles, n)
+        form = RatForm.make(numerator, poles)
         reduced = reduce_rational_form(form, chart)
         points = 0
         while points < 3:

@@ -143,17 +143,17 @@ class TestReduceRationalForm:
         return FiberChart(FiberContext(example1().arrangement, [F(2), F(3)]))
 
     def test_triple_pole(self):
-        form = RatForm.make(WeightPoly.constant(1), [1, 2, 3], 2)
+        form = RatForm.make(WeightPoly.constant(1), [1, 2, 3])
         assert reduce_rational_form(form, self.chart()) == E(1, 2) - E(1, 3) + E(2, 3)
 
     def test_plain_monomial(self):
-        form = RatForm.make(WeightPoly.constant(1), [1, 2], 2)
+        form = RatForm.make(WeightPoly.constant(1), [1, 2])
         assert reduce_rational_form(form, self.chart()) == E(1, 2)
 
     def test_moving_point_line(self):
         # x/x_s dx/x = dx/x_s = (1/l) dlog x_s
         fiber = point_line()
-        form = RatForm.make(WeightPoly.constant(1), [fiber.moving_index], 1)
+        form = RatForm.make(WeightPoly.constant(1), [fiber.moving_index])
         got = reduce_rational_form(form, FiberChart(fiber))
         assert got == ExtElem.monomial((fiber.moving_index,), F(1, 3))
 
@@ -161,26 +161,26 @@ class TestReduceRationalForm:
         chart = self.chart()
         points = [(F(5), F(7)), (F(-2, 3), F(9, 4)), (F(13, 6), F(-8, 5))]
         numerator = xpoly(x1=F(2), x2=F(-1, 3)) + WeightPoly.constant(F(1, 2))
-        form = RatForm.make(numerator, [1, 2, 3, chart.fiber.moving_index], 2)
+        form = RatForm.make(numerator, [1, 2, 3, chart.fiber.moving_index])
         reduced = reduce_rational_form(form, chart)
         for point in points:
             assert form.evaluate(chart, point) == log_comb_evaluate(chart, reduced, point)
 
     def test_non_logarithmic_rejected(self):
         # dx1 dx2 alone has a higher-order pole at infinity
-        form = RatForm.make(WeightPoly.constant(1), [], 2)
+        form = RatForm.make(WeightPoly.constant(1), [])
         with pytest.raises(NotLogarithmicError):
             reduce_rational_form(form, self.chart())
 
     def test_unknown_pole_rejected(self):
-        form = RatForm.make(WeightPoly.constant(1), [1, 99], 2)
+        form = RatForm.make(WeightPoly.constant(1), [1, 99])
         with pytest.raises(NotLogarithmicError):
             reduce_rational_form(form, self.chart())
 
     def test_central_triple_requires_cancellation(self):
         """A lone central-circuit denominator is not logarithmic over Ceva."""
         chart = FiberChart(FiberContext(ceva().arrangement, [F(2), F(3)]))
-        form = RatForm.make(WeightPoly.constant(1), [1, 2, 5], 2)
+        form = RatForm.make(WeightPoly.constant(1), [1, 2, 5])
         with pytest.raises(NotLogarithmicError):
             reduce_rational_form(form, chart)
 
@@ -208,7 +208,7 @@ class TestReduceRationalForm:
                     if i not in tup:
                         piece = piece * _poly_affine(chart.affine[i])
                 numerator = numerator + piece
-            form = RatForm.make(numerator, poles, 2)
+            form = RatForm.make(numerator, poles)
             reduced = reduce_rational_form(form, chart)
             for point in points:
                 assert form.evaluate(chart, point) == log_comb_evaluate(

@@ -18,16 +18,17 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from arrgm import gaussmanin, partialfrac
 from arrgm.arrangement import (
-    AffineChart, AffineForm, ProjForm, bad_loci, discriminant, validate,
+    AffineChart, AffineForm, ProjForm, bad_loci, discriminant, lattice, validate,
 )
 from arrgm.aomoto import ClassReducer, FiberContext, Weights, validate_weights, weights_for_extended
 from arrgm.errors import ArrgmError, NonlinearFitError
-from arrgm.exactnum import WeightExpr
+from arrgm.exactnum import WeightExpr, matrix_rank
 from arrgm.fixtures import ceva, example1
 from arrgm.gaussmanin import (
     GMComponent,
     GMConnection,
     MovingFamily,
+    _expand,
     _lift,
     _residue_stencils,
     _weight_matrix,
@@ -38,10 +39,11 @@ from arrgm.gaussmanin import (
 )
 from arrgm.matroid import MatroidContext
 from arrgm.monodromy import monodromy
-from arrgm.osalg import ExtElem
+from arrgm.osalg import ExtElem, boundary, wedge
 from arrgm.partialfrac import RatForm, WeightPoly
 
 from _sampling import RatSampler
+from reference_full import full_closed_form, identity_expansions
 from reference_poly import poly_flatness_check
 from reference_sampled import (
     ConnectionFitError,
@@ -50,6 +52,7 @@ from reference_sampled import (
     sample_parameter_points,
     sampled_gm_matrix,
 )
+from test_arrangement import brute_force_flats
 
 
 def P(*coeffs):
@@ -75,7 +78,7 @@ class TestRawDerivative:
     def test_point_line(self):
         """x1 / (x1 x_s) dx1 exactly: the factor ah is not part of the form."""
         form = raw_derivative(point_line_family(), (1,), 1)
-        assert form == RatForm.make(WeightPoly.make({(("x1", 1),): F(1)}), [1, 2], 1)
+        assert form == RatForm.make(WeightPoly.make({(("x1", 1),): F(1)}), [1, 2])
 
     def test_example1(self):
         family = MovingFamily(example1().arrangement)
@@ -466,6 +469,18 @@ def p3_7():
     return generic(3, [[1, 1, 1, 1], [1, 2, -3, -1], [2, -1, 3, 1]])
 
 
+# the generic rungs of the ladder of arrangements (tools/ladder.py)
+LADDER = {
+    "p2-6": p2_6,
+    "p2-7": lambda: generic(2, [[1, 1, 1], [1, 2, -3], [2, -1, 3], [3, 1, -2]]),
+    "p3-6": p3_6,
+    "p3-7": p3_7,
+    "p3-8": lambda: generic(3, [[1, 1, 1, 1], [1, 2, -3, -1], [2, -1, 3, 1], [3, 1, -2, 2]]),
+    "p4-7": lambda: generic(4, [[1, 1, 1, 1, 1], [1, 2, -3, -1, 2]]),
+    "p4-8": lambda: generic(4, [[1, 1, 1, 1, 1], [1, 2, -3, -1, 2], [2, -1, 3, 1, -3]]),
+}
+
+
 # numeric weights off every resonance of their arrangement
 P2_6_WEIGHTS = Weights.make(
     {1: F(2, 7), 2: F(-3, 11), 3: F(5, 13), 4: F(-1, 9), 5: F(3, 17)}, F(4, 15)
@@ -569,14 +584,18 @@ def test_closed_form_on_h0_is_minus_the_others(name):
     )
     fiber = FiberContext(base, point)
     a = {**weights.a_dict, fiber.moving_index: weights.ah, base.infinity_index: weights.a0}
-    images = [
-        sum(
-            (ExtElem.make(dict(piece)).scale(a[i]) for i, piece in pieces),
-            ExtElem.zero(),
-        )
-        for pieces in _residue_stencils(base, [h0], conn.basis, fiber.moving_index)
+    [expansion], stencils = _residue_stencils(fiber, [h0])
+    images = []
+    for stencil in stencils:
+        image = [F(0)] * len(fiber.nbc(base.n))
+        for t, i, c in stencil:
+            image[t] += c * a[i]
+        images.append(image)
+    reduced = ClassReducer(fiber, weights).reduce_batch(images)
+    columns = [
+        [sum((c * reduced[k][i] for k, c in terms), F(0)) for i in range(conn.size)]
+        for terms in expansion
     ]
-    columns = ClassReducer(fiber, weights).reduce_batch(images)
     size = conn.size
     closed = [
         [columns[j][i] - (weights.ah if i == j else 0) for j in range(size)]
@@ -665,14 +684,18 @@ class TestBatchedChecks:
 
     def test_lift_recovers_expressions(self):
         columns, settings, order, matrices = self.lift_data()
-        lifted = _lift(columns, settings, order, 2)
-        assert [_weight_matrix(form, 2) for form in lifted] == matrices
-        assert all("1" not in form for form in lifted)
+        lifted = _lift(columns, settings, order)
+        assert [
+            _weight_matrix(_expand(lifted, expansion), 2) for expansion in identity_expansions(2, 2)
+        ] == matrices
+        assert all("1" not in coeffs for column in lifted for coeffs in column.values())
 
     def test_numeric_lift_is_the_constant_part(self):
         columns, settings, order, _ = self.lift_data()
-        lifted = _lift(columns[:1], settings[:1], order, 2)
-        assert [_weight_matrix(form, 2) for form in lifted] == [
+        lifted = _lift(columns[:1], settings[:1], order)
+        assert [
+            _weight_matrix(_expand(lifted, expansion), 2) for expansion in identity_expansions(2, 2)
+        ] == [
             tuple(tuple(WeightExpr.constant(columns[0][p * 2 + j][i]) for j in range(2)) for i in range(2))
             for p in range(2)
         ]
@@ -680,7 +703,7 @@ class TestBatchedChecks:
     def test_constant_term_fails_lift(self):
         columns, settings, order, _ = self.lift_data(const=True)
         with pytest.raises(NonlinearFitError):
-            _lift(columns, settings, order, 2)
+            _lift(columns, settings, order)
 
     def test_quadratic_fails_lift(self):
         """a1 a2 from a1 = a2 = delta: the difference quotients give a2 and a1,
@@ -695,14 +718,14 @@ class TestBatchedChecks:
         ]
         columns = [[[w.a_dict[1] * w.a_dict[2]]] for w in settings]
         with pytest.raises(NonlinearFitError):
-            _lift(columns, settings, (1, 2), 1)
+            _lift(columns, settings, (1, 2))
 
     @pytest.mark.parametrize("setting", [0, 2, 4])
     def test_perturbed_setting_fails_lift(self, setting):
         columns, settings, order, _ = self.lift_data()
         columns[setting][1 * 2 + 0][1] += F(1, 11)
         with pytest.raises(NonlinearFitError):
-            _lift(columns, settings, order, 2)
+            _lift(columns, settings, order)
 
 
 def test_closed_form_call_structure(monkeypatch):
@@ -886,3 +909,95 @@ def test_connection_independent_of_fiber_and_settings(monkeypatch, name):
     monkeypatch.setattr(gaussmanin, "_weight_settings", other_q_settings)
     assert gm_matrix(SYMBOLIC_FAMILIES[name]()) == symbolic_connection(name)
     assert used == Counter({"fiber": 1, "settings": 1})
+
+
+@settings(max_examples=20, deadline=None)
+@given(arr=small_arrangements())
+@example(arr=ceva().arrangement)
+def test_basis_columns_equal_the_full_closed_form(arr):
+    """Reducing, lifting and expanding a basis of each component's local
+    lifts gives the connection of the closed form on all N x comps columns,
+    symbolic and at numeric weights."""
+    for weights in (None, _weight_settings(arr)[0]):
+        family = MovingFamily(arr, weights)
+        assert gm_matrix(family) == full_closed_form(family)
+
+
+@pytest.mark.parametrize(
+    "family, rhs",
+    [
+        (lambda: MovingFamily(example1().arrangement), 5),
+        (lambda: MovingFamily(ceva().arrangement), 9),
+        (generic_p3_family, 9),
+    ],
+    ids=["example1", "ceva", "generic-p3-numeric"],
+)
+def test_right_hand_sides_are_the_residue_ranks(monkeypatch, family, rhs):
+    """Each class solve takes sum_X rank A_X right-hand sides, one per basis
+    column of a component's local lifts, not N x comps."""
+    sizes = []
+    real = ClassReducer.reduce_batch
+
+    def counting(self, elems):
+        sizes.append(len(elems))
+        return real(self, elems)
+
+    monkeypatch.setattr(ClassReducer, "reduce_batch", counting)
+    family = family()
+    conn = gm_matrix(family)
+    settings_ = [family.weights] if family.weights else _weight_settings(family.base)
+    assert sizes == [rhs] * len(settings_)
+    *affine, _ = conn.evaluate(settings_[0])
+    assert sum(matrix_rank(residue) for _, residue in affine) == rhs
+    assert rhs < conn.size * len(affine)
+
+
+def test_expansion_rebuilds_every_local_lift():
+    """eta_{J,P} = sum_r c_{J,r} eta_{J_r,P} on every component, with the
+    basis columns J_r independent."""
+    arr = p3_7()
+    fiber, components = generic_fiber(arr)
+    chart = AffineChart.of(arr)
+    forms = [form for form in components if any(chart.affine(form).lin)]
+    basis = fiber.fixed_nbc()
+    e_inf = ExtElem.monomial((arr.infinity_index,))
+    lifts = [boundary(wedge(e_inf, ExtElem.monomial(J))) for J in basis]
+    expansions, stencils = _residue_stencils(fiber, forms)
+    used = {k for expansion in expansions for terms in expansion for k, _ in terms}
+    assert sorted(used) == list(range(len(stencils)))
+    for form, expansion in zip(forms, expansions):
+        support = {fiber.moving_index} | {
+            i for i, plane in enumerate(arr.hyperplanes) if plane.evaluate(form.coeffs) == 0
+        }
+        local = [
+            ExtElem(tuple((t, c) for t, c in eta.terms if support.issuperset(t))) for eta in lifts
+        ]
+        columns = sorted({k for terms in expansion for k, _ in terms})
+        pivots = {k: expansion.index([(k, 1)]) for k in columns}
+        for j, terms in enumerate(expansion):
+            rebuilt = sum((local[pivots[k]].scale(c) for k, c in terms), ExtElem.zero())
+            assert rebuilt == local[j]
+        monomials = sorted({t for e in local for t, _ in e.terms})
+        rows = [[local[j].coefficient(t) for j in pivots.values()] for t in monomials]
+        assert matrix_rank(rows) == len(columns) > 0
+
+
+def dependent_flats(arr):
+    return [f for f in lattice(arr).flats if len(f.support) > f.rank]
+
+
+@pytest.mark.parametrize("name", ["example1", "ceva", *LADDER])
+def test_bad_loci_are_the_dependent_flats(name):
+    """The flats grown from closed circuits are the lattice's dependent
+    flats, also from the fiber's matroid."""
+    arr = {"example1": lambda: example1().arrangement, "ceva": lambda: ceva().arrangement, **LADDER}[name]()
+    assert bad_loci(arr) == dependent_flats(arr)
+    assert bad_loci(arr, generic_fiber(arr)[0].matroid) == dependent_flats(arr)
+
+
+@settings(max_examples=30, deadline=None)
+@given(arr=small_arrangements())
+def test_lattice_and_bad_loci_of_small_arrangements(arr):
+    """The flats grown by integer ranks are those of closing every subset."""
+    assert {f.support: f.rank for f in lattice(arr).flats} == brute_force_flats(arr)
+    assert bad_loci(arr) == dependent_flats(arr)

@@ -1,0 +1,116 @@
+"""Time symbolic ``gm_matrix`` and ``flatness_check`` on the versioned ladder.
+
+    python tools/ladder.py --out BENCH.json [--src DIR] [--label NAME]
+
+The ladder runs from the two paper fixtures up to generic arrangements
+with 34 nbc elements: each generic rung is the coordinate frame x0..xn of
+P^n (x0 at infinity) plus the listed forms.  A rung is one symbolic
+``gm_matrix`` call and one ``flatness_check`` call.  The connection is
+fixed output: the sha256 of ``json.dumps(conn.to_json(), sort_keys=True)``
+must start with the rung's pinned prefix, and the tool exits 1 when any
+differs.
+
+The library is imported from ``--src`` (default: this checkout's ``src``),
+so one copy of the tool times two source trees.  Results go into ``--out``
+under ``--label``; a second run with the same label appends its times, so
+alternating runs of two trees collect in one file.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import sys
+from time import perf_counter
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# name -> (n, extra forms after the frame, or None for the fixture), digest prefix
+RUNGS = {
+    "example1": (None, None, "643458a73a41"),
+    "ceva": (None, None, "61b12a6bbedf"),
+    "p2-6": (2, [[1, 1, 1], [1, 2, -3], [2, -1, 3]], "ca60a3cf44e3"),
+    "p2-7": (2, [[1, 1, 1], [1, 2, -3], [2, -1, 3], [3, 1, -2]], "bde94ae0f5b2"),
+    "p3-6": (3, [[1, 1, 1, 1], [1, 2, -3, -1]], "fa2d6a1aa67d"),
+    "p3-7": (3, [[1, 1, 1, 1], [1, 2, -3, -1], [2, -1, 3, 1]], "215110e2b753"),
+    "p3-8": (3, [[1, 1, 1, 1], [1, 2, -3, -1], [2, -1, 3, 1], [3, 1, -2, 2]], "6b33c8ba6da4"),
+    "p4-7": (4, [[1, 1, 1, 1, 1], [1, 2, -3, -1, 2]], "4881c228638e"),
+    "p4-8": (4, [[1, 1, 1, 1, 1], [1, 2, -3, -1, 2], [2, -1, 3, 1, -3]], "5e7840ebdd0c"),
+}
+
+
+def rung_arrangement(arrgm, name: str):
+    n, extra, _ = RUNGS[name]
+    if extra is None:
+        return getattr(arrgm.fixtures, name)().arrangement
+    frame = [[int(i == j) for j in range(n + 1)] for i in range(n + 1)]
+    return arrgm.validate([arrgm.ProjForm.make(row) for row in frame + extra], 0)
+
+
+def time_rung(arrgm, name: str) -> tuple[float, float, str, int, int]:
+    """(gm_matrix seconds, flatness_check seconds, sha256, nbc, components)."""
+    from arrgm import gaussmanin
+
+    arr = rung_arrangement(arrgm, name)
+    start = perf_counter()
+    conn = gaussmanin.gm_matrix(gaussmanin.MovingFamily(arr))
+    middle = perf_counter()
+    report = gaussmanin.flatness_check(conn, arr)
+    end = perf_counter()
+    if not report.ok:
+        raise SystemExit(f"ladder: {name} is not flat: {report.witness}")
+    text = json.dumps(conn.to_json(), sort_keys=True)
+    sha = hashlib.sha256(text.encode()).hexdigest()
+    return middle - start, end - middle, sha, conn.size, len(conn.components)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", required=True, help="JSON file to create or extend")
+    parser.add_argument("--src", default=os.path.join(ROOT, "src"), help="directory holding arrgm")
+    parser.add_argument("--label", default="change", help="key of this source tree's runs")
+    args = parser.parse_args(argv)
+
+    sys.path.insert(0, os.path.abspath(args.src))
+    import arrgm
+    import arrgm.fixtures  # noqa: F401  (the fixture rungs)
+
+    data = {"cases": {}, "runs": {}}
+    if os.path.exists(args.out):
+        with open(args.out, encoding="utf-8") as handle:
+            data = json.load(handle)
+    run = data["runs"].setdefault(args.label, {"host": {}, "rungs": {}})
+    run["host"] = {
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "cpus": os.cpu_count(),
+    }
+    mismatched = []
+    for name, (n, extra, prefix) in RUNGS.items():
+        gm_s, flat_s, sha, size, comps = time_rung(arrgm, name)
+        data["cases"][name] = {
+            "n": n, "extra_forms": extra, "nbc": size, "components": comps, "sha256_prefix": prefix,
+        }
+        entry = run["rungs"].setdefault(name, {"gm_matrix_s": [], "flatness_check_s": []})
+        entry["gm_matrix_s"].append(round(gm_s, 4))
+        entry["flatness_check_s"].append(round(flat_s, 4))
+        entry["sha256"] = sha
+        if not sha.startswith(prefix):
+            mismatched.append(name)
+        print(f"{args.label} {name}: gm_matrix {gm_s:.3f} s, flatness_check {flat_s:.3f} s, "
+              f"sha256 {sha[:12]}", flush=True)
+    with open(args.out, "w", encoding="utf-8") as handle:
+        json.dump(data, handle, indent=1, sort_keys=True)
+        handle.write("\n")
+    if mismatched:
+        print(f"ladder: digest differs from the pinned prefix on {', '.join(mismatched)}",
+              file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
