@@ -8,9 +8,10 @@ degree with the nbc monomials of the fixed arrangement as a basis.
 
 * ``FiberContext`` -- one fiber: the extended arrangement, its matroid and
   Orlik-Solomon context, nbc lists and the wedge-with-omega maps.
-* ``ClassReducer`` solves g = sum c_J e_J + omega ^ xi exactly at numeric
-  weights, J running over the nbc bases of the fixed arrangement, and
-  returns the coordinate vectors (c_J) of a batch of top-degree elements.
+* ``ClassReducer`` solves g = sum c_J e_J + omega ^ xi exactly, J running
+  over the nbc bases of the fixed arrangement, at numeric weights or with
+  the weights as indeterminates, and returns the coordinates (c_J) of a
+  batch of top-degree elements per weight symbol.
 * ``cohomology_dims`` -- the twisted cohomology dimensions from exact ranks.
 
 All computation is over exact rationals; the moving hyperplane is always
@@ -30,8 +31,10 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .arrangement import AffineChart, AffineForm, Arrangement, bad_loci, validate
-from .errors import InconsistentSystemError, ResonantWeightsError, SampleRejectedError
-from .exactnum import Rat, matrix_rank, solve_linear
+from .errors import (
+    InconsistentSystemError, NonlinearFitError, ResonantWeightsError, SampleRejectedError,
+)
+from .exactnum import Rat, matrix_rank, solve_linear, weight_symbols
 from .matroid import MatroidContext
 from .osalg import ExtElem, OSContext, wedge_monomials
 
@@ -193,13 +196,10 @@ class FiberContext:
             out.append((self.moving_index, weights.ah))
         return out
 
-    def wedge_omega_matrix(self, weights: Weights, p: int) -> list[list[Fraction]]:
-        """Matrix of wedge-with-omega from nbc (p-1)-monomials to nbc p-monomials.
-
-        Entry (r, col) sums c a_i over the terms (r, col, i, c), c the nbc
-        coordinates of e_i ^ e_T; they do not depend on the weights, so they
-        are kept for every reducer of this fiber.
-        """
+    def wedge_terms(self, p: int) -> list[tuple[int, int, int, Fraction]]:
+        """The terms (r, col, i, c) of wedge-with-omega from nbc (p-1)-monomials
+        to nbc p-monomials, c the nbc coordinates of e_i ^ e_T; they do not
+        depend on the weights, so they are kept for every solve in this fiber."""
         if p not in self._wedge_terms:
             row_index = {t: r for r, t in enumerate(self.nbc(p))}
             indices = [i for i in (*self.weight_symbol_order(), self.moving_index) if i is not None]
@@ -209,9 +209,13 @@ class FiberContext:
                     if (merged := wedge_monomials((i,), tup)) is not None:
                         for out, c in self.os.normal_form_monomial(merged[1]).terms:
                             terms.append((row_index[out], col, i, merged[0] * c))
+        return self._wedge_terms[p]
+
+    def wedge_omega_matrix(self, weights: Weights, p: int) -> list[list[Fraction]]:
+        """Matrix of wedge-with-omega from nbc (p-1)-monomials to nbc p-monomials."""
         a = dict(self.omega_terms(weights))
         matrix = [[QQ0] * (len(self.nbc(p - 1)) if p >= 1 else 0) for _ in self.nbc(p)]
-        for r, col, i, c in self._wedge_terms[p]:
+        for r, col, i, c in self.wedge_terms(p):
             matrix[r][col] += c * a[i]
         return matrix
 
@@ -223,37 +227,89 @@ class FiberContext:
 class ClassReducer:
     """Solves g = sum c_J e_J + omega ^ xi in the top degree of a fiber.
 
-    J runs over ``fiber.fixed_nbc()``, the nbc bases of the fixed
-    arrangement; the solve is exact at numeric weights.  The system depends
-    only on the fiber's combinatorics and the weights, so the reducer also
-    takes the dlog forms of any other fiber off the discriminant.
-    Inconsistency (a resonant weight or a discriminant parameter point)
-    raises :class:`SampleRejectedError`.
+    J runs over ``fiber.fixed_nbc()``, the top nbc sets without the moving
+    index s.  Each c_J sits in its own row alone, so xi solves the rows
+    through s and c = g_fix - (omega ^ xi)_fix.  ``blocks`` lists pairs
+    (symbol, a), a the weight of each hyperplane index, infinity included:
+    one block "1" at numeric weights; with ``weights`` None, one block per
+    symbol a1..am, ah, weighing its hyperplane 1 and infinity -1 (a0 is
+    minus the others).  The weights are then indeterminates, as in the
+    Aomoto complex over the weight ring (Cohen-Orlik): sum_k a_k g_k has the
+    class sum_k a_k c_k when one xi free of the weights solves
+    g_k = c_k + omega_k ^ xi for every k, so the rows of all blocks make one
+    exact solve.  The system depends only on the fiber's combinatorics, so
+    it also reduces the dlog forms of any other fiber off the discriminant.
+    An inconsistent system raises :class:`NonlinearFitError` when symbolic
+    (the classes are not linear in the weights) and
+    :class:`SampleRejectedError` at numeric weights (resonance, or a
+    discriminant parameter point).
     """
 
-    def __init__(self, fiber: FiberContext, weights: Weights):
+    def __init__(self, fiber: FiberContext, weights: Weights | None):
+        if fiber.moving_index is None:
+            raise ValueError("class reduction needs the moving hyperplane")
         self.fiber = fiber
-        n = fiber.n
-        self.fixed_basis = fiber.fixed_nbc()
-        wedge_rows = fiber.wedge_omega_matrix(weights, n)
+        self.symbolic = weights is None
+        inf, s, n = fiber.arr.infinity_index, fiber.moving_index, fiber.n
+        if weights is None:
+            indices = [*fiber.weight_symbol_order(), s]
+            symbols = weight_symbols(len(indices) - 1)
+            self.blocks = [(symbol, {i: QQ1, inf: -QQ1}) for symbol, i in zip(symbols, indices)]
+        else:
+            self.blocks = [("1", {**dict(fiber.omega_terms(weights)), inf: weights.a0})]
+        top = fiber.nbc(n)
+        self._moving_rows = [r for r, t in enumerate(top) if s in t]
+        self._fixed_rows = [r for r, t in enumerate(top) if s not in t]
+        # omega of each block as sparse rows {r: {col: value}}
+        self._omega: list[dict[int, dict[int, Fraction]]] = []
+        for _, a in self.blocks:
+            omega: dict[int, dict[int, Fraction]] = {}
+            for r, col, i, c in fiber.wedge_terms(n):
+                if i in a:
+                    row = omega.setdefault(r, {})
+                    row[col] = row.get(col, QQ0) + c * a[i]
+            self._omega.append(omega)
+        ncols = len(fiber.nbc(n - 1))
         self.rows = [
-            [QQ1 if t == tup else QQ0 for t in self.fixed_basis] + wedge_row
-            for tup, wedge_row in zip(fiber.nbc(n), wedge_rows)
+            [omega.get(r, {}).get(col, QQ0) for col in range(ncols)]
+            for omega in self._omega
+            for r in self._moving_rows
         ]
 
-    def reduce_batch(self, elems: Sequence[ExtElem | list[Fraction]]) -> list[list[Fraction]]:
-        """The fixed nbc coordinates of the classes of top-degree elements,
-        each given as an ``ExtElem`` or as its coordinates over ``fiber.nbc(n)``."""
+    def reduce_batch(
+        self, elems: Sequence[Mapping[str, ExtElem | list[Fraction]]]
+    ) -> list[dict[int, dict[str, Fraction]]]:
+        """The classes of top-degree elements as sparse entries {i: {symbol: c}}
+        on ``fiber.fixed_nbc()[i]``.  Each element maps block symbols to its
+        part g_k, an ``ExtElem`` or its coordinates over ``fiber.nbc(n)``; a
+        missing symbol is a zero part."""
         top = self.fiber.nbc(self.fiber.n)
-        rhs = [self.fiber.os.nbc_coordinates(g, top) if isinstance(g, ExtElem) else g for g in elems]
+        parts = [
+            [
+                self.fiber.os.nbc_coordinates(g, top) if isinstance(g, ExtElem) else g
+                for g in (elem.get(symbol) or [QQ0] * len(top) for symbol, _ in self.blocks)
+            ]
+            for elem in elems
+        ]
+        rhs = [[g[r] for g in elem for r in self._moving_rows] for elem in parts]
         try:
             solution = solve_linear(self.rows, rhs)
         except InconsistentSystemError as exc:
+            if self.symbolic:
+                raise NonlinearFitError() from exc
             raise SampleRejectedError(
                 "resonance or discriminant sample: class reduction inconsistent"
             ) from exc
-        nfixed = len(self.fixed_basis)
-        return [sol[:nfixed] for sol in solution.solutions]
+        out = []
+        for elem, xi in zip(parts, solution.solutions):
+            column: dict[int, dict[str, Fraction]] = {}
+            for (symbol, _), g, omega in zip(self.blocks, elem, self._omega):
+                for i, r in enumerate(self._fixed_rows):
+                    terms = omega.get(r, {}).items()
+                    if c := g[r] - sum((v * xi[col] for col, v in terms), QQ0):
+                        column.setdefault(i, {})[symbol] = c
+            out.append(column)
+        return out
 
 
 def cohomology_dims(fiber: FiberContext, weights: Weights) -> list[int]:

@@ -54,8 +54,9 @@ class ProjForm:
             ints = [-x for x in ints]
         return ProjForm(tuple(ints))
 
-    def evaluate(self, point: Sequence[Rat]) -> Rat:
-        return sum((Fraction(c) * Fraction(p) for c, p in zip(self.coeffs, point)), Fraction(0))
+    def evaluate(self, point: Sequence[Rat | int]) -> Rat | int:
+        """The value at ``point``, an ``int`` when every coordinate is one."""
+        return sum(c * p for c, p in zip(self.coeffs, point))
 
     def to_json(self) -> list[str]:
         return [rat_to_str(Fraction(c)) for c in self.coeffs]
@@ -223,10 +224,6 @@ class Flat:
 
     support: tuple[int, ...]
     rank: int
-    # Basis of the solution space: the ``nullspace`` basis of the support's
-    # forms, with unit entries on the free columns, so a function of the flat
-    # alone (the identity for the ambient flat).
-    closure_witness: tuple[tuple[Rat, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -281,12 +278,7 @@ def _closed_flats(arr: Arrangement, matroid, seeds) -> list[Flat]:
             found.add(support)
             if rank(support) < arr.n:
                 frontier += [closure((*support, i)) for i in range(arr.size) if i not in support]
-    identity = tuple(tuple(Fraction(int(i == j)) for j in range(arr.n + 1)) for i in range(arr.n + 1))
-    flats = [
-        Flat(s, rank(s), tuple(tuple(v) for v in nullspace(arr.form_rows(s))) if s else identity)
-        for s in found
-    ]
-    return sorted(flats, key=lambda f: (f.rank, f.support))
+    return sorted((Flat(s, rank(s)) for s in found), key=lambda f: (f.rank, f.support))
 
 
 def lattice(arr: Arrangement) -> Lattice:

@@ -4,9 +4,10 @@ Subcommands cover every pipeline stage: ``lattice``, ``bad-loci``,
 ``circuits``, ``nbc``, ``os-relations``, ``aomoto-dims``, ``discriminant``,
 ``gauss-manin``, ``monodromy`` and ``verify-paper``.  Input files are JSON;
 the arrangement argument also accepts the names of the two built-in example
-families (``example1``, ``ceva``).  Nothing is sampled: the fiber and the
-weight settings are fixed by construction, so identical invocations produce
-byte-identical output.
+families (``example1``, ``ceva``).  Nothing is sampled: the fiber is fixed
+by construction and symbolic residues come from one class solve with the
+weights as indeterminates, so identical invocations produce byte-identical
+output.
 
 Exit codes: 0 success, 2 validation failure (a typed ``ArrgmError`` raised
 while checking the input, or an unreadable file), 3 resonance, 4 internal

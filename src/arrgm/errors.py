@@ -33,7 +33,8 @@ class InconsistentSystemError(ArrgmError):
 
 
 class NonlinearFitError(ArrgmError):
-    """Residues at the weight settings are not homogeneous linear in the weights."""
+    """Residues are not homogeneous linear in the weights: the symbolic class
+    solve has no solution free of the weights."""
 
     def __init__(self) -> None:
         super().__init__("nonlinear in weights")

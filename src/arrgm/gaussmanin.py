@@ -24,9 +24,12 @@ exact elimination, A_X e_J = sum_r c_{J,r} A_X e_{J_r} with rational c
 that does not depend on the weights: sum_X rank A_X basis columns carry
 every residue.  ``gm_matrix`` builds once per call the fiber, the c, the
 nbc coordinates of the basis columns' pieces and the wedge-with-omega
-terms of the class solve; a weight setting combines them with its weights
-and runs one solve.  The A_X^(k) of the basis columns are difference
-quotients between the settings, and every column is expanded from them.
+terms of the class solve.  With the weights as indeterminates the image of
+a basis column is sum_k a_k g_k, and one class solve with a weight-free
+xi (``aomoto.ClassReducer``) gives every A_X^(k) of the basis columns at
+once; its consistency certifies that they are linear in the weights.  At
+numeric weights the same solve has one block.  Every column is expanded
+from the basis columns.
 
 ``flatness_check`` verifies integrability exactly and completely by Kohno's
 codimension-2 criterion: for every rank-2 flat X of the components and every
@@ -52,7 +55,7 @@ from .arrangement import (
     discriminant,
     format_linear,
 )
-from .errors import ArrgmError, NonlinearFitError, ResonantWeightsError
+from .errors import ArrgmError, ResonantWeightsError
 from .exactnum import (
     CoeffMatrix, WeightExpr, first_nonzero_quadratic, integer_coefficients, nullspace, solve_linear,
 )
@@ -71,8 +74,8 @@ class MovingFamily:
     """Fixed arrangement plus the moving hyperplane x_s = 1 + sum l_i x_i.
 
     ``weights`` carries numeric residues when the caller wants a numeric
-    connection; None selects the symbolic pipeline (residues computed at
-    fixed generic weight settings and lifted to linear expressions).
+    connection; None selects the symbolic pipeline (the weights are
+    indeterminates, and residues are linear expressions in them).
     """
 
     base: Arrangement
@@ -140,7 +143,7 @@ class GMConnection:
 
 
 # ---------------------------------------------------------------------------
-# generic fiber and weight settings, by construction
+# generic fiber, by construction
 # ---------------------------------------------------------------------------
 
 def generic_fiber(base: Arrangement) -> tuple[FiberContext, list[ProjForm]]:
@@ -162,30 +165,6 @@ def generic_fiber(base: Arrangement) -> tuple[FiberContext, list[ProjForm]]:
             return FiberContext(base, point), components
 
 
-def _weight_settings(base: Arrangement) -> list[Weights]:
-    """m + 3 affinely independent weight settings, generic by construction.
-
-    With m finite weights and q = (m + 1)(m + 4), the base setting w0 has
-    a = k/q on the k-th finite index and ah = (m + 1)/q; then come w0 + e_s/q
-    for every symbol s (finite indices, then ah) and the diagonal
-    w0 + (1, ..., 1)/q.  Every numerator is positive and their total is at
-    most (m + 1)(m + 4)/2 < q, so every nonempty proper sum of
-    {a_i, ah, a0} lies in (-1, 0) or (0, 1): no residue, ah included, and
-    no flat sum of the base or of the extended fiber is an integer.
-    """
-    finite = base.finite_indices
-    m = len(finite)
-    q = (m + 1) * (m + 4)
-    a = {idx: Fraction(k, q) for k, idx in enumerate(finite, start=1)}
-    ah = Fraction(m + 1, q)
-    step = Fraction(1, q)
-    settings = [Weights.make(a, ah)]
-    settings += [Weights.make({**a, idx: a[idx] + step}, ah) for idx in finite]
-    settings.append(Weights.make(a, ah + step))
-    settings.append(Weights.make({idx: v + step for idx, v in a.items()}, ah + step))
-    return settings
-
-
 # ---------------------------------------------------------------------------
 # the connection matrix
 # ---------------------------------------------------------------------------
@@ -194,9 +173,10 @@ def gm_matrix(family: MovingFamily) -> GMConnection:
     """Compute the full connection matrix with exact residues.
 
     One fiber off the discriminant (``generic_fiber``) and the stencils of
-    ``_residue_stencils`` are built once; each weight setting combines the
-    stencils with its weights and reduces them in one class solve, and
-    ``_assemble`` lifts, expands and appends the derived h0 component.
+    ``_residue_stencils`` are built once; each stencil is evaluated once per
+    weight block of the class solve (one per symbol, or one at numeric
+    weights), one ``reduce_batch`` call reduces them all, and ``_assemble``
+    expands the lifted columns and appends the derived h0 component.
     """
     base = family.base
     chart = AffineChart.of(base)
@@ -204,15 +184,12 @@ def gm_matrix(family: MovingFamily) -> GMConnection:
         raise ArrgmError("numeric weights of a moving family need the moving weight ah")
     # The class reduction holds in every fiber off the discriminant.
     fiber, components = generic_fiber(base)
-    if family.weights is None:
-        weight_settings = _weight_settings(base)
-    else:
+    if family.weights is not None:
         report = validate_weights(base, family.weights, bad_loci(base, fiber.matroid))
         if not report.ok:
             raise ResonantWeightsError(
                 "weights fail the genericity conditions: " + "; ".join(report.violations)
             )
-        weight_settings = [family.weights]
     basis = fiber.fixed_nbc()
     if not basis:
         raise ArrgmError("fixed arrangement has no nbc bases in top degree")
@@ -221,17 +198,17 @@ def gm_matrix(family: MovingFamily) -> GMConnection:
     # A component without a linear part is proportional to h0 itself.
     assert all(form in forms or form == h0 for form in components)
     expansions, stencils = _residue_stencils(fiber, forms)
-    columns_by_setting = []
-    for weights in weight_settings:
-        a = {**weights.a_dict, fiber.moving_index: weights.ah, base.infinity_index: weights.a0}
-        images = []
-        for stencil in stencils:
-            image = [QQ0] * len(fiber.nbc(base.n))
+    reducer = ClassReducer(fiber, family.weights)
+    images = []
+    for stencil in stencils:
+        blocks = {}
+        for symbol, a in reducer.blocks:
+            image = blocks[symbol] = [QQ0] * len(fiber.nbc(base.n))
             for t, i, c in stencil:
-                image[t] += c * a[i]
-            images.append(image)
-        columns_by_setting.append(ClassReducer(fiber, weights).reduce_batch(images))
-    return _assemble(family, basis, forms, h0, columns_by_setting, weight_settings, expansions)
+                if i in a:
+                    image[t] += c * a[i]
+        images.append(blocks)
+    return _assemble(family, basis, forms, h0, reducer.reduce_batch(images), expansions)
 
 
 def _assemble(
@@ -239,21 +216,18 @@ def _assemble(
     basis: Sequence[tuple[int, ...]],
     forms: Sequence[ProjForm],
     h0: ProjForm,
-    columns_by_setting: list[list[list[Fraction]]],
-    weight_settings: list[Weights],
+    lifted: list[dict[int, dict[str, Fraction]]],
     expansions: list[list[list[tuple[int, Fraction]]]],
 ) -> GMConnection:
-    """The connection from reduced columns and the expansions of ``forms``.
+    """The connection from lifted columns and the expansions of ``forms``.
 
-    ``columns_by_setting[w][k]`` is column k at ``weight_settings[w]``, and
-    column j of the residue along ``forms[p]`` is the sum of c times column
-    k over the pairs (k, c) of ``expansions[p][j]``.  The columns are lifted
-    to the weights, components are put in canonical form order, and the h0
-    residue, minus the sum of the others, goes last.
+    ``lifted[k]`` holds column k as sparse entries {row: {symbol:
+    coefficient}}, symbol "1" at numeric weights, and column j of the
+    residue along ``forms[p]`` is the sum of c times column k over the
+    pairs (k, c) of ``expansions[p][j]``.  Components are put in canonical
+    form order, and the h0 residue, minus the sum of the others, goes last.
     """
     nbasis = len(basis)
-    symbol_order = tuple(family.base.finite_indices)
-    lifted = _lift(columns_by_setting, weight_settings, symbol_order)
     comps = [
         GMComponent(form, _weight_matrix(_expand(lifted, expansion), nbasis))
         for form, expansion in zip(forms, expansions)
@@ -261,7 +235,7 @@ def _assemble(
     comps.sort(key=lambda c: c.form.coeffs)
     h0_expansion = [[(k, -c) for e in expansions for k, c in e[j]] for j in range(nbasis)]
     comps.append(GMComponent(h0, _weight_matrix(_expand(lifted, h0_expansion), nbasis)))
-    return GMConnection(tuple(basis), tuple(comps), symbol_order)
+    return GMConnection(tuple(basis), tuple(comps), tuple(family.base.finite_indices))
 
 
 def _residue_stencils(
@@ -315,39 +289,6 @@ def _residue_stencils(
                 stencil += [(t, i, c) for t, c in enumerate(coords) if c]
             stencils.append(stencil)
     return expansions, stencils
-
-
-def _lift(
-    columns_by_setting: list[list[list[Fraction]]],
-    weight_settings: list[Weights],
-    symbol_order: tuple[int, ...],
-) -> list[dict[int, dict[str, Fraction]]]:
-    """Every column as sparse entries {row: {symbol: coefficient}}.
-
-    At numeric weights a column is its constant part, symbol "1".  The
-    symbolic settings are w0, w0 + delta e_k per symbol k, and a diagonal
-    step (``_weight_settings``).  With R(w) a column at w,
-    R^(k) = (R(w0 + delta e_k) - R(w0)) / delta, and R(w0) and R(diag) must
-    equal sum_k w_k R^(k) exactly, or the columns are not homogeneous
-    linear in the weights: :class:`NonlinearFitError`.  Every residue
-    column is a fixed linear combination of these, so this checks it too.
-    """
-    base = columns_by_setting[0]
-    if len(weight_settings) == 1:
-        return [{i: {"1": x} for i, x in enumerate(column) if x} for column in base]
-    w0, *shifted, diag = [w.symbol_assignment(symbol_order) for w in weight_settings]
-    lifted: list[dict[int, dict[str, Fraction]]] = [{} for _ in base]
-    for s, w, columns in zip(w0, shifted, columns_by_setting[1:-1]):
-        for entries, column, reference in zip(lifted, columns, base):
-            for i, (x, y) in enumerate(zip(column, reference)):
-                if x != y:
-                    entries.setdefault(i, {})[s] = (x - y) / (w[s] - w0[s])
-    for w, columns in ((w0, base), (diag, columns_by_setting[-1])):
-        for entries, column in zip(lifted, columns):
-            for i, x in enumerate(column):
-                if sum((w[s] * v for s, v in entries.get(i, {}).items()), QQ0) != x:
-                    raise NonlinearFitError()
-    return lifted
 
 
 def _expand(

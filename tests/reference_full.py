@@ -1,22 +1,95 @@
-"""The closed form of every residue column, none expanded (test-only oracle).
+"""The closed form of every residue column, none expanded, by the sampled
+weight route (test-only oracle).
 
 ``gaussmanin.gm_matrix`` reduces and lifts only a basis of each
-component's local lifts eta_{J,P} and expands every other column from it.
-This oracle evaluates the closed form of the ``gaussmanin`` docstring on
-all N x comps pairs (component, nbc element) instead: each image is built
-as an ``ExtElem``, reduced by the class solve of its weight setting, and
-lifted to the weights on its own, through the library's ``_assemble`` with
-identity expansions.
+component's local lifts eta_{J,P}, expands every other column from it, and
+gets the coefficient of every weight symbol from one class solve with the
+weights as indeterminates.  This oracle evaluates the closed form of the
+``gaussmanin`` docstring on all N x comps pairs (component, nbc element)
+instead, at m + 3 numeric weight settings: each image is built as an
+``ExtElem`` and reduced by a one-block class solve at each setting, the
+coefficients are difference quotients between the settings, and two more
+settings check that they are linear (``_lift``).  The library's
+``_assemble`` with identity expansions builds the connection.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Sequence
 
 from arrgm.arrangement import AffineChart, AffineForm, Arrangement, ProjForm
-from arrgm.aomoto import ClassReducer
-from arrgm.gaussmanin import GMConnection, MovingFamily, _assemble, _weight_settings, generic_fiber
+from arrgm.aomoto import ClassReducer, FiberContext, Weights
+from arrgm.errors import NonlinearFitError
+from arrgm.gaussmanin import GMConnection, MovingFamily, _assemble, generic_fiber
 from arrgm.osalg import ExtElem, boundary, wedge, wedge_monomials
+
+QQ0 = Fraction(0)
+
+
+def _weight_settings(base: Arrangement) -> list[Weights]:
+    """m + 3 affinely independent weight settings, generic by construction.
+
+    With m finite weights and q = (m + 1)(m + 4), the base setting w0 has
+    a = k/q on the k-th finite index and ah = (m + 1)/q; then come w0 + e_s/q
+    for every symbol s (finite indices, then ah) and the diagonal
+    w0 + (1, ..., 1)/q.  Every numerator is positive and their total is at
+    most (m + 1)(m + 4)/2 < q, so every nonempty proper sum of
+    {a_i, ah, a0} lies in (-1, 0) or (0, 1): no residue, ah included, and
+    no flat sum of the base or of the extended fiber is an integer.
+    """
+    finite = base.finite_indices
+    m = len(finite)
+    q = (m + 1) * (m + 4)
+    a = {idx: Fraction(k, q) for k, idx in enumerate(finite, start=1)}
+    ah = Fraction(m + 1, q)
+    step = Fraction(1, q)
+    settings = [Weights.make(a, ah)]
+    settings += [Weights.make({**a, idx: a[idx] + step}, ah) for idx in finite]
+    settings.append(Weights.make(a, ah + step))
+    settings.append(Weights.make({idx: v + step for idx, v in a.items()}, ah + step))
+    return settings
+
+
+def reduce_at(fiber: FiberContext, weights: Weights, elems) -> list[list[Fraction]]:
+    """The fixed nbc coordinates of the classes of ``elems`` (``ExtElem`` or
+    coordinates over the top nbc sets) by a one-block class solve at
+    numeric ``weights``."""
+    size = len(fiber.fixed_nbc())
+    columns = ClassReducer(fiber, weights).reduce_batch([{"1": g} for g in elems])
+    return [[column.get(i, {}).get("1", QQ0) for i in range(size)] for column in columns]
+
+
+def _lift(
+    columns_by_setting: list[list[list[Fraction]]],
+    settings: list[Weights],
+    symbol_order: tuple[int, ...],
+) -> list[dict[int, dict[str, Fraction]]]:
+    """Every column as sparse entries {row: {symbol: coefficient}}.
+
+    At numeric weights a column is its constant part, symbol "1".  The
+    symbolic settings are w0, w0 + delta e_k per symbol k, and a diagonal
+    step (``_weight_settings``).  With R(w) a column at w,
+    R^(k) = (R(w0 + delta e_k) - R(w0)) / delta, and R(w0) and R(diag) must
+    equal sum_k w_k R^(k) exactly, or the columns are not homogeneous
+    linear in the weights: :class:`NonlinearFitError`.
+    """
+    base = columns_by_setting[0]
+    if len(settings) == 1:
+        return [{i: {"1": x} for i, x in enumerate(column) if x} for column in base]
+    w0, *shifted, diag = [w.symbol_assignment(symbol_order) for w in settings]
+    lifted: list[dict[int, dict[str, Fraction]]] = [{} for _ in base]
+    for s, w, columns in zip(w0, shifted, columns_by_setting[1:-1]):
+        for entries, column, reference in zip(lifted, columns, base):
+            for i, (x, y) in enumerate(zip(column, reference)):
+                if x != y:
+                    entries.setdefault(i, {})[s] = (x - y) / (w[s] - w0[s])
+    for w, columns in ((w0, base), (diag, columns_by_setting[-1])):
+        for entries, column in zip(lifted, columns):
+            for i, x in enumerate(column):
+                if sum((w[s] * v for s, v in entries.get(i, {}).items()), QQ0) != x:
+                    raise NonlinearFitError()
+    return lifted
 
 
 def identity_expansions(nforms: int, nbasis: int) -> list[list[list[tuple[int, int]]]]:
@@ -66,7 +139,8 @@ def full_closed_form(family: MovingFamily) -> GMConnection:
         images = [
             sum((piece.scale(a[i]) for i, piece in pieces), ExtElem.zero()) for pieces in stencils
         ]
-        columns_by_setting.append(ClassReducer(fiber, weights).reduce_batch(images))
+        columns_by_setting.append(reduce_at(fiber, weights, images))
     h0 = chart.projective(AffineForm.make(1, [0] * base.n))
     expansions = identity_expansions(len(forms), len(basis))
-    return _assemble(family, basis, forms, h0, columns_by_setting, settings, expansions)
+    lifted = _lift(columns_by_setting, settings, tuple(base.finite_indices))
+    return _assemble(family, basis, forms, h0, lifted, expansions)

@@ -7,11 +7,12 @@ produces the coefficient a_h (x_k / x_s) e_J; ``raw_derivative`` returns the
 form without a_h.  At each rational parameter sample the raw derivatives are
 reduced to dlog forms by partial fractions in the fiber there
 (``arrgm.partialfrac.reduce_rational_form``), and their
-classes over the nbc basis are taken at every weight setting.  The sampled
-coordinate functions are fitted as sum_p r_p dlog f_p over the affine
-discriminant components by one exact solve, and each fitted entry is
-verified exactly on held-out samples.  The lift to the weights and the h0
-component are the library's.
+classes over the nbc basis are taken at every weight setting of
+``reference_full``.  The sampled coordinate functions are fitted as
+sum_p r_p dlog f_p over the affine discriminant components by one exact
+solve, and each fitted entry is verified exactly on held-out samples.  The
+lift to the weights is ``reference_full``'s difference quotients, and the
+h0 component is the library's.
 """
 
 from __future__ import annotations
@@ -20,14 +21,14 @@ from fractions import Fraction
 from typing import Sequence
 
 from arrgm.arrangement import AffineChart, AffineForm, ProjForm, discriminant
-from arrgm.aomoto import ClassReducer, FiberContext, Weights
+from arrgm.aomoto import FiberContext, Weights
 from arrgm.errors import ArrgmError, InconsistentSystemError, SampleRejectedError
 from arrgm.exactnum import determinant, matrix_rank, solve_linear
-from arrgm.gaussmanin import GMConnection, MovingFamily, _assemble, _weight_settings
+from arrgm.gaussmanin import GMConnection, MovingFamily, _assemble
 from arrgm.partialfrac import FiberChart, RatForm, WeightPoly, reduce_rational_form
 
 from _sampling import RatSampler
-from reference_full import identity_expansions
+from reference_full import _lift, _weight_settings, identity_expansions, reduce_at
 
 QQ0 = Fraction(0)
 SEED = 987654321  # any seed gives the same connection
@@ -99,7 +100,8 @@ def sampled_gm_matrix(family: MovingFamily) -> GMConnection:
         for r in residues
     ]
     expansions = identity_expansions(len(forms), len(basis))
-    return _assemble(family, basis, forms, h0, columns, weight_settings, expansions)
+    lifted = _lift(columns, weight_settings, tuple(base.finite_indices))
+    return _assemble(family, basis, forms, h0, lifted, expansions)
 
 
 def sample_parameter_points(
@@ -142,7 +144,7 @@ def _evaluate_samples(
     per_point = len(raw_forms)
     coords = []
     for weights in weight_settings:
-        vectors = ClassReducer(fibers[0], weights).reduce_batch(reduced)
+        vectors = reduce_at(fibers[0], weights, reduced)
         scaled = [[weights.ah * c for c in vec] for vec in vectors]
         coords.append(
             [scaled[s * per_point : (s + 1) * per_point] for s in range(len(fibers))]

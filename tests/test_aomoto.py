@@ -11,7 +11,7 @@ import pytest
 
 from arrgm.arrangement import AffineChart, ProjForm, discriminant, validate
 from arrgm.aomoto import ClassReducer, FiberContext, Weights, cohomology_dims, validate_weights
-from arrgm.errors import NotLogarithmicError, ResonantWeightsError
+from arrgm.errors import NonlinearFitError, NotLogarithmicError, ResonantWeightsError
 from arrgm.exactnum import matrix_rank, solve_linear
 from arrgm.fixtures import ceva, example1
 from arrgm.osalg import ExtElem, wedge
@@ -26,6 +26,7 @@ from arrgm.partialfrac import (
 )
 
 from _sampling import RatSampler
+from reference_full import reduce_at
 from reference_sampled import sample_parameter_points
 
 
@@ -246,38 +247,49 @@ class TestClassReduction:
     def test_unit_vectors(self):
         fiber = FiberContext(example1().arrangement, [F(2), F(3)])
         w = Weights.make({1: F(1, 3), 2: F(1, 7), 3: F(1, 5)}, F(-1, 2))
-        reducer = ClassReducer(fiber, w)
-        for idx, basis in enumerate(reducer.fixed_basis):
-            coords = reducer.reduce_batch([E(*basis)])[0]
+        for idx, basis in enumerate(fiber.fixed_nbc()):
+            [coords] = reduce_at(fiber, w, [E(*basis)])
             assert coords == [F(1) if i == idx else F(0) for i in range(3)]
 
     def test_moving_point_class(self):
         # e_s reduces to (-a1/ah) e_1 on the punctured line family
         fiber = point_line()
         w = Weights.make({1: F(1, 3)}, F(-1, 5))
-        coords = ClassReducer(fiber, w).reduce_batch([ExtElem.monomial((fiber.moving_index,))])[0]
+        [coords] = reduce_at(fiber, w, [ExtElem.monomial((fiber.moving_index,))])
         assert coords == [F(1, 3) / F(1, 5)]  # -a1/ah = (1/3)/(1/5)
 
     def test_exact_classes_vanish(self):
         fiber = FiberContext(ceva().arrangement, [F(2), F(3)])
         w = Weights.make({i: F(1, 7) for i in range(1, 6)}, F(2, 7))
-        reducer = ClassReducer(fiber, w)
         omega_terms = fiber.omega_terms(w)
         for k in fiber.nbc(1):
             omega_wedge = ExtElem.zero()
             for idx, coeff in omega_terms:
                 omega_wedge = omega_wedge + wedge(E(idx, c=coeff), E(*k))
             nf = fiber.os.normal_form(omega_wedge)
-            assert reducer.reduce_batch([nf])[0] == [F(0)] * 6
+            assert reduce_at(fiber, w, [nf]) == [[F(0)] * 6]
 
     def test_reduction_linear_in_input(self):
         fiber = FiberContext(example1().arrangement, [F(5), F(-3)])
         w = Weights.make({1: F(2, 3), 2: F(1, 7), 3: F(1, 5)}, F(-1, 2))
-        reducer = ClassReducer(fiber, w)
         g1, g2 = E(1, fiber.moving_index), E(2, fiber.moving_index)
-        [lhs] = reducer.reduce_batch([g1.scale(F(3, 2)) + g2.scale(-2)])
-        c1, c2 = reducer.reduce_batch([g1, g2])
+        [lhs] = reduce_at(fiber, w, [g1.scale(F(3, 2)) + g2.scale(-2)])
+        c1, c2 = reduce_at(fiber, w, [g1, g2])
         assert lhs == [F(3, 2) * a - 2 * b for a, b in zip(c1, c2)]
+
+    def test_symbolic_class_of_the_moving_point(self):
+        # ah e_s = -a1 e_1 + omega ^ 1 for all weights
+        fiber = point_line()
+        reducer = ClassReducer(fiber, None)
+        assert [symbol for symbol, _ in reducer.blocks] == ["a1", "ah"]
+        [column] = reducer.reduce_batch([{"ah": ExtElem.monomial((fiber.moving_index,))}])
+        assert column == {0: {"a1": F(-1)}}
+
+    def test_symbolic_class_not_linear_in_the_weights(self):
+        # a1 e_s = -(a1^2 / ah) e_1: no xi free of the weights
+        fiber = point_line()
+        with pytest.raises(NonlinearFitError):
+            ClassReducer(fiber, None).reduce_batch([{"a1": ExtElem.monomial((fiber.moving_index,))}])
 
 
 def enumerated_affine_circuits(chart: FiberChart) -> list[AffineCircuit]:

@@ -19,7 +19,7 @@ from arrgm.arrangement import (
     validate,
 )
 from arrgm.errors import DuplicateHyperplaneError, LeadingFrameError
-from arrgm.exactnum import determinant, matrix_rank
+from arrgm.exactnum import determinant, matrix_rank, nullspace
 from arrgm.fixtures import ceva, example1
 
 
@@ -152,17 +152,17 @@ class TestLattice:
         assert [f.support for f in lattice(arr).flats] == [(), (0,)]
 
     def test_supports_are_closed(self):
+        """Each support is every hyperplane through the flat: the forms
+        that vanish on the kernel of the support's forms."""
         for arr in (ceva().arrangement, example1().arrangement):
             for flat in lattice(arr).flats:
                 if not flat.support:
                     continue
+                kernel = nullspace(arr.form_rows(flat.support))
                 recomputed = [
                     i
                     for i in range(arr.size)
-                    if all(
-                        arr.hyperplanes[i].evaluate(v) == 0
-                        for v in flat.closure_witness
-                    )
+                    if all(arr.hyperplanes[i].evaluate(v) == 0 for v in kernel)
                 ]
                 assert tuple(recomputed) == flat.support
 

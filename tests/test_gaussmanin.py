@@ -29,10 +29,8 @@ from arrgm.gaussmanin import (
     GMConnection,
     MovingFamily,
     _expand,
-    _lift,
     _residue_stencils,
     _weight_matrix,
-    _weight_settings,
     flatness_check,
     generic_fiber,
     gm_matrix,
@@ -43,7 +41,7 @@ from arrgm.osalg import ExtElem, boundary, wedge
 from arrgm.partialfrac import RatForm, WeightPoly
 
 from _sampling import RatSampler
-from reference_full import full_closed_form, identity_expansions
+from reference_full import _lift, _weight_settings, full_closed_form, identity_expansions, reduce_at
 from reference_poly import poly_flatness_check
 from reference_sampled import (
     ConnectionFitError,
@@ -591,7 +589,7 @@ def test_closed_form_on_h0_is_minus_the_others(name):
         for t, i, c in stencil:
             image[t] += c * a[i]
         images.append(image)
-    reduced = ClassReducer(fiber, weights).reduce_batch(images)
+    reduced = reduce_at(fiber, weights, images)
     columns = [
         [sum((c * reduced[k][i] for k, c in terms), F(0)) for i in range(conn.size)]
         for terms in expansion
@@ -729,10 +727,9 @@ class TestBatchedChecks:
 
 
 def test_closed_form_call_structure(monkeypatch):
-    """Structural guard on the closed form: no partial fractions, one
-    generic fiber and one set of stencils per call, one class reduction per
-    weight setting, and one lift of every residue to its coefficient
-    matrices."""
+    """Structural guard on the closed form: no partial fractions, and one
+    generic fiber, one set of stencils and one class reduction per call,
+    symbolic and numeric."""
     calls = Counter()
 
     def counting(module, name, count=lambda result: 1):
@@ -750,28 +747,26 @@ def test_closed_form_call_structure(monkeypatch):
     counting(FiberContext, "__init__")
     counting(ClassReducer, "reduce_batch")
     counting(gaussmanin, "_residue_stencils")
-    counting(gaussmanin, "_lift")
     numeric = Weights.make({i: F(i, 11) for i in range(1, 6)}, F(3, 7))
-    for weights, settings in [(None, 8), (numeric, 1)]:
+    for weights in [None, numeric]:
         calls.clear()
         gm_matrix(MovingFamily(ceva().arrangement, weights))
         assert calls == Counter({
             "generic_fiber": 1,
             "__init__": 1,
             "_residue_stencils": 1,
-            "reduce_batch": settings,
-            "_lift": 1,
+            "reduce_batch": 1,
         })
 
 
 @pytest.mark.parametrize(
-    "weights, settings",
-    [(None, 8), (Weights.make({i: F(i, 11) for i in range(1, 6)}, F(3, 7)), 1)],
+    "weights",
+    [None, Weights.make({i: F(i, 11) for i in range(1, 6)}, F(3, 7))],
     ids=["symbolic", "numeric"],
 )
-def test_fiber_built_once(monkeypatch, weights, settings):
-    """Structural guard on the shared fiber: one matroid and one fiber
-    context per call, and one class reduction per weight setting."""
+def test_fiber_built_once(monkeypatch, weights):
+    """Structural guard on the shared fiber: one matroid, one fiber context
+    and one class reduction per call."""
     calls = Counter()
 
     def count(cls, name):
@@ -791,8 +786,8 @@ def test_fiber_built_once(monkeypatch, weights, settings):
     assert calls == Counter({
         "MatroidContext.__init__": 1,
         "FiberContext.__init__": 1,
-        "ClassReducer.__init__": settings,
-        "ClassReducer.reduce_batch": settings,
+        "ClassReducer.__init__": 1,
+        "ClassReducer.reduce_batch": 1,
     })
 
 
@@ -879,11 +874,10 @@ def test_monodromy_of_every_component(arr):
 
 
 @pytest.mark.parametrize("name", ["example1", "ceva", "p2-6"])
-def test_connection_independent_of_fiber_and_settings(monkeypatch, name):
+def test_connection_independent_of_fiber(monkeypatch, name):
     """The connection is the same in the next fiber of the curve
-    (t, t^2, ..., t^n) off the discriminant and at the weight settings built
-    with q + 1 in place of q."""
-    real_fiber, real_settings = generic_fiber, _weight_settings
+    (t, t^2, ..., t^n) off the discriminant."""
+    real_fiber = generic_fiber
     used = Counter()
 
     def next_fiber(base):
@@ -895,25 +889,50 @@ def test_connection_independent_of_fiber_and_settings(monkeypatch, name):
         used["fiber"] += 1
         return FiberContext(base, curve_point(base.n, t)), components
 
-    def other_q_settings(base):
-        m = len(base.finite_indices)
-        q = (m + 1) * (m + 4)
-        scale = F(q, q + 1)  # every k/q becomes k/(q + 1)
-        used["settings"] += 1
-        return [
-            Weights.make({i: scale * v for i, v in w.a}, scale * w.ah)
-            for w in real_settings(base)
-        ]
-
     monkeypatch.setattr(gaussmanin, "generic_fiber", next_fiber)
-    monkeypatch.setattr(gaussmanin, "_weight_settings", other_q_settings)
     assert gm_matrix(SYMBOLIC_FAMILIES[name]()) == symbolic_connection(name)
-    assert used == Counter({"fiber": 1, "settings": 1})
+    assert used == Counter({"fiber": 1})
+
+
+@pytest.mark.parametrize("symbol", ["a1", "a3", "a5"])
+@pytest.mark.parametrize("row", [0, -1])
+def test_perturbed_symbol_block_fails_the_class_solve(monkeypatch, symbol, row):
+    """A +1 on one coordinate of one symbol block, in a row through the
+    moving index, leaves no weight-free xi: the symbolic class solve is
+    inconsistent and says the residues are not linear in the weights.
+    The ah block is left out: ah e_K ^ e_s = +-(omega ^ e_K - sum_i a_i
+    e_i ^ e_K) has a class linear in the weights, so a +1 there is not
+    detectable."""
+    real = ClassReducer.reduce_batch
+
+    def perturbed(self, elems):
+        target = self._moving_rows[row]
+        elems[0] = {**elems[0], symbol: list(elems[0][symbol])}
+        elems[0][symbol][target] += 1
+        return real(self, elems)
+
+    monkeypatch.setattr(ClassReducer, "reduce_batch", perturbed)
+    with pytest.raises(NonlinearFitError):
+        gm_matrix(MovingFamily(ceva().arrangement))
+
+
+def b3():
+    """The B3 reflection arrangement in P^2: x_i + x_j and x_i - x_j."""
+    return generic(2, [[1, 1, 0], [1, -1, 0], [1, 0, 1], [1, 0, -1], [0, 1, 1], [0, 1, -1]])
+
+
+def a4_braid():
+    """The A4 braid arrangement in P^3: x_i - x_j for i < j."""
+    return generic(3, [
+        [1, -1, 0, 0], [1, 0, -1, 0], [1, 0, 0, -1], [0, 1, -1, 0], [0, 1, 0, -1], [0, 0, 1, -1],
+    ])
 
 
 @settings(max_examples=20, deadline=None)
 @given(arr=small_arrangements())
 @example(arr=ceva().arrangement)
+@example(arr=b3())
+@example(arr=a4_braid())
 def test_basis_columns_equal_the_full_closed_form(arr):
     """Reducing, lifting and expanding a basis of each component's local
     lifts gives the connection of the closed form on all N x comps columns,
@@ -933,8 +952,8 @@ def test_basis_columns_equal_the_full_closed_form(arr):
     ids=["example1", "ceva", "generic-p3-numeric"],
 )
 def test_right_hand_sides_are_the_residue_ranks(monkeypatch, family, rhs):
-    """Each class solve takes sum_X rank A_X right-hand sides, one per basis
-    column of a component's local lifts, not N x comps."""
+    """The one class solve takes sum_X rank A_X right-hand sides, one per
+    basis column of a component's local lifts, not N x comps."""
     sizes = []
     real = ClassReducer.reduce_batch
 
@@ -945,9 +964,8 @@ def test_right_hand_sides_are_the_residue_ranks(monkeypatch, family, rhs):
     monkeypatch.setattr(ClassReducer, "reduce_batch", counting)
     family = family()
     conn = gm_matrix(family)
-    settings_ = [family.weights] if family.weights else _weight_settings(family.base)
-    assert sizes == [rhs] * len(settings_)
-    *affine, _ = conn.evaluate(settings_[0])
+    assert sizes == [rhs]
+    *affine, _ = conn.evaluate(family.weights or _weight_settings(family.base)[0])
     assert sum(matrix_rank(residue) for _, residue in affine) == rhs
     assert rhs < conn.size * len(affine)
 

@@ -12,9 +12,10 @@ from arrgm.arrangement import ProjForm, validate
 from arrgm.errors import ArrgmError, ResonantResidueError, UnknownComponentError
 from arrgm.exactnum import WeightExpr
 from arrgm.fixtures import ceva, example1
-from arrgm.gaussmanin import MovingFamily, _weight_settings, gm_matrix
+from arrgm.gaussmanin import MovingFamily, gm_matrix
 from arrgm.monodromy import monodromy, projector_structure, residue_of
 from reference_expm import expm_reference, max_gap
+from reference_full import _weight_settings
 from reference_poly import poly_projector_structure
 
 

@@ -2,9 +2,11 @@
 
     python tools/ladder.py --out BENCH.json [--src DIR] [--label NAME]
 
-The ladder runs from the two paper fixtures up to generic arrangements
-with 34 nbc elements: each generic rung is the coordinate frame x0..xn of
-P^n (x0 at infinity) plus the listed forms.  A rung is one symbolic
+The ladder runs from the two paper fixtures up to P^3 with 9 planes (53
+nbc elements): every other rung is the coordinate frame x0..xn of P^n (x0
+at infinity) plus the listed forms.  Most are generic up to a few
+accidental triple points; the B3 and A4 braid reflection arrangements are
+far from normal crossing.  A rung is one symbolic
 ``gm_matrix`` call and one ``flatness_check`` call.  The connection is
 fixed output: the sha256 of ``json.dumps(conn.to_json(), sort_keys=True)``
 must start with the rung's pinned prefix, and the tool exits 1 when any
@@ -39,6 +41,21 @@ RUNGS = {
     "p3-8": (3, [[1, 1, 1, 1], [1, 2, -3, -1], [2, -1, 3, 1], [3, 1, -2, 2]], "6b33c8ba6da4"),
     "p4-7": (4, [[1, 1, 1, 1, 1], [1, 2, -3, -1, 2]], "4881c228638e"),
     "p4-8": (4, [[1, 1, 1, 1, 1], [1, 2, -3, -1, 2], [2, -1, 3, 1, -3]], "5e7840ebdd0c"),
+    # the reflection arrangements B3 and A4, then two larger generic rungs
+    "b3": (2, [[1, 1, 0], [1, -1, 0], [1, 0, 1], [1, 0, -1], [0, 1, 1], [0, 1, -1]], "2a5bef9e75d3"),
+    "a4-braid": (
+        3,
+        [[1, -1, 0, 0], [1, 0, -1, 0], [1, 0, 0, -1], [0, 1, -1, 0], [0, 1, 0, -1], [0, 0, 1, -1]],
+        "702395c3a09d",
+    ),
+    "p2-9": (
+        2, [[1, 1, 1], [1, 2, -3], [2, -1, 3], [3, 1, -2], [1, -3, 2], [2, 3, 5]], "f965ba759861",
+    ),
+    "p3-9": (
+        3,
+        [[1, 1, 1, 1], [1, 2, -3, -1], [2, -1, 3, 1], [3, 1, -2, 2], [1, -2, 1, 3]],
+        "58de9d23c059",
+    ),
 }
 
 
