@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import ArrgmError, DuplicateHyperplaneError, LeadingFrameError
-from .exactnum import Rat, format_terms, matrix_rank, nullspace, rat_from_str, rat_to_str
+from .exactnum import Rat, format_terms, integer_kernel, matrix_rank, rat_from_str, rat_to_str
 
 
 @dataclass(frozen=True)
@@ -318,18 +318,14 @@ def discriminant(arr: Arrangement) -> list[ProjForm]:
     their n coefficient rows is one line, spanned by the subset's
     intersection point p (equivalently by the vector of signed n x n minors).
     The component is h . p = 0: the linear form in h that vanishes exactly
-    when the moving hyperplane passes through p.  Components are
-    normalized, deduplicated and sorted canonically.
+    when the moving hyperplane passes through p.  Its coefficients are the
+    primitive integer kernel vector with the first nonzero entry positive,
+    which is the canonical normalization.  Components are deduplicated and
+    sorted canonically.
     """
-    seen: set[tuple[int, ...]] = set()
-    out: list[ProjForm] = []
+    points = set()
     for subset in itertools.combinations(range(arr.size), arr.n):
-        kernel = nullspace(arr.form_rows(subset))
-        if len(kernel) != 1:
-            continue
-        form = ProjForm.make(kernel[0])
-        if form.coeffs not in seen:
-            seen.add(form.coeffs)
-            out.append(form)
-    out.sort(key=lambda f: f.coeffs)
-    return out
+        kernel = integer_kernel(arr.form_rows(subset))
+        if len(kernel) == 1:
+            points.add(tuple(kernel[0]))
+    return [ProjForm(p) for p in sorted(points)]

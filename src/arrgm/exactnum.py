@@ -11,12 +11,14 @@ provides
   expressions as per-symbol sparse coefficient matrices, and the exact
   check of a quadratic matrix identity among them, one pair of symbols at a
   time (flatness commutators, the projector identity A^2 = tr(A) A).
-* ``solve_linear``, ``determinant``, ``matrix_rank``, ``nullspace`` -- the
-  library's one exact elimination, on lists of rows: rows are cleared to
-  integers and reduced by fraction-free (Bareiss) elimination.
+* ``solve_linear``, ``determinant``, ``matrix_rank``, ``nullspace``,
+  ``integer_kernel`` -- the library's one exact elimination, on lists of
+  rows: rows are cleared to integers and reduced by fraction-free (Bareiss)
+  elimination, one ``bareiss_step`` per row and pivot.
   The back substitution is fraction-free too (with d the last pivot, d x
-  is integral), so a solve returns particular solutions and a kernel basis,
-  or reports the failing row of an inconsistent system, and the
+  is integral), so a solve returns particular solutions and, when read, a
+  kernel basis, or reports the failing row of an inconsistent system; the
+  kernel is d x over d, or made primitive in integers; and the
   determinant is the signed last pivot over the row scales.
 
 ``format_terms`` renders every signed sum of terms the package prints.
@@ -27,10 +29,11 @@ safe to share between threads.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import InconsistentSystemError
 
@@ -200,12 +203,20 @@ Vector = list[Fraction]
 
 @dataclass
 class LinearSolution:
-    """Result of an exact solve: one solution per right-hand side plus a kernel basis."""
+    """Result of an exact solve: one solution per right-hand side plus a kernel basis.
+
+    The kernel is back-substituted when it is first read, so a caller that
+    keeps only the particular solutions does not pay for it.
+    """
 
     solutions: list[Vector]
-    kernel: list[Vector]
     rank: int
     pivot_cols: list[int]
+    _kernel: Callable[[], list[Vector]] = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def kernel(self) -> list[Vector]:
+        return self._kernel()
 
 
 def _integer_rows(rows: Iterable[Sequence[Rat | int]]) -> tuple[list[list[int]], list[int]]:
@@ -220,6 +231,14 @@ def _integer_rows(rows: Iterable[Sequence[Rat | int]]) -> tuple[list[list[int]],
         out.append([x.numerator * (scale // x.denominator) for x in row])
         scales.append(scale)
     return out, scales
+
+
+def bareiss_step(row: list[int], top: list[int], c: int, prev_pivot: int) -> list[int]:
+    """``row`` after one fraction-free (Bareiss) step against the pivot row
+    ``top`` at column c, ``prev_pivot`` the pivot of the step before (1 at
+    the first): top[c] * row - row[c] * top, divided exactly by it."""
+    piv, factor = top[c], row[c]
+    return [(piv * x - factor * y) // prev_pivot for x, y in zip(row, top)]
 
 
 def _bareiss_echelon(rows: list[list[int]], ncols_a: int) -> tuple[list[int], list[int], int]:
@@ -248,19 +267,57 @@ def _bareiss_echelon(rows: list[list[int]], ncols_a: int) -> tuple[list[int], li
             origin[r], origin[pivot_row] = origin[pivot_row], origin[r]
             swaps ^= 1
         top = rows[r]
-        piv = top[c]
         for i in range(r + 1, len(rows)):
-            row = rows[i]
-            if not any(row):
-                continue
-            factor = row[c]
-            rows[i] = [(piv * x - factor * y) // prev_pivot for x, y in zip(row, top)]
-        prev_pivot = piv
+            if any(rows[i]):
+                rows[i] = bareiss_step(rows[i], top, c, prev_pivot)
+        prev_pivot = top[c]
         pivots.append(c)
         r += 1
         if r == len(rows):
             break
     return pivots, origin, swaps
+
+
+def _back_substitution(
+    ech: list[list[int]], pivots: list[int], ncols: int
+) -> tuple[int, Callable[[list[int], int | None], list[int]]]:
+    """(d, substitute) for a Bareiss echelon form with ``ncols`` coefficient columns.
+
+    d is the last pivot, so d x is integral by Cramer's rule.
+    ``substitute(y, column)`` fills in y = d x on the pivot columns, in
+    place, given y on the free columns and the right-hand side in
+    ``column`` (None for the homogeneous system); every step divides
+    exactly.
+    """
+    rank = len(pivots)
+    d = ech[rank - 1][pivots[rank - 1]] if rank else 1
+    tails = [
+        [(j, a) for j, a in enumerate(ech[r][c + 1 : ncols], start=c + 1) if a]
+        for r, c in enumerate(pivots)
+    ]
+
+    def substitute(y: list[int], column: int | None) -> list[int]:
+        for r in range(rank - 1, -1, -1):
+            s = d * ech[r][column] if column is not None else 0
+            for j, a in tails[r]:
+                s -= a * y[j]
+            y[pivots[r]] = s // ech[r][pivots[r]]
+        return y
+
+    return d, substitute
+
+
+def _kernel_columns(ncols: int, pivots: list[int], d: int, substitute) -> list[list[int]]:
+    """d times the kernel basis: one vector per free column, d there and 0 on
+    the other free columns."""
+    out = []
+    pivot_set = set(pivots)
+    for fc in range(ncols):
+        if fc not in pivot_set:
+            y = [0] * ncols
+            y[fc] = d
+            out.append(substitute(y, None))
+    return out
 
 
 def solve_linear(
@@ -289,7 +346,7 @@ def solve_linear(
         if len(b) != nrows:
             raise ValueError("right-hand side length does not match row count")
     if not nrows:
-        return LinearSolution([[] for _ in rhs_list], [], 0, [])
+        return LinearSolution([[] for _ in rhs_list], 0, [], list)
 
     ech, row_scales = _integer_rows(matrix)
     rhs_ints, rhs_scales = _integer_rows(rhs_list)
@@ -303,35 +360,16 @@ def solve_linear(
         if any(ech[i][ncols:]):
             raise InconsistentSystemError(origin[i])
 
-    d = ech[rank - 1][pivots[rank - 1]] if rank else 1
-    tails = [
-        [(j, a) for j, a in enumerate(ech[r][c + 1 : ncols], start=c + 1) if a]
-        for r, c in enumerate(pivots)
-    ]
-
-    def back_substitute(y: list[int], column: int | None, scale: int = 1) -> Vector:
-        """Fill in y = d x on the pivot columns; y holds d x on the free ones.
-
-        ``scale`` is the common denominator the right-hand side was cleared by.
-        """
-        for r in range(rank - 1, -1, -1):
-            s = d * ech[r][column] if column is not None else 0
-            for j, a in tails[r]:
-                s -= a * y[j]
-            y[pivots[r]] = s // ech[r][pivots[r]]
-        return [Fraction(v, d * scale) for v in y]
-
+    d, substitute = _back_substitution(ech, pivots, ncols)
     solutions = [
-        back_substitute([0] * ncols, ncols + k, scale) for k, scale in enumerate(rhs_scales)
+        [Fraction(v, d * scale) for v in substitute([0] * ncols, ncols + k)]
+        for k, scale in enumerate(rhs_scales)
     ]
-    pivot_set = set(pivots)
-    kernel = []
-    for fc in range(ncols):
-        if fc not in pivot_set:
-            y = [0] * ncols
-            y[fc] = d
-            kernel.append(back_substitute(y, None))
-    return LinearSolution(solutions, kernel, rank, pivots)
+
+    def kernel() -> list[Vector]:
+        return [[Fraction(v, d) for v in y] for y in _kernel_columns(ncols, pivots, d, substitute)]
+
+    return LinearSolution(solutions, rank, pivots, kernel)
 
 
 def determinant(matrix: Sequence[Sequence[Rat | int]]) -> Rat:
@@ -362,11 +400,39 @@ def matrix_rank(matrix: Sequence[Sequence[Rat | int]]) -> int:
     return len(pivots)
 
 
+def _scaled_kernel(matrix: Sequence[Sequence[Rat | int]]) -> tuple[int, list[list[int]]]:
+    """(d, d times the kernel basis of :func:`solve_linear`), in integers."""
+    rows, _ = _integer_rows(matrix)
+    ncols = len(rows[0])
+    pivots, _, _ = _bareiss_echelon(rows, ncols)
+    d, substitute = _back_substitution(rows, pivots, ncols)
+    return d, _kernel_columns(ncols, pivots, d, substitute)
+
+
+def integer_kernel(matrix: Sequence[Sequence[Rat | int]]) -> list[list[int]]:
+    """Kernel basis of a rational matrix as primitive integer vectors with
+    the first nonzero entry positive: the basis of :func:`nullspace`, each
+    vector scaled."""
+    if not matrix:
+        return []
+    return [primitive(y) for y in _scaled_kernel(matrix)[1]]
+
+
 def nullspace(matrix: Sequence[Sequence[Rat | int]]) -> list[Vector]:
     """Basis of the exact kernel of a rational matrix (see :func:`solve_linear`)."""
     if not matrix:
         return []
-    return solve_linear(matrix, []).kernel
+    d, kernel = _scaled_kernel(matrix)
+    return [[Fraction(v, d) for v in y] for y in kernel]
+
+
+def primitive(vector: Sequence[int]) -> list[int]:
+    """A nonzero integer vector divided by the gcd of its entries, signed so
+    that its first nonzero entry is positive."""
+    g = math.gcd(*vector)
+    if next(x for x in vector if x) < 0:
+        g = -g
+    return [x // g for x in vector]
 
 
 # ---------------------------------------------------------------------------
@@ -384,17 +450,21 @@ def integer_coefficients(matrices: Sequence[Sequence[Sequence[WeightExpr]]]) -> 
     so the entries are ``int``; one positive factor for all the matrices
     keeps every homogeneous identity among them.
     """
-    entries = [e for m in matrices for row in m for e in row]
-    scale = math.lcm(*(c.denominator for e in entries for c in (e.const, *dict(e.coeffs).values())))
-    out = []
-    for matrix in matrices:
-        form: CoeffMatrix = {}
-        for i, row in enumerate(matrix):
-            for j, e in enumerate(row):
-                for s, c in (("1", e.const), *e.coeffs):
-                    if c:
-                        form.setdefault(s, [{} for _ in matrix])[i][j] = c.numerator * (scale // c.denominator)
-        out.append(form)
+    # (matrix, i, j, terms) of the nonzero entries
+    entries = [
+        (m, i, j, (("1", e.const), *e.coeffs))
+        for m, matrix in enumerate(matrices)
+        for i, row in enumerate(matrix)
+        for j, e in enumerate(row)
+        if e.coeffs or e.const
+    ]
+    scale = math.lcm(*{c.denominator for *_, terms in entries for _, c in terms})
+    out: list[CoeffMatrix] = [{} for _ in matrices]
+    for m, i, j, terms in entries:
+        for s, c in terms:
+            if c:
+                rows = out[m].get(s) or out[m].setdefault(s, [{} for _ in matrices[m]])
+                rows[i][j] = c.numerator * (scale // c.denominator)
     return out
 
 

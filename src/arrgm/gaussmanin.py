@@ -34,14 +34,14 @@ from the basis columns.
 ``flatness_check`` verifies integrability exactly and completely by Kohno's
 codimension-2 criterion: for every rank-2 flat X of the components and every
 p in X, [A_p, sum_{q in X} A_q] = 0 as a polynomial identity in the weights,
-checked one pair of coefficient matrices at a time.  No point is sampled
+checked on the rank-one factors of the residues where they have them and
+otherwise one pair of coefficient matrices at a time.  No point is sampled
 and no size is exempt.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -57,7 +57,7 @@ from .arrangement import (
 )
 from .errors import ArrgmError, ResonantWeightsError
 from .exactnum import (
-    CoeffMatrix, WeightExpr, first_nonzero_quadratic, integer_coefficients, nullspace, solve_linear,
+    CoeffMatrix, WeightExpr, first_nonzero_quadratic, integer_coefficients, primitive, solve_linear,
 )
 from .aomoto import ClassReducer, FiberContext, Weights, validate_weights
 from .osalg import ExtElem, boundary, wedge, wedge_monomials
@@ -153,15 +153,17 @@ def generic_fiber(base: Arrangement) -> tuple[FiberContext, list[ProjForm]]:
     A component with a nonzero linear part is, along this curve, a nonzero
     polynomial of degree at most n in t, and one without (h0) is a nonzero
     constant in the chart; so the first t <= n * len(components) + 1 that
-    is a root of none of them is found without any retry.  The chart is
-    checked before the discriminant is computed.
+    is a root of none of them is found without any retry.  Each test is in
+    integers: the moving hyperplane's coefficients h, 1 at the chart's
+    coordinate, against the component's form.  The chart is checked before
+    the discriminant is computed.
     """
     chart = AffineChart.of(base)
     components = discriminant(base)
-    affine = [chart.affine(form) for form in components]
     for t in itertools.count(1):
-        point = tuple(Fraction(t**k) for k in range(1, base.n + 1))
-        if all(f.evaluate(point) != 0 for f in affine):
+        point = [t**k for k in range(1, base.n + 1)]
+        h = [*point[: chart.drop], 1, *point[chart.drop :]]
+        if all(form.evaluate(h) for form in components):
             return FiberContext(base, point), components
 
 
@@ -341,19 +343,38 @@ def flatness_check(connection: GMConnection, base: Arrangement) -> FlatnessRepor
     Each commutator is checked as a polynomial identity in the weights on
     the residues' coefficient matrices; the witness is its first nonzero
     entry, and ``base`` supplies n for its h-names.
+
+    Most residues have rank one, A = b c^T with c constant and b linear in
+    the weights (``_rank_one``).  On a flat of two such residues,
+    [A_p, A_q] = (c_p . b_q) b_p c_q^T - (c_q . b_p) b_q c_p^T, so the pair
+    commutes when both linear forms c_p . b_q and c_q . b_p vanish
+    identically.  On any other flat where at most one residue lacks rank-one
+    factors, [A_p, S_X] = b_p (c_p^T S_X) - (S_X b_p) c_p^T is tested for
+    every other member (``_commutes_with``), the one left out being
+    implied.  A flat that neither test certifies takes the full check in
+    member order, which names the witness.
     """
     comps = connection.components
     residues = integer_coefficients([c.residue for c in comps])
+    factors = [_rank_one(r) for r in residues]
     size = connection.size
     names = [f"h{i}" for i in range(base.n + 1)]
     for flat in _codim2_flats([c.form for c in comps]):
+        if len(flat) == 2 and _pair_commutes(factors[flat[0]], factors[flat[1]]):
+            continue
         total: CoeffMatrix = {}
         for q in flat:
             for s, rows in residues[q].items():
                 for acc, row in zip(total.setdefault(s, [{} for _ in rows]), rows):
                     for j, v in row.items():
                         acc[j] = acc.get(j, 0) + v
-        # the commutators with S_X sum to [S_X, S_X] = 0, so the last is implied
+        # the commutators with S_X sum to [S_X, S_X] = 0, so one of them is
+        # implied: the one member without rank-one factors, or the last
+        rank_one = [p for p in flat if factors[p] is not None]
+        if len(rank_one) >= len(flat) - 1 and all(
+            _commutes_with(factors[p], total) for p in rank_one[: len(flat) - 1]
+        ):
+            continue
         for p in flat[:-1]:
             entry = first_nonzero_quadratic(
                 [(1, residues[p], total), (-1, total, residues[p])], size
@@ -368,28 +389,102 @@ def flatness_check(connection: GMConnection, base: Arrangement) -> FlatnessRepor
     return FlatnessReport(True)
 
 
-def _codim2_flats(forms: Sequence[ProjForm]) -> list[tuple[int, ...]]:
-    """Rank-2 flats of the central arrangement of ``forms``, as index tuples.
+# A = b c^T as (c, {symbol k: b^(k)}), c sparse {column: value}, b^(k) sparse {row: value}
+RankOne = tuple[dict[int, int], dict[str, dict[int, int]]]
 
-    Each flat is the closure of a pair of (pairwise independent) forms: the
-    indices of every form in their span, which are the forms orthogonal to
-    the pair's kernel.  One kernel per flat, scaled to integers, and an
-    integer dot product per form decide it.
+
+def _rank_one(residue: CoeffMatrix) -> RankOne | None:
+    """The factors of A = sum_k a_k A^(k) when every nonzero row of every
+    A^(k) is a multiple of one row c; None otherwise (A = 0 included).
+
+    With j the first column of c, A^(k) = b^(k) c^T / c_j where b^(k) is
+    column j of A^(k); the factor 1/c_j is dropped, which keeps every
+    vanishing test exact and integral.
     """
-    flats: list[tuple[int, ...]] = []
-    covered: set[tuple[int, int]] = set()
-    for pair in itertools.combinations(range(len(forms)), 2):
-        if pair in covered:
-            continue
-        kernel = []
-        for v in nullspace([forms[i].coeffs for i in pair]):
-            scale = math.lcm(*(x.denominator for x in v))
-            kernel.append([x.numerator * (scale // x.denominator) for x in v])
-        flat = tuple(
-            r
-            for r, form in enumerate(forms)
-            if not any(sum(c * x for c, x in zip(form.coeffs, v)) for v in kernel)
-        )
-        flats.append(flat)
-        covered.update(itertools.combinations(flat, 2))
-    return flats
+    c: dict[int, int] | None = None
+    for rows in residue.values():
+        for row in rows:
+            if not row:
+                continue
+            if c is None:
+                c, j = row, min(row)
+            elif row.keys() != c.keys() or any(v * c[j] != c[t] * row[j] for t, v in row.items()):
+                return None
+    if c is None:
+        return None
+    b = {s: {r: row[j] for r, row in enumerate(rows) if row} for s, rows in residue.items()}
+    return c, b
+
+
+def _pair_commutes(p: RankOne | None, q: RankOne | None) -> bool:
+    """True when both residues have rank one and c_p . b_q and c_q . b_p
+    vanish identically, so that [A_p, A_q] = 0; False means undecided."""
+    if p is None or q is None:
+        return False
+    return all(
+        not sum(v * bk.get(t, 0) for t, v in c.items())
+        for (c, _), (_, b) in ((p, q), (q, p))
+        for bk in b.values()
+    )
+
+
+def _commutes_with(factor: RankOne, total: CoeffMatrix) -> bool:
+    """Whether A = b c^T of rank one commutes with S, as a polynomial identity.
+
+    [A, S] = b (c^T S) - (S b) c^T vanishes, b being nonzero, exactly when
+    c^T S = lambda c^T and S b = lambda b for one lambda linear in the
+    weights; with j the first column of c, lambda = (c^T S)_j / c_j.  Both
+    are checked per symbol and symbol pair, scaled by c_j to stay integral.
+    """
+    c, b = factor
+    j = min(c)
+    lam = {}  # symbol k -> c_j lambda^(k)
+    for k, rows in total.items():
+        u: dict[int, int] = {}
+        for t, ct in c.items():
+            for col, v in rows[t].items():
+                u[col] = u.get(col, 0) + ct * v
+        lam[k] = u.get(j, 0)
+        if any(u.get(t, 0) * c[j] != lam[k] * c.get(t, 0) for t in u.keys() | c.keys()):
+            return False
+    # the coefficient of a_k a_l in c_j (S b - lambda b), from S^(k) b^(l) and S^(l) b^(k)
+    acc: dict[tuple[str, str], dict[int, int]] = {}
+    support = set().union(*b.values())
+    for k, rows in total.items():
+        columns: dict[int, list[tuple[int, int]]] = {t: [] for t in support}
+        for r, row in enumerate(rows):
+            for t, v in row.items():
+                if t in support:
+                    columns[t].append((r, c[j] * v))
+        for l, bl in b.items():
+            target = acc.setdefault((k, l) if k <= l else (l, k), {})
+            for r, v in bl.items():
+                target[r] = target.get(r, 0) - lam[k] * v
+            for t, bt in bl.items():
+                for r, v in columns[t]:
+                    target[r] = target.get(r, 0) + v * bt
+    return not any(v for target in acc.values() for v in target.values())
+
+
+def _codim2_flats(forms: Sequence[ProjForm]) -> list[tuple[int, ...]]:
+    """Rank-2 flats of the central arrangement of ``forms``, as sorted index
+    tuples in lexicographic order.
+
+    The forms are pairwise independent, so the flats through form p are
+    the classes of the other forms modulo p: with k the first nonzero
+    coordinate of f_p, the integer map v -> f_p[k] v - v[k] f_p has kernel
+    the line of f_p, and two forms lie in one flat with p exactly when
+    their images are proportional, that is when the images agree once
+    made primitive.  Each flat is kept from its least member.
+    """
+    flats = []
+    for p, fp in enumerate(forms):
+        coeffs = fp.coeffs
+        k = next(i for i, x in enumerate(coeffs) if x)
+        classes: dict[tuple[int, ...], list[int]] = {}
+        for q, fq in enumerate(forms):
+            if q != p:
+                image = [coeffs[k] * x - fq.coeffs[k] * y for x, y in zip(fq.coeffs, coeffs)]
+                classes.setdefault(tuple(primitive(image)), []).append(q)
+        flats += [(p, *members) for members in classes.values() if members[0] > p]
+    return sorted(flats)

@@ -8,6 +8,12 @@ nbc p-set is a p-subset J of the finite indices such that {infinity} u J is
 independent and J contains no broken circuit.  With this convention the
 nbc n-sets index a basis of the top logarithmic forms (Bjorner's theorem)
 and of the relative cohomology bundle of the moving family.
+
+Everything is computed in integers.  The circuits are the fundamental
+circuits of the independent sets of at most n + 1 forms, found by one walk
+that carries the fraction-free (Bareiss) elimination of their rows and
+caches the rank of every set it meets, which is most of the ranks the nbc
+sets ask for.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arrangement import Arrangement
-from .exactnum import Rat, matrix_rank, nullspace, rat_to_str
+from .exactnum import Rat, bareiss_step, integer_kernel, matrix_rank, rat_to_str
 
 
 @dataclass(frozen=True)
@@ -77,6 +83,8 @@ class MatroidContext:
         return self._position[index]
 
     def rank_of(self, indices: tuple[int, ...]) -> int:
+        if self._circuits is None:
+            self._circuits = self._enumerate_circuits()
         cached = self._rank_cache.get(indices)
         if cached is None:
             cached = matrix_rank(self.arr.form_rows(indices)) if indices else 0
@@ -101,31 +109,43 @@ class MatroidContext:
         return self._circuits
 
     def _enumerate_circuits(self) -> list[Circuit]:
+        """Fundamental circuits of the independent sets, grown in index order.
+
+        Each independent set I of at most n + 1 forms carries the Bareiss
+        steps of its rows, each row augmented by a unit vector that tracks
+        it as a combination of the forms.  Extending I by e > max I reduces
+        the row of e through those steps: a nonzero form part makes I u e
+        independent, and a zero one leaves the unique relation of I u e,
+        which is a circuit when the relation uses every member.  A circuit
+        C is found once, from C - max C.  Every rank met on the way is
+        cached for ``rank_of``.
+        """
         arr = self.arr
-        max_size = min(arr.size, arr.n + 2)
+        width, size = arr.n + 1, arr.size
         circuits: list[Circuit] = []
-        supports: list[set[int]] = []
-        for size in range(2, max_size + 1):
-            for subset in itertools.combinations(range(arr.size), size):
-                sset = set(subset)
-                if any(known <= sset for known in supports):
+        # (independent set, Bareiss steps (row, pivot column) of its rows)
+        stack: list[tuple[tuple[int, ...], list[tuple[list[int], int]]]] = [((), [])]
+        while stack:
+            members, steps = stack.pop()
+            for e in range(members[-1] + 1 if members else 0, size):
+                row = [*arr.hyperplanes[e].coeffs, *(int(i == e) for i in range(size))]
+                prev = 1
+                for top, c in steps:
+                    row = bareiss_step(row, top, c, prev)
+                    prev = top[c]
+                subset = (*members, e)
+                pivot = next((c for c in range(width) if row[c]), None)
+                if pivot is not None:
+                    self._rank_cache[subset] = len(subset)
+                    stack.append((subset, [*steps, (row, pivot)]))
                     continue
-                if self.is_independent(subset):
-                    continue
-                kernel = nullspace(self._columns(subset))
-                assert len(kernel) == 1, "circuit must carry a unique dependency"
-                dep = _normalize_dependency(kernel[0])
-                circuits.append(
-                    Circuit(subset, dep, arr.infinity_index in subset)
-                )
-                supports.append(sset)
+                self._rank_cache[subset] = len(members)
+                relation = [row[width + i] for i in subset]
+                if all(relation):
+                    dependency = _normalize_dependency(relation)
+                    circuits.append(Circuit(subset, dependency, arr.infinity_index in subset))
         circuits.sort(key=lambda c: (len(c.support), c.support))
         return circuits
-
-    def _columns(self, subset: tuple[int, ...]) -> list[list[Fraction]]:
-        """Forms of ``subset`` as columns, so the kernel is the dependency space."""
-        rows = self.arr.form_rows(subset)
-        return [[rows[i][j] for i in range(len(subset))] for j in range(len(rows[0]))]
 
     # -- broken circuits and nbc sets --------------------------------------
 
@@ -169,9 +189,9 @@ class MatroidContext:
         ]
 
 
-def _normalize_dependency(vec: list[Fraction]) -> tuple[Fraction, ...]:
+def _normalize_dependency(vec: list[int]) -> tuple[Fraction, ...]:
     lead = next(x for x in vec if x != 0)
-    return tuple(x / lead for x in vec)
+    return tuple(Fraction(x, lead) for x in vec)
 
 
 def is_dependent(arr: Arrangement, indices: tuple[int, ...]) -> tuple[bool, tuple[Rat, ...] | None]:
@@ -182,11 +202,9 @@ def is_dependent(arr: Arrangement, indices: tuple[int, ...]) -> tuple[bool, tupl
     the relation space when the set is a circuit, and is any nonzero relation
     otherwise.
     """
-    ctx = MatroidContext(arr)
-    indices = tuple(sorted(indices))
-    if ctx.is_independent(indices):
+    kernel = integer_kernel(list(zip(*arr.form_rows(sorted(indices)))))
+    if not kernel:
         return False, None
-    kernel = nullspace(ctx._columns(indices))
     return True, _normalize_dependency(kernel[0])
 
 

@@ -89,7 +89,8 @@ def _quadratic_identity(a: Sequence[Sequence[Fraction]]) -> tuple[Fraction, Frac
     polynomial.  Otherwise the pair is unique: it is read off one
     off-diagonal entry and one diagonal entry of A^2, or off two distinct
     diagonal values of a diagonal A, and then checked on every entry.  The
-    work is in integers, on M = s A with s the common denominator.
+    work is in integers, on M = s A with s the common denominator: with
+    alpha = p / q in lowest terms for M, the check is q M^2 = p M + q beta I.
     """
     n = len(a)
     if any(len(row) != n for row in a):
@@ -103,17 +104,19 @@ def _quadratic_identity(a: Sequence[Sequence[Fraction]]) -> tuple[Fraction, Frac
         return 2 * c, -c * c
     square = [[sum(x * y for x, y in zip(row, col)) for col in zip(*m)] for row in m]
     if off is None:
-        alpha, beta = Fraction(diagonal[0] + diagonal[1]), Fraction(-diagonal[0] * diagonal[1])
+        p, q = diagonal[0] + diagonal[1], 1
+        qbeta = -diagonal[0] * diagonal[1]
     else:
         i, j = off
-        alpha = Fraction(square[i][j], m[i][j])
-        beta = square[i][i] - alpha * m[i][i]
+        g = math.gcd(square[i][j], m[i][j])
+        p, q = square[i][j] // g, m[i][j] // g
+        qbeta = q * square[i][i] - p * m[i][i]
     if any(
-        square[i][j] != alpha * m[i][j] + (beta if i == j else 0)
+        q * square[i][j] != p * m[i][j] + (qbeta if i == j else 0)
         for i in range(n) for j in range(n)
     ):
         raise ArrgmError("residue satisfies no quadratic identity A^2 = alpha A + beta I")
-    return alpha / s, beta / (s * s)
+    return Fraction(p, q * s), Fraction(qbeta, q * s * s)
 
 
 def monodromy(matrix: WeightMatrix, assignment: Mapping[str, Fraction]) -> MonodromyResult:

@@ -17,39 +17,44 @@ the corresponding circuit boundary; the substitutes are lexicographically
 smaller, so the rewriting terminates.  ``relation_basis`` returns the
 standard basis of the degree-p relation space: dependent monomials e_B plus
 boundaries d(e_{B u princ}) for independent non-nbc subsets B.
+
+The algebra is defined over Z, and the nbc monomials are a Z-basis of it
+(Bjorner, "On the homology of geometric lattices", 1982; Orlik-Terao,
+*Arrangements of Hyperplanes*, 1992): the eliminated monomial has
+coefficient +-1 in its circuit boundary, so every substitute is integral.
+Coefficients are kept as ``int`` and the normal form of an integer element
+is integral; ``Fraction`` coefficients are accepted as well and stay
+rational.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .arrangement import Arrangement
 from .exactnum import Rat, format_terms, rat_to_str
 from .matroid import MatroidContext
 
-QQ0 = Fraction(0)
-
 IndexTuple = tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class ExtElem:
-    """Exact linear combination of strictly increasing wedge monomials."""
+    """Exact linear combination of strictly increasing wedge monomials, with
+    ``int`` or ``Fraction`` coefficients."""
 
     terms: tuple[tuple[IndexTuple, Rat], ...]
 
     @staticmethod
     def make(terms: Mapping[IndexTuple, Rat | int]) -> "ExtElem":
-        clean: dict[IndexTuple, Fraction] = {}
+        clean: dict[IndexTuple, Rat | int] = {}
         for tup, c in terms.items():
-            c = Fraction(c)
             if c == 0:
                 continue
             if list(tup) != sorted(set(tup)):
                 raise ValueError(f"monomial index tuple {tup} is not strictly increasing")
-            clean[tuple(tup)] = clean.get(tuple(tup), QQ0) + c
+            clean[tuple(tup)] = clean.get(tuple(tup), 0) + c
         return ExtElem(tuple(sorted((t, c) for t, c in clean.items() if c != 0)))
 
     @staticmethod
@@ -58,32 +63,31 @@ class ExtElem:
 
     @staticmethod
     def monomial(indices: Iterable[int], coeff: Rat | int = 1) -> "ExtElem":
-        return ExtElem.make({tuple(sorted(indices)): Fraction(coeff)})
+        return ExtElem.make({tuple(sorted(indices)): coeff})
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, indices: IndexTuple) -> Rat:
+    def coefficient(self, indices: IndexTuple) -> Rat | int:
         for t, c in self.terms:
             if t == indices:
                 return c
-        return QQ0
+        return 0
 
     def __add__(self, other: "ExtElem") -> "ExtElem":
         acc = dict(self.terms)
         for t, c in other.terms:
-            acc[t] = acc.get(t, QQ0) + c
+            acc[t] = acc.get(t, 0) + c
         return ExtElem.make(acc)
 
     def __sub__(self, other: "ExtElem") -> "ExtElem":
         return self + other.scale(-1)
 
     def scale(self, factor: Rat | int) -> "ExtElem":
-        f = Fraction(factor)
-        if f == 0:
+        if factor == 0:
             return ExtElem.zero()
-        return ExtElem(tuple((t, c * f) for t, c in self.terms))
+        return ExtElem(tuple((t, c * factor) for t, c in self.terms))
 
     def to_json(self) -> dict:
         return {"terms": [{"idx": list(t), "c": rat_to_str(c)} for t, c in self.terms]}
@@ -111,28 +115,28 @@ def wedge_monomials(left: IndexTuple, right: IndexTuple) -> tuple[int, IndexTupl
 
 
 def wedge(a: ExtElem, b: ExtElem) -> ExtElem:
-    acc: dict[IndexTuple, Fraction] = {}
+    acc: dict[IndexTuple, Rat | int] = {}
     for t1, c1 in a.terms:
         for t2, c2 in b.terms:
             merged = wedge_monomials(t1, t2)
             if merged is None:
                 continue
             sign, tup = merged
-            acc[tup] = acc.get(tup, QQ0) + sign * c1 * c2
+            acc[tup] = acc.get(tup, 0) + sign * c1 * c2
     return ExtElem.make(acc)
 
 
 def boundary(e: ExtElem) -> ExtElem:
     """Alternating deletion sum: d(e_{t1..tp}) = sum_i (-1)^(i-1) e_{..ti hat..}.
 
-    Linear over Rat, satisfies d o d = 0, and kills the central-circuit
-    relations: d(e_C) = 0 holds as logarithmic forms for every circuit C.
+    Linear, satisfies d o d = 0, and kills the central-circuit relations:
+    d(e_C) = 0 holds as logarithmic forms for every circuit C.
     """
-    acc: dict[IndexTuple, Fraction] = {}
+    acc: dict[IndexTuple, Rat | int] = {}
     for tup, c in e.terms:
         for i in range(len(tup)):
             reduced = tup[:i] + tup[i + 1:]
-            acc[reduced] = acc.get(reduced, QQ0) + c * (-1) ** i
+            acc[reduced] = acc.get(reduced, 0) + c * (-1) ** i
     return ExtElem.make(acc)
 
 
@@ -170,36 +174,32 @@ class OSContext:
         if broken is None:
             return ExtElem.monomial(tup)
         # Solve d(e_C) = 0, C = broken u {princ}, for its lexicographically
-        # largest monomial e_broken, then wedge with the remaining factors.
+        # largest monomial e_broken, then wedge with the remaining factors;
+        # its coefficient in d(e_C) is +-1, so the substitute is integral.
         circuit = tuple(sorted(broken.support + (broken.princ,)))
         rest = tuple(i for i in tup if i not in broken.support)
         relation = boundary(ExtElem.monomial(circuit))
         lead = relation.coefficient(broken.support)
-        assert lead != 0, "broken circuit must appear in its circuit boundary"
-        substitute = (relation - ExtElem.monomial(broken.support, lead)).scale(
-            Fraction(-1) / lead
-        )
-        expanded = wedge(substitute, ExtElem.monomial(rest))
-        total = ExtElem.zero()
+        assert lead in (1, -1), "broken circuit must appear in its circuit boundary"
+        substitute = (relation - ExtElem.monomial(broken.support, lead)).scale(-lead)
         sign_fix = wedge(ExtElem.monomial(broken.support), ExtElem.monomial(rest))
         # e_tup equals sign * e_broken ^ e_rest; carry that sign through.
         sign = sign_fix.coefficient(tup)
         assert sign != 0
-        for sub_tup, c in expanded.terms:
-            total = total + self.normal_form_monomial(sub_tup).scale(c * sign)
-        return total
+        return self.normal_form(wedge(substitute, ExtElem.monomial(rest)).scale(sign))
 
     def normal_form(self, e: ExtElem) -> ExtElem:
         """Rewrite onto nbc monomials; exact, linear, idempotent."""
-        total = ExtElem.zero()
+        acc: dict[IndexTuple, Rat | int] = {}
         for tup, c in e.terms:
-            total = total + self.normal_form_monomial(tup).scale(c)
-        return total
+            for t, v in self.normal_form_monomial(tup).terms:
+                acc[t] = acc.get(t, 0) + c * v
+        return ExtElem.make(acc)
 
-    def nbc_coordinates(self, e: ExtElem, basis: list[IndexTuple]) -> list[Fraction]:
+    def nbc_coordinates(self, e: ExtElem, basis: list[IndexTuple]) -> list[Rat | int]:
         nf = self.normal_form(e)
         index = {t: i for i, t in enumerate(basis)}
-        coords = [QQ0] * len(basis)
+        coords: list[Rat | int] = [0] * len(basis)
         for tup, c in nf.terms:
             if tup not in index:
                 raise ValueError(f"normal form contains non-basis monomial {tup}")

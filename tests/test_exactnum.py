@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -14,7 +15,9 @@ from arrgm.exactnum import (
     determinant,
     first_nonzero_quadratic,
     integer_coefficients,
+    integer_kernel,
     matrix_rank,
+    nullspace,
     rat_from_str,
     rat_to_str,
     solve_linear,
@@ -191,6 +194,28 @@ class TestSolveRectangular:
         for k, vec in enumerate(result.kernel):
             assert mat_vec(m, vec) == [0] * rows
             assert [vec[c] for c in free] == [int(c == free[k]) for c in free]
+
+    @pytest.mark.parametrize("rows, cols, rank", [(3, 5, 2), (4, 4, 3), (2, 6, 2), (4, 2, 0)])
+    def test_integer_kernel_is_the_scaled_nullspace(self, rows, cols, rank):
+        """``nullspace`` and the lazily read kernel of a solve are one basis;
+        ``integer_kernel`` is each vector scaled to a primitive integer
+        vector with its first nonzero entry positive."""
+        sampler = RatSampler(1000 + 100 * rows + 10 * cols + rank)
+        left = [sampler.rational_vector(rank, 9, 5) for _ in range(rows)]
+        right = sparse_rational_matrix(sampler, rank, cols)
+        m = [
+            [sum((lrow[k] * right[k][j] for k in range(rank)), F(0)) for j in range(cols)]
+            for lrow in left
+        ]
+        basis = nullspace(m)
+        assert basis == solve_linear(m, []).kernel
+        integral = integer_kernel(m)
+        assert len(integral) == len(basis) == cols - rank
+        for vec, ints in zip(basis, integral):
+            assert all(type(x) is int for x in ints) and math.gcd(*ints) == 1
+            assert next(x for x in ints if x) > 0
+            lead = next(x for x in vec if x)
+            assert [x / lead for x in vec] == [F(x, next(y for y in ints if y)) for x in ints]
 
     def test_inconsistent_rectangular(self):
         m = [[1, 2, 3], [2, 4, 6]]

@@ -1,0 +1,197 @@
+"""The integral layers against brute force: circuits, codimension-2 flats,
+Orlik-Solomon normal forms, and flatness on rank-one factors."""
+
+from __future__ import annotations
+
+import itertools
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import example, given, settings
+
+from arrgm import gaussmanin
+from arrgm.arrangement import ProjForm, discriminant
+from arrgm.exactnum import (
+    WeightExpr, first_nonzero_quadratic, integer_coefficients, matrix_rank, nullspace,
+)
+from arrgm.fixtures import ceva
+from arrgm.gaussmanin import (
+    GMComponent, GMConnection, _codim2_flats, _commutes_with, _rank_one, flatness_check,
+)
+from arrgm.matroid import MatroidContext
+from arrgm.osalg import ExtElem, OSContext
+
+from reference_poly import poly_flatness_check
+from test_gaussmanin import (
+    SYMBOLIC_FAMILIES, generic, small_arrangements, symbolic_connection, with_entries_added,
+)
+
+
+def b3():
+    """The B3 reflection arrangement: the frame of P^2 and x_i +- x_j."""
+    return generic(2, [[1, 1, 0], [1, -1, 0], [1, 0, 1], [1, 0, -1], [0, 1, 1], [0, 1, -1]])
+
+
+def a4_braid():
+    """The A4 braid arrangement: the frame of P^3 and x_i - x_j."""
+    return generic(3, [[1, -1, 0, 0], [1, 0, -1, 0], [1, 0, 0, -1], [0, 1, -1, 0], [0, 1, 0, -1],
+                       [0, 0, 1, -1]])
+
+
+def brute_force_circuits(arr):
+    """Minimal dependent subsets by Bareiss ranks, with the normalized kernel
+    of their forms as columns."""
+    out = []
+    for size in range(1, min(arr.size, arr.n + 2) + 1):
+        for subset in itertools.combinations(range(arr.size), size):
+            if matrix_rank(arr.form_rows(subset)) == size:
+                continue
+            if any(
+                matrix_rank(arr.form_rows(smaller)) < size - 1
+                for smaller in itertools.combinations(subset, size - 1)
+            ):
+                continue
+            (kernel,) = nullspace([list(col) for col in zip(*arr.form_rows(subset))])
+            out.append((subset, tuple(x / kernel[0] for x in kernel), arr.infinity_index in subset))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(arr=small_arrangements())
+@example(arr=b3())
+@example(arr=a4_braid())
+@example(arr=ceva().arrangement)
+def test_circuits_are_the_minimal_dependent_subsets(arr):
+    """The fundamental circuits are every circuit once, with the kernel of
+    its forms as the dependency, and every rank the walk cached is exact."""
+    ctx = MatroidContext(arr)
+    found = [(c.support, c.dependency, c.contains_infinity) for c in ctx.circuits()]
+    assert found == brute_force_circuits(arr)
+    assert all(type(x) is F for c in ctx.circuits() for x in c.dependency)
+    for subset, rank in ctx._rank_cache.items():
+        assert rank == (matrix_rank(arr.form_rows(subset)) if subset else 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(arr=small_arrangements())
+@example(arr=b3())
+@example(arr=a4_braid())
+def test_codim2_flats_are_the_rank_two_closures(arr):
+    """The flats bucketed in integers are the closures of every pair, in
+    lexicographic order."""
+    forms = discriminant(arr)
+    closures = {
+        tuple(r for r, form in enumerate(forms)
+              if matrix_rank([forms[i].coeffs, forms[j].coeffs, form.coeffs]) == 2)
+        for i, j in itertools.combinations(range(len(forms)), 2)
+    }
+    assert _codim2_flats(forms) == sorted(closures)
+
+
+@settings(max_examples=30, deadline=None)
+@given(arr=small_arrangements())
+@example(arr=b3())
+@example(arr=a4_braid())
+def test_normal_forms_of_integer_elements_are_integral(arr):
+    """The nbc monomials are a Z-basis: every integer element has an
+    integer normal form, supported on the nbc sets."""
+    os_ctx = OSContext(arr)
+    finite = arr.finite_indices
+    for p in range(1, arr.n + 1):
+        monomials = list(itertools.combinations(finite, p))
+        element = ExtElem.make({t: 2 * k - 3 for k, t in enumerate(monomials)})
+        nbc = set(os_ctx.matroid.nbc_sets(p))
+        for e in (element, *(ExtElem.monomial(t) for t in monomials)):
+            form = os_ctx.normal_form(e)
+            assert all(type(c) is int for _, c in form.terms)
+            assert {t for t, _ in form.terms} <= nbc
+
+
+# ---------------------------------------------------------------------------
+# flatness on rank-one factors
+# ---------------------------------------------------------------------------
+
+def W(const=0, **coeffs):
+    return WeightExpr.make(F(const), {k: F(v) for k, v in coeffs.items()})
+
+
+def factors_of(conn):
+    """The rank-one factors of each residue of ``conn``, or None."""
+    return [_rank_one(r) for r in integer_coefficients([c.residue for c in conn.components])]
+
+
+def commuting_rank_one_pair(conn):
+    """A pair flat {p, q} of two rank-one residues of ``conn``."""
+    factors = factors_of(conn)
+    flats = _codim2_flats([c.form for c in conn.components])
+    return next(f for f in flats if len(f) == 2 and None not in (factors[f[0]], factors[f[1]]))
+
+
+@pytest.mark.parametrize("name", ["example1", "p2-6"])
+def test_rank_one_pair_made_non_commuting_fails_as_the_oracle(name):
+    """A_p + a1 e_r c_p^T keeps rank one, and with c_q[r] != 0 the pair
+    {p, q} no longer commutes; the witness is that of the polynomial oracle."""
+    conn, base = symbolic_connection(name), SYMBOLIC_FAMILIES[name]().base
+    p, q = commuting_rank_one_pair(conn)
+    factors = factors_of(conn)
+    (c_p, _), (c_q, _) = factors[p], factors[q]
+    r = min(c_q)
+    bad = with_entries_added(conn, {p: {(r, j): W(a1=v) for j, v in c_p.items()}})
+    assert _rank_one(integer_coefficients([bad.components[p].residue])[0]) is not None
+    report = flatness_check(bad, base)
+    assert not report.ok
+    assert report == poly_flatness_check(bad, base)
+
+
+def test_commuting_rank_one_pair_makes_no_quadratic_check(monkeypatch):
+    """Two rank-one residues b c^T with c_p . b_q = c_q . b_p = 0 form the
+    one flat of P^1; the pair test certifies it without expanding."""
+    calls = []
+    monkeypatch.setattr(gaussmanin, "first_nonzero_quadratic", lambda *a: calls.append(a))
+    zero = W()
+    conn = GMConnection(
+        ((1,), (2,)),
+        (
+            GMComponent(ProjForm.make([0, 1]), ((W(a1=1), W(a1=2)), (zero, zero))),
+            GMComponent(ProjForm.make([1, 0]), ((zero, W(ah=-2)), (zero, W(ah=1)))),
+        ),
+        (1, 2),
+    )
+    base = generic(1, [[1, 1]])
+    assert flatness_check(conn, base).ok
+    assert poly_flatness_check(conn, base).ok
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", ["example1", "p2-6", "p3-6"])
+def test_generic_connections_need_no_quadratic_check(monkeypatch, name):
+    """On these connections every flat is certified by rank-one factors."""
+    calls = []
+    monkeypatch.setattr(gaussmanin, "first_nonzero_quadratic", lambda *a: calls.append(a))
+    assert flatness_check(symbolic_connection(name), SYMBOLIC_FAMILIES[name]().base).ok
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", ["example1", "ceva", "p2-6"])
+@pytest.mark.parametrize("delta", [W(1), W(a1=1, ah=-2)], ids=["one", "a1-2ah"])
+@pytest.mark.parametrize("moved", ["none", "entry", "scalar"])
+def test_rank_one_commutator_test_is_exact(name, delta, moved):
+    """For every flat X and rank-one A_p in it, ``_commutes_with`` agrees
+    with the expanded [A_p, S_X]: as computed, with delta added to the last
+    row's first entry of S_X (which commutes with some A_p on p2-6 and with
+    none elsewhere), or with delta I added (which commutes with all)."""
+    conn = symbolic_connection(name)
+    factors = factors_of(conn)
+    size = conn.size
+    for flat in _codim2_flats([c.form for c in conn.components]):
+        s_x = [
+            [sum((conn.components[q].residue[i][j] for q in flat), W()) for j in range(size)]
+            for i in range(size)
+        ]
+        entries = {"none": [], "entry": [(size - 1, 0)], "scalar": [(i, i) for i in range(size)]}
+        for i, j in entries[moved]:
+            s_x[i][j] = s_x[i][j] + delta
+        for p in (p for p in flat if factors[p] is not None):
+            a_p, total = integer_coefficients([conn.components[p].residue, s_x])
+            expected = first_nonzero_quadratic([(1, a_p, total), (-1, total, a_p)], size) is None
+            assert _commutes_with(_rank_one(a_p), total) is expected

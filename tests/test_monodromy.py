@@ -13,7 +13,8 @@ from arrgm.errors import ArrgmError, ResonantResidueError, UnknownComponentError
 from arrgm.exactnum import WeightExpr
 from arrgm.fixtures import ceva, example1
 from arrgm.gaussmanin import MovingFamily, gm_matrix
-from arrgm.monodromy import monodromy, projector_structure, residue_of
+from arrgm.monodromy import _quadratic_identity, monodromy, projector_structure, residue_of
+from _sampling import RatSampler
 from reference_expm import expm_reference, max_gap
 from reference_full import _weight_settings
 from reference_poly import poly_projector_structure
@@ -227,3 +228,15 @@ class TestClosedFormEdgeCases:
         with pytest.raises(ArrgmError) as info:
             monodromy(a, {})
         assert not isinstance(info.value, ResonantResidueError)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_quadratic_identity_of_rank_one_plus_scalar(self, seed):
+        """A = u v^T + c I has A^2 = alpha A + beta I with alpha = v.u + 2c
+        and beta = -c (v.u) - c^2, found in integers on any rational A."""
+        sampler = RatSampler(seed)
+        size = 2 + seed % 3
+        u, v = (sampler.rational_vector(size, 7, 5) for _ in range(2))
+        c = sampler.rational(7, 5) * (seed % 2)
+        a = [[u[i] * v[j] + (c if i == j else 0) for j in range(size)] for i in range(size)]
+        dot = sum(x * y for x, y in zip(u, v))
+        assert _quadratic_identity(a) == (dot + 2 * c, -c * dot - c * c)
