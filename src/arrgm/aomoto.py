@@ -14,8 +14,10 @@ degree with the nbc monomials of the fixed arrangement as a basis.
   batch of top-degree elements per weight symbol.
 * ``cohomology_dims`` -- the twisted cohomology dimensions from exact ranks.
 
-All computation is over exact rationals; the moving hyperplane is always
-specialized at a rational parameter point off the discriminant.  There the
+All computation is exact, in integers wherever the data are integral
+(the symbolic class solve is integral throughout) and over rationals
+otherwise; the moving hyperplane is always specialized at a rational
+parameter point off the discriminant.  There the
 combinatorics of the fiber (matroid, Orlik-Solomon normal forms, nbc lists)
 does not depend on the point, so a class reduction computed in one such
 fiber holds in all of them.  ``gaussmanin.gm_matrix`` builds one such fiber
@@ -26,6 +28,7 @@ there.  The paper's partial-fraction reduction of rational forms lives in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -34,12 +37,11 @@ from .arrangement import AffineChart, AffineForm, Arrangement, bad_loci, validat
 from .errors import (
     InconsistentSystemError, NonlinearFitError, ResonantWeightsError, SampleRejectedError,
 )
-from .exactnum import Rat, matrix_rank, solve_linear, weight_symbols
+from .exactnum import Rat, exact_quotient, matrix_rank, solve_linear, weight_symbols
 from .matroid import MatroidContext
 from .osalg import ExtElem, OSContext, wedge_monomials
 
 QQ0 = Fraction(0)
-QQ1 = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -230,15 +232,21 @@ class ClassReducer:
     J runs over ``fiber.fixed_nbc()``, the top nbc sets without the moving
     index s.  Each c_J sits in its own row alone, so xi solves the rows
     through s and c = g_fix - (omega ^ xi)_fix.  ``blocks`` lists pairs
-    (symbol, a), a the weight of each hyperplane index, infinity included:
-    one block "1" at numeric weights; with ``weights`` None, one block per
-    symbol a1..am, ah, weighing its hyperplane 1 and infinity -1 (a0 is
-    minus the others).  The weights are then indeterminates, as in the
-    Aomoto complex over the weight ring (Cohen-Orlik): sum_k a_k g_k has the
-    class sum_k a_k c_k when one xi free of the weights solves
-    g_k = c_k + omega_k ^ xi for every k, so the rows of all blocks make one
-    exact solve.  The system depends only on the fiber's combinatorics, so
-    it also reduces the dlog forms of any other fiber off the discriminant.
+    (symbol, a), a an integer weight of each hyperplane index, infinity
+    included.  With ``weights`` None there is one block per symbol a1..am,
+    ah, weighing its hyperplane 1 and infinity -1 (a0 is minus the others).
+    At numeric weights there is one block "1", weighing each hyperplane by
+    D a_i, D (``denominator``) the common denominator of the weights; D is
+    1 when symbolic.  The numeric system is D times the one at the weights
+    and its xi 1/D times theirs, so the class of a given element does not
+    change; an image built from the block's weights is D times the image
+    at the weights, and so is its class.  With the weights as
+    indeterminates, as in the Aomoto complex over the weight ring
+    (Cohen-Orlik), sum_k a_k g_k has the class sum_k a_k c_k when one xi
+    free of the weights solves g_k = c_k + omega_k ^ xi for every k, so the
+    rows of all blocks make one exact solve.  The system depends only on
+    the fiber's combinatorics, so it also reduces the dlog forms of any
+    other fiber off the discriminant.
     An inconsistent system raises :class:`NonlinearFitError` when symbolic
     (the classes are not linear in the weights) and
     :class:`SampleRejectedError` at numeric weights (resonance, or a
@@ -254,40 +262,52 @@ class ClassReducer:
         if weights is None:
             indices = [*fiber.weight_symbol_order(), s]
             symbols = weight_symbols(len(indices) - 1)
-            self.blocks = [(symbol, {i: QQ1, inf: -QQ1}) for symbol, i in zip(symbols, indices)]
+            self.denominator = 1
+            self.blocks = [(symbol, {i: 1, inf: -1}) for symbol, i in zip(symbols, indices)]
         else:
-            self.blocks = [("1", {**dict(fiber.omega_terms(weights)), inf: weights.a0})]
+            a = {**dict(fiber.omega_terms(weights)), inf: weights.a0}
+            self.denominator = math.lcm(*(v.denominator for v in a.values()))
+            self.blocks = [
+                ("1", {i: v.numerator * (self.denominator // v.denominator) for i, v in a.items()})
+            ]
         top = fiber.nbc(n)
         self._moving_rows = [r for r, t in enumerate(top) if s in t]
         self._fixed_rows = [r for r, t in enumerate(top) if s not in t]
         # omega of each block as sparse rows {r: {col: value}}
-        self._omega: list[dict[int, dict[int, Fraction]]] = []
+        omegas: list[dict[int, dict[int, int]]] = []
         for _, a in self.blocks:
-            omega: dict[int, dict[int, Fraction]] = {}
+            omega: dict[int, dict[int, int]] = {}
             for r, col, i, c in fiber.wedge_terms(n):
                 if i in a:
                     row = omega.setdefault(r, {})
-                    row[col] = row.get(col, QQ0) + c * a[i]
-            self._omega.append(omega)
+                    row[col] = row.get(col, 0) + c * a[i]
+            omegas.append(omega)
         ncols = len(fiber.nbc(n - 1))
         self.rows = [
-            [omega.get(r, {}).get(col, QQ0) for col in range(ncols)]
-            for omega in self._omega
+            [omega.get(r, {}).get(col, 0) for col in range(ncols)]
+            for omega in omegas
             for r in self._moving_rows
+        ]
+        # per block, the terms (col, value) of omega on each fixed row
+        self._fixed_omega = [
+            [list(omega.get(r, {}).items()) for r in self._fixed_rows] for omega in omegas
         ]
 
     def reduce_batch(
-        self, elems: Sequence[Mapping[str, ExtElem | list[Fraction]]]
-    ) -> list[dict[int, dict[str, Fraction]]]:
+        self, elems: Sequence[Mapping[str, ExtElem | list[Rat | int]]]
+    ) -> list[dict[int, dict[str, Rat | int]]]:
         """The classes of top-degree elements as sparse entries {i: {symbol: c}}
         on ``fiber.fixed_nbc()[i]``.  Each element maps block symbols to its
         part g_k, an ``ExtElem`` or its coordinates over ``fiber.nbc(n)``; a
-        missing symbol is a zero part."""
+        missing symbol is a zero part.  With xi = y / q from the solve,
+        c = (q g - omega y) / q is formed in integers when g is integral and
+        divided once: c is an ``int`` when q divides it, else a ``Fraction``."""
         top = self.fiber.nbc(self.fiber.n)
+        zero = [0] * len(top)
         parts = [
             [
                 self.fiber.os.nbc_coordinates(g, top) if isinstance(g, ExtElem) else g
-                for g in (elem.get(symbol) or [QQ0] * len(top) for symbol, _ in self.blocks)
+                for g in (elem.get(symbol) or zero for symbol, _ in self.blocks)
             ]
             for elem in elems
         ]
@@ -301,13 +321,12 @@ class ClassReducer:
                 "resonance or discriminant sample: class reduction inconsistent"
             ) from exc
         out = []
-        for elem, xi in zip(parts, solution.solutions):
-            column: dict[int, dict[str, Fraction]] = {}
-            for (symbol, _), g, omega in zip(self.blocks, elem, self._omega):
-                for i, r in enumerate(self._fixed_rows):
-                    terms = omega.get(r, {}).items()
-                    if c := g[r] - sum((v * xi[col] for col, v in terms), QQ0):
-                        column.setdefault(i, {})[symbol] = c
+        for elem, (q, y) in zip(parts, solution.scaled_solutions):
+            column: dict[int, dict[str, Rat | int]] = {}
+            for (symbol, _), g, fixed in zip(self.blocks, elem, self._fixed_omega):
+                for i, (r, terms) in enumerate(zip(self._fixed_rows, fixed)):
+                    if c := q * g[r] - sum(v * y[col] for col, v in terms):
+                        column.setdefault(i, {})[symbol] = exact_quotient(c, q)
             out.append(column)
         return out
 

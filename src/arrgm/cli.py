@@ -210,7 +210,10 @@ def cmd_gauss_manin(args) -> int:
     arr = load_arrangement(args.arrangement)
     weights = load_weights(args.weights, arr)
     conn = gm_matrix(MovingFamily(arr, weights))
-    _emit(args, conn.to_json(), _connection_text(conn, arr.n))
+    if args.format == "json":
+        _emit(args, conn.to_json(), "")
+    else:
+        _emit(args, {}, _connection_text(conn, arr.n))
     return EXIT_OK
 
 

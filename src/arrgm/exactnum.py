@@ -17,9 +17,13 @@ provides
   elimination, one ``bareiss_step`` per row and pivot.
   The back substitution is fraction-free too (with d the last pivot, d x
   is integral), so a solve returns particular solutions and, when read, a
-  kernel basis, or reports the failing row of an inconsistent system; the
-  kernel is d x over d, or made primitive in integers; and the
-  determinant is the signed last pivot over the row scales.
+  kernel basis, or reports the failing row of an inconsistent system.
+  Both are integer vectors over one integer each, so a caller can stay in
+  integers; their ``Fraction`` forms are built only when read.  The kernel
+  is d x over d, or made primitive in integers; the determinant is the
+  signed last pivot over the row scales.
+* ``exact_quotient`` -- a / b as an ``int`` when b divides a, else a
+  ``Fraction``: the one division at the end of an integral computation.
 
 ``format_terms`` renders every signed sum of terms the package prints.
 The only floating point is ``complex_to_str_pair``, which serializes the
@@ -205,18 +209,43 @@ Vector = list[Fraction]
 class LinearSolution:
     """Result of an exact solve: one solution per right-hand side plus a kernel basis.
 
-    The kernel is back-substituted when it is first read, so a caller that
-    keeps only the particular solutions does not pay for it.
+    The fraction-free elimination yields both in integers.
+    ``scaled_solutions`` holds one pair (q, y) per right-hand side, q a
+    nonzero integer and y an integer vector with x = y / q: q is d times
+    the right-hand side's scale, d the last Bareiss pivot.
+    ``scaled_kernel`` is (d, [d v for each kernel vector v]).
+    ``solutions`` and ``kernel`` are the same vectors with ``Fraction``
+    entries, built when first read; the kernel is back-substituted only
+    when it, scaled or not, is first read, so a caller that keeps only the
+    particular solutions does not pay for it.
     """
 
-    solutions: list[Vector]
+    scaled_solutions: list[tuple[int, list[int]]]
     rank: int
     pivot_cols: list[int]
-    _kernel: Callable[[], list[Vector]] = field(repr=False, compare=False)
+    _kernel: Callable[[], tuple[int, list[list[int]]]] = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def solutions(self) -> list[Vector]:
+        return [[Fraction(v, q) for v in y] for q, y in self.scaled_solutions]
+
+    @functools.cached_property
+    def scaled_kernel(self) -> tuple[int, list[list[int]]]:
+        return self._kernel()
 
     @functools.cached_property
     def kernel(self) -> list[Vector]:
-        return self._kernel()
+        d, vectors = self.scaled_kernel
+        return [[Fraction(v, d) for v in y] for y in vectors]
+
+
+def exact_quotient(a: Rat | int, b: int) -> Rat | int:
+    """a / b exactly: an ``int`` when a is one and b divides it, else a ``Fraction``."""
+    if type(a) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    return Fraction(a, b)
 
 
 def _integer_rows(rows: Iterable[Sequence[Rat | int]]) -> tuple[list[list[int]], list[int]]:
@@ -329,7 +358,8 @@ def solve_linear(
     Entries are ``int`` or ``Fraction``.  Elimination is fraction-free
     (Bareiss) on the integer-cleared augmented matrix, and so is the back
     substitution: with d the last pivot, d x is integral by Cramer's rule,
-    so every step divides exactly and each entry is one ``Fraction(y, d)``.
+    so every step divides exactly, and each solution is an integer vector
+    over one integer (``LinearSolution.scaled_solutions``).
     The coefficient rows are cleared row by row and each right-hand side by
     its own common denominator, so right-hand sides with unrelated
     denominators do not inflate the coefficient rows.
@@ -346,7 +376,7 @@ def solve_linear(
         if len(b) != nrows:
             raise ValueError("right-hand side length does not match row count")
     if not nrows:
-        return LinearSolution([[] for _ in rhs_list], 0, [], list)
+        return LinearSolution([(1, []) for _ in rhs_list], 0, [], lambda: (1, []))
 
     ech, row_scales = _integer_rows(matrix)
     rhs_ints, rhs_scales = _integer_rows(rhs_list)
@@ -362,14 +392,11 @@ def solve_linear(
 
     d, substitute = _back_substitution(ech, pivots, ncols)
     solutions = [
-        [Fraction(v, d * scale) for v in substitute([0] * ncols, ncols + k)]
-        for k, scale in enumerate(rhs_scales)
+        (d * scale, substitute([0] * ncols, ncols + k)) for k, scale in enumerate(rhs_scales)
     ]
-
-    def kernel() -> list[Vector]:
-        return [[Fraction(v, d) for v in y] for y in _kernel_columns(ncols, pivots, d, substitute)]
-
-    return LinearSolution(solutions, rank, pivots, kernel)
+    return LinearSolution(
+        solutions, rank, pivots, lambda: (d, _kernel_columns(ncols, pivots, d, substitute))
+    )
 
 
 def determinant(matrix: Sequence[Sequence[Rat | int]]) -> Rat:

@@ -20,16 +20,20 @@ the sum of all the others.
 Every residue is homogeneous linear in the weights, A_X = sum_k a_k A_X^(k)
 with a0 eliminated.  The image of e_J is linear in eta_{J,P}, so with
 {J_r} a basis of the span of the local lifts of a component, found by one
-exact elimination, A_X e_J = sum_r c_{J,r} A_X e_{J_r} with rational c
-that does not depend on the weights: sum_X rank A_X basis columns carry
-every residue.  ``gm_matrix`` builds once per call the fiber, the c, the
-nbc coordinates of the basis columns' pieces and the wedge-with-omega
-terms of the class solve.  With the weights as indeterminates the image of
+exact elimination, A_X e_J = sum_r c_{J,r} A_X e_{J_r} with c that does
+not depend on the weights, an integer where the elimination's integral
+kernel makes it one: sum_X rank A_X basis columns carry every residue.
+``gm_matrix`` builds once per call the fiber, the c, the nbc coordinates
+of the basis columns' pieces and the wedge-with-omega terms of the class
+solve.  With the weights as indeterminates the image of
 a basis column is sum_k a_k g_k, and one class solve with a weight-free
 xi (``aomoto.ClassReducer``) gives every A_X^(k) of the basis columns at
 once; its consistency certifies that they are linear in the weights.  At
-numeric weights the same solve has one block.  Every column is expanded
-from the basis columns.
+numeric weights the same solve has one block, weighed by the weights times
+their common denominator D.  Every column is expanded from the basis
+columns.  Stencils, images, classes and expansions stay integers wherever
+their values are (on every symbolic input tried); each output coefficient
+is one ``Fraction``, divided by D.
 
 ``flatness_check`` verifies integrability exactly and completely by Kohno's
 codimension-2 criterion: for every rank-2 flat X of the components and every
@@ -57,7 +61,8 @@ from .arrangement import (
 )
 from .errors import ArrgmError, ResonantWeightsError
 from .exactnum import (
-    CoeffMatrix, WeightExpr, first_nonzero_quadratic, integer_coefficients, primitive, solve_linear,
+    CoeffMatrix, Rat, WeightExpr, exact_quotient, first_nonzero_quadratic, integer_coefficients,
+    primitive, solve_linear,
 )
 from .aomoto import ClassReducer, FiberContext, Weights, validate_weights
 from .osalg import ExtElem, boundary, wedge, wedge_monomials
@@ -130,12 +135,22 @@ class GMConnection:
         ]
 
     def to_json(self) -> dict:
+        """The basis and every component's form and residue entries.
+
+        Each distinct ``WeightExpr`` is rendered once per call: equal
+        entries share one dict, so a caller that edits an entry of the
+        result edits every equal entry with it.
+        """
+        rendered: dict[WeightExpr, dict] = {}
         return {
             "basis": [list(b) for b in self.basis],
             "components": [
                 {
                     "form": comp.form.to_json(),
-                    "residue": [[e.to_json() for e in row] for row in comp.residue],
+                    "residue": [
+                        [rendered.get(e) or rendered.setdefault(e, e.to_json()) for e in row]
+                        for row in comp.residue
+                    ],
                 }
                 for comp in self.components
             ],
@@ -178,7 +193,8 @@ def gm_matrix(family: MovingFamily) -> GMConnection:
     ``_residue_stencils`` are built once; each stencil is evaluated once per
     weight block of the class solve (one per symbol, or one at numeric
     weights), one ``reduce_batch`` call reduces them all, and ``_assemble``
-    expands the lifted columns and appends the derived h0 component.
+    expands the lifted columns, divides by the reducer's denominator and
+    appends the derived h0 component.
     """
     base = family.base
     chart = AffineChart.of(base)
@@ -205,12 +221,13 @@ def gm_matrix(family: MovingFamily) -> GMConnection:
     for stencil in stencils:
         blocks = {}
         for symbol, a in reducer.blocks:
-            image = blocks[symbol] = [QQ0] * len(fiber.nbc(base.n))
+            image = blocks[symbol] = [0] * len(fiber.nbc(base.n))
             for t, i, c in stencil:
                 if i in a:
                     image[t] += c * a[i]
         images.append(blocks)
-    return _assemble(family, basis, forms, h0, reducer.reduce_batch(images), expansions)
+    lifted = reducer.reduce_batch(images)
+    return _assemble(family, basis, forms, h0, lifted, expansions, reducer.denominator)
 
 
 def _assemble(
@@ -218,31 +235,34 @@ def _assemble(
     basis: Sequence[tuple[int, ...]],
     forms: Sequence[ProjForm],
     h0: ProjForm,
-    lifted: list[dict[int, dict[str, Fraction]]],
-    expansions: list[list[list[tuple[int, Fraction]]]],
+    lifted: list[dict[int, dict[str, Rat | int]]],
+    expansions: list[list[list[tuple[int, Rat | int]]]],
+    denominator: int = 1,
 ) -> GMConnection:
     """The connection from lifted columns and the expansions of ``forms``.
 
-    ``lifted[k]`` holds column k as sparse entries {row: {symbol:
-    coefficient}}, symbol "1" at numeric weights, and column j of the
-    residue along ``forms[p]`` is the sum of c times column k over the
-    pairs (k, c) of ``expansions[p][j]``.  Components are put in canonical
-    form order, and the h0 residue, minus the sum of the others, goes last.
+    ``lifted[k]`` holds ``denominator`` times column k as sparse entries
+    {row: {symbol: coefficient}}, symbol "1" at numeric weights, and column
+    j of the residue along ``forms[p]`` is the sum of c times column k over
+    the pairs (k, c) of ``expansions[p][j]``.  Components are put in
+    canonical form order, and the h0 residue, minus the sum of the others,
+    goes last.
     """
     nbasis = len(basis)
     comps = [
-        GMComponent(form, _weight_matrix(_expand(lifted, expansion), nbasis))
+        GMComponent(form, _weight_matrix(_expand(lifted, expansion), nbasis, denominator))
         for form, expansion in zip(forms, expansions)
     ]
     comps.sort(key=lambda c: c.form.coeffs)
     h0_expansion = [[(k, -c) for e in expansions for k, c in e[j]] for j in range(nbasis)]
-    comps.append(GMComponent(h0, _weight_matrix(_expand(lifted, h0_expansion), nbasis)))
+    h0_entries = _expand(lifted, h0_expansion)
+    comps.append(GMComponent(h0, _weight_matrix(h0_entries, nbasis, denominator)))
     return GMConnection(tuple(basis), tuple(comps), tuple(family.base.finite_indices))
 
 
 def _residue_stencils(
     fiber: FiberContext, forms: Sequence[ProjForm]
-) -> tuple[list[list[list[tuple[int, Fraction]]]], list[list[tuple[int, int, Fraction]]]]:
+) -> tuple[list[list[list[tuple[int, Rat | int]]]], list[list[tuple[int, int, Rat | int]]]]:
     """Per form, the expansion of its residue columns; per basis column, its stencil.
 
     For the component of the point P, S_X holds the hyperplanes through P,
@@ -253,7 +273,9 @@ def _residue_stencils(
 
     and B = A_X satisfies B^2 = lambda_X B, as d omega_X = lambda_X and
     d^2 = 0.  The pivot columns {J_r} of one exact elimination over the
-    local lifts give eta_{J,P} = sum_r c_{J,r} eta_{J_r,P}.  The expansion
+    local lifts give eta_{J,P} = sum_r c_{J,r} eta_{J_r,P}, with
+    c_{J,r} = -y_r / d read from the elimination's integral kernel
+    (d, y = d v): an ``int`` when d divides y_r.  The expansion
     of (form, J) lists the pairs (k, c_{J,r}), k the index of J_r among the
     basis columns of all forms, and the stencil of a basis column the
     triples (t, i, c), c the coordinate on ``fiber.nbc(n)[t]`` of its piece
@@ -271,11 +293,15 @@ def _residue_stencils(
         monomials = sorted(set().union(*local))
         solution = solve_linear([[eta.get(t, 0) for eta in local] for t in monomials])
         pivots = solution.pivot_cols
-        free = dict(zip([j for j in range(len(basis)) if j not in pivots], solution.kernel))
-        # local_j = -sum_r v[J_r] local_{J_r}, v the kernel vector of a free column j
+        d, kernel = solution.scaled_kernel
+        free = dict(zip([j for j in range(len(basis)) if j not in pivots], kernel))
+        # local_j = -sum_r (y[J_r] / d) local_{J_r}, y = d v for the kernel vector v of column j
         expansions.append([
             [(len(stencils) + pivots.index(j), 1)] if j in pivots else
-            [(len(stencils) + r, -free[j][col]) for r, col in enumerate(pivots) if free[j][col]]
+            [
+                (len(stencils) + r, exact_quotient(-free[j][col], d))
+                for r, col in enumerate(pivots) if free[j][col]
+            ]
             for j in range(len(basis))
         ])
         for col in pivots:
@@ -294,28 +320,31 @@ def _residue_stencils(
 
 
 def _expand(
-    lifted: list[dict[int, dict[str, Fraction]]], expansion: list[list[tuple[int, Fraction]]]
-) -> dict[tuple[int, int], dict[str, Fraction]]:
+    lifted: list[dict[int, dict[str, Rat | int]]], expansion: list[list[tuple[int, Rat | int]]]
+) -> dict[tuple[int, int], dict[str, Rat | int]]:
     """Entries {(i, j): {symbol: coefficient}} of the matrix whose column j is
     the sum of c times lifted column k over the pairs (k, c) of ``expansion[j]``."""
-    entries: dict[tuple[int, int], dict[str, Fraction]] = {}
+    entries: dict[tuple[int, int], dict[str, Rat | int]] = {}
     for j, terms in enumerate(expansion):
         for k, c in terms:
             for i, coeffs in lifted[k].items():
                 target = entries.setdefault((i, j), {})
                 for s, v in coeffs.items():
-                    target[s] = target.get(s, QQ0) + c * v
+                    target[s] = target.get(s, 0) + c * v
     return entries
 
 
 def _weight_matrix(
-    entries: dict[tuple[int, int], dict[str, Fraction]], size: int
+    entries: dict[tuple[int, int], dict[str, Rat | int]], size: int, denominator: int = 1
 ) -> tuple[tuple[WeightExpr, ...], ...]:
-    """The ``WeightExpr`` matrix of sparse entries ("1" is the constant part)."""
+    """The ``WeightExpr`` matrix of sparse entries ("1" is the constant part),
+    each coefficient divided by ``denominator``: one ``Fraction`` per term."""
     rows = [[WeightExpr(QQ0, ())] * size for _ in range(size)]
     for (i, j), coeffs in entries.items():
-        terms = tuple(sorted((s, c) for s, c in coeffs.items() if c and s != "1"))
-        rows[i][j] = WeightExpr(Fraction(coeffs.get("1", 0)), terms)
+        terms = tuple(
+            sorted((s, Fraction(c, denominator)) for s, c in coeffs.items() if c and s != "1")
+        )
+        rows[i][j] = WeightExpr(Fraction(coeffs.get("1", 0), denominator), terms)
     return tuple(tuple(row) for row in rows)
 
 

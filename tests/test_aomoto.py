@@ -277,6 +277,21 @@ class TestClassReduction:
         c1, c2 = reduce_at(fiber, w, [g1, g2])
         assert lhs == [F(3, 2) * a - 2 * b for a, b in zip(c1, c2)]
 
+    def test_numeric_block_weighs_by_the_common_denominator(self):
+        """a1 = 1/3 and ah = -1/5 give a0 = -2/15 and D = 15: the block is
+        integral, the class of e_s is still -a1/ah = 5/3, exact although
+        q does not divide it, and the class of D e_s is the int 25."""
+        fiber = point_line()
+        reducer = ClassReducer(fiber, Weights.make({1: F(1, 3)}, F(-1, 5)))
+        s, inf = fiber.moving_index, fiber.arr.infinity_index
+        assert reducer.denominator == 15
+        assert reducer.blocks == [("1", {1: 5, s: -3, inf: -2})]
+        e_s = ExtElem.monomial((s,))
+        [column] = reducer.reduce_batch([{"1": e_s}])
+        assert column == {0: {"1": F(5, 3)}} and type(column[0]["1"]) is F
+        [scaled] = reducer.reduce_batch([{"1": e_s.scale(15)}])
+        assert scaled == {0: {"1": 25}} and type(scaled[0]["1"]) is int
+
     def test_symbolic_class_of_the_moving_point(self):
         # ah e_s = -a1 e_1 + omega ^ 1 for all weights
         fiber = point_line()

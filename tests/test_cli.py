@@ -6,6 +6,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -84,6 +85,27 @@ def test_gauss_manin_reproducible(tmp_path: Path):
 def test_gauss_manin_text_brackets():
     proc = run_cli("gauss-manin", "--arrangement", "example1", "--format", "text")
     assert "[d(h1)/(h1) - d(h0)/(h0)]" in proc.stdout
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_gauss_manin_renders_only_the_requested_format(monkeypatch, capsys, fmt):
+    """The connection is rendered once, in the format asked for."""
+    calls = Counter()
+
+    def counting(owner, name):
+        real = getattr(owner, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counting(cli, "_connection_text")
+    counting(gaussmanin.GMConnection, "to_json")
+    code, _ = run_main(capsys, "gauss-manin", "--arrangement", "example1", "--format", fmt)
+    assert code == 0
+    assert calls == Counter({"to_json" if fmt == "json" else "_connection_text": 1})
 
 
 def test_gauss_manin_output_file(tmp_path: Path):

@@ -13,6 +13,7 @@ from arrgm.errors import InconsistentSystemError
 from arrgm.exactnum import (
     WeightExpr,
     determinant,
+    exact_quotient,
     first_nonzero_quadratic,
     integer_coefficients,
     integer_kernel,
@@ -222,6 +223,42 @@ class TestSolveRectangular:
         with pytest.raises(InconsistentSystemError) as info:
             solve_linear(m, [[1, 2], [1, 3]])
         assert info.value.row == 1
+
+
+class TestIntegralResults:
+    """The solve's integral results and the ``Fraction`` vectors built from them."""
+
+    def test_fraction_entries_from_integer_input(self):
+        result = solve_linear([[1, 1, 0], [0, 1, 1]], [[2, 3]])
+        assert result.solutions == [[F(-1), F(3), F(0)]]
+        assert result.kernel == [[F(1), F(-1), F(1)]]
+        assert all(type(x) is F for vec in result.solutions + result.kernel for x in vec)
+
+    def test_scaled_results_are_the_vectors_times_one_integer(self):
+        sampler = RatSampler(57)
+        m = [[sampler.rational(9, 5) for _ in range(5)] for _ in range(3)]
+        rhs = [mat_vec(m, sampler.rational_vector(5, 9, 7)) for _ in range(2)]
+        result = solve_linear(m, rhs)
+        for (q, y), x in zip(result.scaled_solutions, result.solutions):
+            assert all(type(v) is int for v in y) and [F(v, q) for v in y] == x
+        d, vectors = result.scaled_kernel
+        assert all(type(v) is int for y in vectors for v in y)
+        assert [[F(v, d) for v in y] for y in vectors] == result.kernel
+
+    def test_non_divisible_denominator_stays_exact(self):
+        """With d = 2 dividing neither y nor d v, the results are halves."""
+        result = solve_linear([[2, 1]], [[1], [4]])
+        assert result.scaled_solutions == [(2, [1, 0]), (2, [4, 0])]
+        assert result.solutions == [[F(1, 2), F(0)], [F(2), F(0)]]
+        assert result.scaled_kernel == (2, [[-1, 2]])
+        assert result.kernel == [[F(-1, 2), F(1)]]
+        quotients = [exact_quotient(v, d) for d, y in [result.scaled_kernel] for v in y[0]]
+        assert quotients == [F(-1, 2), 1] and [type(x) for x in quotients] == [F, int]
+
+    def test_exact_quotient(self):
+        assert exact_quotient(-6, 3) == -2 and type(exact_quotient(-6, 3)) is int
+        assert exact_quotient(6, -4) == F(-3, 2)
+        assert exact_quotient(F(3, 2), 3) == F(1, 2)
 
 
 def W(const=0, **coeffs):

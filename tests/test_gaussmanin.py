@@ -513,6 +513,15 @@ def symbolic_connection(name: str) -> GMConnection:
     return gm_matrix(SYMBOLIC_FAMILIES[name]())
 
 
+def test_to_json_renders_each_distinct_entry_once():
+    """Equal residue entries share one rendered dict, equal to the entry's own."""
+    conn = symbolic_connection("ceva")
+    exprs = [e for comp in conn.components for row in comp.residue for e in row]
+    rendered = [e for comp in conn.to_json()["components"] for row in comp["residue"] for e in row]
+    assert rendered == [e.to_json() for e in exprs]
+    assert len({id(e) for e in rendered}) == len(set(exprs)) < len(exprs)
+
+
 @pytest.mark.parametrize("name", ["example1", "ceva", "p2-6"])
 def test_symbolic_residues_have_no_constant_term(name):
     """The residues are homogeneous linear in the weights."""
@@ -855,6 +864,33 @@ def test_fiber_and_weight_settings_generic_by_construction(arr, data):
     second = FiberContext(arr, other)
     assert second.fixed_nbc() == fiber.fixed_nbc()
     assert [second.nbc(p) for p in range(arr.n + 1)] == [fiber.nbc(p) for p in range(arr.n + 1)]
+
+
+# weights of mixed denominators on ceva's finite hyperplanes 1..5, and ah
+CEVA_MIXED = Weights.make(
+    {1: F(1, 3), 2: F(-2, 5), 3: F(3, 7), 4: F(1, 4), 5: F(-5, 9)}, F(2, 11)
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(arr=small_arrangements(), data=st.data())
+@example(arr=ceva().arrangement, data=None)
+def test_numeric_connection_is_the_symbolic_one_evaluated(arr, data):
+    """At weights of mixed denominators the numeric class solve weighs by
+    their common denominator D and every output entry is divided by D once;
+    the numeric connection is then the symbolic one evaluated."""
+    if data is None:
+        weights = CEVA_MIXED
+    else:
+        value = st.builds(F, st.integers(-20, 20), st.sampled_from([3, 4, 5, 7, 9, 11]))
+        weights = Weights.make({i: data.draw(value) for i in arr.finite_indices}, data.draw(value))
+    assume(len({v.denominator for _, v in weights.a} | {weights.ah.denominator}) > 1)
+    fiber, _ = generic_fiber(arr)
+    assume(validate_weights(arr, weights).ok)
+    assume(validate_weights(fiber.arr, weights_for_extended(fiber, weights)).ok)
+    numeric = gm_matrix(MovingFamily(arr, weights))
+    assert all(e.is_constant for c in numeric.components for row in c.residue for e in row)
+    assert numeric.evaluate(weights) == gm_matrix(MovingFamily(arr)).evaluate(weights)
 
 
 @settings(max_examples=20, deadline=None)

@@ -1,5 +1,6 @@
 """The integral layers against brute force: circuits, codimension-2 flats,
-Orlik-Solomon normal forms, and flatness on rank-one factors."""
+Orlik-Solomon normal forms, the symbolic connection in integers, and
+flatness on rank-one factors."""
 
 from __future__ import annotations
 
@@ -10,13 +11,15 @@ import pytest
 from hypothesis import example, given, settings
 
 from arrgm import gaussmanin
+from arrgm.aomoto import ClassReducer
 from arrgm.arrangement import ProjForm, discriminant
 from arrgm.exactnum import (
     WeightExpr, first_nonzero_quadratic, integer_coefficients, matrix_rank, nullspace,
 )
 from arrgm.fixtures import ceva
 from arrgm.gaussmanin import (
-    GMComponent, GMConnection, _codim2_flats, _commutes_with, _rank_one, flatness_check,
+    GMComponent, GMConnection, MovingFamily, _codim2_flats, _commutes_with, _rank_one,
+    flatness_check, gm_matrix,
 )
 from arrgm.matroid import MatroidContext
 from arrgm.osalg import ExtElem, OSContext
@@ -105,6 +108,49 @@ def test_normal_forms_of_integer_elements_are_integral(arr):
             form = os_ctx.normal_form(e)
             assert all(type(c) is int for _, c in form.terms)
             assert {t for t, _ in form.terms} <= nbc
+
+
+# ---------------------------------------------------------------------------
+# the symbolic connection in integers
+# ---------------------------------------------------------------------------
+
+INTEGRAL_FAMILIES = {
+    **SYMBOLIC_FAMILIES,
+    "b3": lambda: MovingFamily(b3()),
+    "a4-braid": lambda: MovingFamily(a4_braid()),
+}
+
+
+@pytest.mark.parametrize("name", list(INTEGRAL_FAMILIES))
+def test_symbolic_pipeline_stays_in_integers(monkeypatch, name):
+    """Every stencil and expansion coefficient, every image entry and every
+    lifted class coefficient of symbolic ``gm_matrix`` is an ``int``; the
+    one ``Fraction`` per output term appears only in the residues."""
+    seen = {}
+
+    def recording(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            seen[name] = (args, result := real(*args))
+            return result
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    recording(gaussmanin, "_residue_stencils")
+    recording(ClassReducer, "reduce_batch")
+    conn = gm_matrix(INTEGRAL_FAMILIES[name]())
+    _, (expansions, stencils) = seen["_residue_stencils"]
+    (_, images), lifted = seen["reduce_batch"]
+    numbers = [
+        *(c for expansion in expansions for terms in expansion for _, c in terms),
+        *(c for stencil in stencils for *_, c in stencil),
+        *(x for blocks in images for image in blocks.values() for x in image),
+        *(c for column in lifted for coeffs in column.values() for c in coeffs.values()),
+    ]
+    assert numbers and all(type(x) is int for x in numbers)
+    entries = [e for comp in conn.components for row in comp.residue for e in row]
+    assert all(type(c) is F for e in entries for _, c in e.coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,12 @@
 
     python tools/ladder.py --out BENCH.json [--src DIR] [--label NAME]
 
-The ladder runs from the two paper fixtures up to P^3 with 9 planes (53
-nbc elements): every other rung is the coordinate frame x0..xn of P^n (x0
-at infinity) plus the listed forms.  Most are generic up to a few
-accidental triple points; the B3 and A4 braid reflection arrangements are
-far from normal crossing.  A rung is one symbolic
+The ladder runs from the two paper fixtures up to the A5 braid arrangement
+in P^4 (120 nbc elements): every other rung is the coordinate frame x0..xn
+of P^n (x0 at infinity) plus the listed forms.  Most are generic up to a
+few accidental triple points; the B3, A4 braid, B4 and A5 braid reflection
+arrangements are far from normal crossing.  Ladder v3 appended the last six
+rungs, one more per dimension and B4 and A5.  A rung is one symbolic
 ``gm_matrix`` call and one ``flatness_check`` call.  The connection is
 fixed output: the sha256 of ``json.dumps(conn.to_json(), sort_keys=True)``
 must start with the rung's pinned prefix, and the tool exits 1 when any
@@ -55,6 +56,38 @@ RUNGS = {
         3,
         [[1, 1, 1, 1], [1, 2, -3, -1], [2, -1, 3, 1], [3, 1, -2, 2], [1, -2, 1, 3]],
         "58de9d23c059",
+    ),
+    # ladder v3: one more rung per dimension, then B4 and the A5 braid
+    "p2-11": (
+        2,
+        [[1, 1, 1], [1, 2, -3], [2, -1, 3], [3, 1, -2], [1, -3, 2], [2, 3, 5], [5, -2, 1],
+         [4, 1, -3]],
+        "5aa29f026569",
+    ),
+    "p3-10": (
+        3,
+        [[1, 1, 1, 1], [1, 2, -3, -1], [2, -1, 3, 1], [3, 1, -2, 2], [1, -2, 1, 3], [2, 3, 1, -1]],
+        "527652c63072",
+    ),
+    "p4-9": (
+        4,
+        [[1, 1, 1, 1, 1], [1, 2, -3, -1, 2], [2, -1, 3, 1, -3], [3, 1, -2, 2, 1]],
+        "15fcb5cdf17f",
+    ),
+    "p5-8": (5, [[1, 1, 1, 1, 1, 1], [1, 2, -3, -1, 2, 1]], "24842b1e1cf8"),
+    # x_i + x_j, x_i - x_j for i < j in 0..3
+    "b4": (
+        3,
+        [[1, 1, 0, 0], [1, -1, 0, 0], [1, 0, 1, 0], [1, 0, -1, 0], [1, 0, 0, 1], [1, 0, 0, -1],
+         [0, 1, 1, 0], [0, 1, -1, 0], [0, 1, 0, 1], [0, 1, 0, -1], [0, 0, 1, 1], [0, 0, 1, -1]],
+        "1625cd2c7100",
+    ),
+    # x_i - x_j for i < j in 0..4
+    "a5-braid": (
+        4,
+        [[1, -1, 0, 0, 0], [1, 0, -1, 0, 0], [1, 0, 0, -1, 0], [1, 0, 0, 0, -1], [0, 1, -1, 0, 0],
+         [0, 1, 0, -1, 0], [0, 1, 0, 0, -1], [0, 0, 1, -1, 0], [0, 0, 1, 0, -1], [0, 0, 0, 1, -1]],
+        "6282e356d94c",
     ),
 }
 
