@@ -134,10 +134,15 @@ class FiberContext:
     Carries the extended projective arrangement, its matroid and
     Orlik-Solomon context, the nbc lists and omega.  The moving hyperplane,
     when present, has the last index; the base must have an affine chart
-    (:meth:`AffineChart.of`) either way.
+    (:meth:`AffineChart.of`) either way.  The fiber's matroid is that of the
+    base (``matroid``, or a new one) extended in place by the moving
+    hyperplane (``MatroidContext.extend``).
     """
 
-    def __init__(self, base: Arrangement, params: Sequence[Rat] | None = None):
+    def __init__(
+        self, base: Arrangement, params: Sequence[Rat] | None = None,
+        matroid: MatroidContext | None = None,
+    ):
         self.base = base
         chart = AffineChart.of(base)
         self.params: tuple[Fraction, ...] | None = None
@@ -153,7 +158,8 @@ class FiberContext:
             self.arr = validate(forms, base.infinity_index, n=base.n)
         except Exception as exc:  # duplicate moving hyperplane etc.
             raise SampleRejectedError(f"degenerate parameter point: {exc}") from exc
-        self.matroid = MatroidContext(self.arr)
+        self.matroid = matroid if matroid is not None else MatroidContext(base)
+        self.matroid.extend(self.arr)
         self.os = OSContext(self.arr, self.matroid)
         self._nbc_cache: dict[int, list[tuple[int, ...]]] = {}
         self._wedge_terms: dict[int, list[tuple[int, int, int, Fraction]]] = {}

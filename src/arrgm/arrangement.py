@@ -15,7 +15,6 @@ hyperplanes, whose coefficients span the kernel of their n coefficient rows.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -23,7 +22,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import ArrgmError, DuplicateHyperplaneError, LeadingFrameError
-from .exactnum import Rat, format_terms, integer_kernel, matrix_rank, rat_from_str, rat_to_str
+from .exactnum import Rat, format_terms, matrix_rank, rat_from_str, rat_to_str
 
 
 @dataclass(frozen=True)
@@ -245,29 +244,36 @@ class Lattice:
         }
 
 
+def _context(arr: Arrangement, matroid):
+    """``matroid``, or else the ``MatroidContext`` of ``arr`` built without its
+    re-rank warning: flats and points do not depend on the order."""
+    if matroid is not None:
+        return matroid
+    from .matroid import MatroidContext
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return MatroidContext(arr)
+
+
 def _closed_flats(arr: Arrangement, matroid, seeds) -> list[Flat]:
     """The closures of the supports ``seeds(matroid)`` and the flats grown
     from them one hyperplane at a time while the rank stays <= n, listed by
     rank, then lexicographically by support.
 
-    closure(S) = {i : rank(S u i) = rank(S)}, from the integer ranks cached
-    by ``matroid``: the ``MatroidContext`` of ``arr`` or of an arrangement
-    that appends hyperplanes to it.  None builds one without its re-rank
-    warning, as the flats do not depend on the order.
+    closure(S) = {i : rank(B u i) = rank(B)} for the basis B of S that
+    ``matroid.basis_of`` reads from its walk, where ``matroid`` is the
+    ``MatroidContext`` of ``arr`` or of an arrangement that appends
+    hyperplanes to it (None builds one, see ``_context``).
     """
-    if matroid is None:
-        from .matroid import MatroidContext
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            matroid = MatroidContext(arr)
+    matroid = _context(arr, matroid)
     rank = matroid.rank_of
 
     def closure(support: tuple[int, ...]) -> tuple[int, ...]:
-        support = tuple(sorted(support))
+        basis = matroid.basis_of(support)
         return tuple(
             i for i in range(arr.size)
-            if i in support or rank(tuple(sorted((*support, i)))) == rank(support)
+            if i in support or rank(tuple(sorted((*basis, i)))) == len(basis)
         )
 
     found: set[tuple[int, ...]] = set()
@@ -298,12 +304,11 @@ def bad_loci(arr: Arrangement, matroid=None) -> list[Flat]:
     """Flats with more hyperplanes through them than their codimension.
 
     These are exactly the non-normal-crossing strata: the flats whose
-    support contains a circuit, grown from the circuits of rank <= n
-    (``_closed_flats``; ``matroid`` as there).
+    support contains a circuit, grown from the circuits of rank <= n, which
+    the walk of the matroid meets (``_closed_flats``; ``matroid`` as there).
     """
     return _closed_flats(arr, matroid, lambda matroid: [
-        c.support for c in matroid.circuits()
-        if len(c.support) <= arr.n + 1 and c.support[-1] < arr.size
+        c.support for c in matroid.small_circuits() if c.support[-1] < arr.size
     ])
 
 
@@ -311,21 +316,18 @@ def bad_loci(arr: Arrangement, matroid=None) -> list[Flat]:
 # discriminant of the moving hyperplane
 # ---------------------------------------------------------------------------
 
-def discriminant(arr: Arrangement) -> list[ProjForm]:
+def discriminant(arr: Arrangement, matroid=None) -> list[ProjForm]:
     """Components of the locus in dual space where the moving hyperplane degenerates.
 
     For every n-subset of hyperplanes with independent forms, the kernel of
     their n coefficient rows is one line, spanned by the subset's
     intersection point p (equivalently by the vector of signed n x n minors).
     The component is h . p = 0: the linear form in h that vanishes exactly
-    when the moving hyperplane passes through p.  Its coefficients are the
-    primitive integer kernel vector with the first nonzero entry positive,
-    which is the canonical normalization.  Components are deduplicated and
-    sorted canonically.
+    when the moving hyperplane passes through p.  The points come from the
+    walk of ``matroid``, the ``MatroidContext`` of ``arr`` (None builds one,
+    see ``_context``), one back substitution per independent n-set
+    (``MatroidContext.points``), as primitive integer vectors with the
+    first nonzero entry positive, the canonical normalization, deduplicated
+    and sorted.
     """
-    points = set()
-    for subset in itertools.combinations(range(arr.size), arr.n):
-        kernel = integer_kernel(arr.form_rows(subset))
-        if len(kernel) == 1:
-            points.add(tuple(kernel[0]))
-    return [ProjForm(p) for p in sorted(points)]
+    return [ProjForm(p) for p in _context(arr, matroid).points()]

@@ -255,7 +255,7 @@ def _verify_combinatorics(fixture, report: list[str]) -> int:
     else:
         failures += 1
         report.append(f"FAIL nbc basis: computed {nbc} expected {fixture.nbc}")
-    comps = tuple(discriminant(arr))
+    comps = tuple(discriminant(arr, ctx))
     if set(comps) == set(fixture.discriminant):
         report.append(f"PASS discriminant ({len(comps)} components)")
     else:

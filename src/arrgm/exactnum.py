@@ -14,7 +14,9 @@ provides
 * ``solve_linear``, ``determinant``, ``matrix_rank``, ``nullspace``,
   ``integer_kernel`` -- the library's one exact elimination, on lists of
   rows: rows are cleared to integers and reduced by fraction-free (Bareiss)
-  elimination, one ``bareiss_step`` per row and pivot.
+  elimination, one ``bareiss_step`` per row and pivot, skipped where it
+  would return the row unchanged.  ``echelon_kernel`` reads the kernel of
+  an echelon form built elsewhere with ``bareiss_step`` (the matroid walk).
   The back substitution is fraction-free too (with d the last pivot, d x
   is integral), so a solve returns particular solutions and, when read, a
   kernel basis, or reports the failing row of an inconsistent system.
@@ -297,7 +299,8 @@ def _bareiss_echelon(rows: list[list[int]], ncols_a: int) -> tuple[list[int], li
             swaps ^= 1
         top = rows[r]
         for i in range(r + 1, len(rows)):
-            if any(rows[i]):
+            # a zero in column c under a pivot equal to the last comes back unchanged
+            if rows[i][c] or (top[c] != prev_pivot and any(rows[i])):
                 rows[i] = bareiss_step(rows[i], top, c, prev_pivot)
         prev_pivot = top[c]
         pivots.append(c)
@@ -432,7 +435,20 @@ def _scaled_kernel(matrix: Sequence[Sequence[Rat | int]]) -> tuple[int, list[lis
     rows, _ = _integer_rows(matrix)
     ncols = len(rows[0])
     pivots, _, _ = _bareiss_echelon(rows, ncols)
-    d, substitute = _back_substitution(rows, pivots, ncols)
+    return echelon_kernel(rows, pivots, ncols)
+
+
+def echelon_kernel(
+    ech: Sequence[Sequence[int]], pivots: Sequence[int], ncols: int
+) -> tuple[int, list[list[int]]]:
+    """(d, d times the kernel basis) of the first ``ncols`` columns of a
+    Bareiss echelon form with the given pivot column of each row.
+
+    The pivot columns need not increase, as long as each row is zero on the
+    pivot columns of the rows above it and before its own: the echelon form
+    of the columns taken in pivot order.
+    """
+    d, substitute = _back_substitution(ech, pivots, ncols)
     return d, _kernel_columns(ncols, pivots, d, substitute)
 
 

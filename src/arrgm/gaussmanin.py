@@ -65,6 +65,7 @@ from .exactnum import (
     primitive, solve_linear,
 )
 from .aomoto import ClassReducer, FiberContext, Weights, validate_weights
+from .matroid import MatroidContext
 from .osalg import ExtElem, boundary, wedge, wedge_monomials
 
 QQ0 = Fraction(0)
@@ -171,15 +172,17 @@ def generic_fiber(base: Arrangement) -> tuple[FiberContext, list[ProjForm]]:
     is a root of none of them is found without any retry.  Each test is in
     integers: the moving hyperplane's coefficients h, 1 at the chart's
     coordinate, against the component's form.  The chart is checked before
-    the discriminant is computed.
+    the discriminant is computed.  One ``MatroidContext`` of the base gives
+    the discriminant and is then extended to the fiber's.
     """
     chart = AffineChart.of(base)
-    components = discriminant(base)
+    matroid = MatroidContext(base)
+    components = discriminant(base, matroid)
     for t in itertools.count(1):
         point = [t**k for k in range(1, base.n + 1)]
         h = [*point[: chart.drop], 1, *point[chart.drop :]]
         if all(form.evaluate(h) for form in components):
-            return FiberContext(base, point), components
+            return FiberContext(base, point, matroid), components
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +269,8 @@ def _residue_stencils(
     """Per form, the expansion of its residue columns; per basis column, its stencil.
 
     For the component of the point P, S_X holds the hyperplanes through P,
-    infinity included, and the moving one; with a_inf = a0,
+    infinity included, as the fiber's matroid lists them
+    (``MatroidContext.points``), and the moving one; with a_inf = a0,
 
         A_X e_J = [lambda_X eta_{J,P} - omega_X ^ d eta_{J,P}]
                 = sum_{i in S_X} a_i [eta_{J,P} - e_i ^ d eta_{J,P}],
@@ -284,11 +288,10 @@ def _residue_stencils(
     """
     base, basis, inf = fiber.base, fiber.fixed_nbc(), fiber.base.infinity_index
     lifts = [boundary(wedge(ExtElem.monomial((inf,)), ExtElem.monomial(J))) for J in basis]
+    through = fiber.matroid.points()
     expansions, stencils = [], []
     for form in forms:
-        support = {fiber.moving_index} | {
-            i for i, plane in enumerate(base.hyperplanes) if plane.evaluate(form.coeffs) == 0
-        }
+        support = {fiber.moving_index, *through[form.coeffs]}
         local = [{t: c for t, c in eta.terms if support.issuperset(t)} for eta in lifts]
         monomials = sorted(set().union(*local))
         solution = solve_linear([[eta.get(t, 0) for eta in local] for t in monomials])

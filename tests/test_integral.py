@@ -1,4 +1,5 @@
-"""The integral layers against brute force: circuits, codimension-2 flats,
+"""The integral layers against brute force: circuits, the pruned matroid
+walk, its discriminant and its extension to the fiber, codimension-2 flats,
 Orlik-Solomon normal forms, the symbolic connection in integers, and
 flatness on rank-one factors."""
 
@@ -19,12 +20,13 @@ from arrgm.exactnum import (
 from arrgm.fixtures import ceva
 from arrgm.gaussmanin import (
     GMComponent, GMConnection, MovingFamily, _codim2_flats, _commutes_with, _rank_one,
-    flatness_check, gm_matrix,
+    flatness_check, generic_fiber, gm_matrix,
 )
 from arrgm.matroid import MatroidContext
 from arrgm.osalg import ExtElem, OSContext
 
 from reference_poly import poly_flatness_check
+from test_arrangement import signed_minor_discriminant
 from test_gaussmanin import (
     SYMBOLIC_FAMILIES, generic, small_arrangements, symbolic_connection, with_entries_added,
 )
@@ -73,6 +75,88 @@ def test_circuits_are_the_minimal_dependent_subsets(arr):
     assert all(type(x) is F for c in ctx.circuits() for x in c.dependency)
     for subset, rank in ctx._rank_cache.items():
         assert rank == (matrix_rank(arr.form_rows(subset)) if subset else 0)
+
+
+def contained_broken(broken_circuits, subset, order_key):
+    """The broken circuit in ``subset`` with the least princ, the first of the
+    listing among equals."""
+    found = None
+    for broken in broken_circuits:
+        if set(broken.support) <= set(subset):
+            if found is None or order_key(broken.princ) < order_key(found.princ):
+                found = broken
+    return found
+
+
+@settings(max_examples=40, deadline=None)
+@given(arr=small_arrangements())
+@example(arr=b3())
+@example(arr=a4_braid())
+@example(arr=ceva().arrangement)
+def test_pruned_walk_answers_before_the_full_listing(arr):
+    """The walk stops at independent sets of n forms, yet before the circuits
+    of n + 2 forms are first listed it has every circuit of at most n + 1
+    forms, exact ranks, and the broken circuits of every set that is
+    independent with infinity; the full listing is unchanged."""
+    ctx = MatroidContext(arr)
+    brute = brute_force_circuits(arr)
+    small = [(c.support, c.dependency, c.contains_infinity) for c in ctx.small_circuits()]
+    assert small == [c for c in brute if len(c[0]) <= arr.n + 1]
+    for subset, rank in ctx._rank_cache.items():
+        assert rank == (matrix_rank(arr.form_rows(subset)) if subset else 0)
+    inf, finite = arr.infinity_index, arr.finite_indices
+    independent = [
+        subset
+        for p in range(arr.n + 1)
+        for subset in itertools.combinations(finite, p)
+        if matrix_rank(arr.form_rows((inf, *subset))) == p + 1
+    ]
+    found = {subset: ctx.broken_in(subset) for subset in independent}
+    assert ctx._circuits is None
+    full = ctx.broken_circuits()
+    for subset, broken in found.items():
+        assert broken == contained_broken(full, subset, ctx.order_key)
+    assert [(c.support, c.dependency, c.contains_infinity) for c in ctx.circuits()] == brute
+
+
+@settings(max_examples=40, deadline=None)
+@given(arr=small_arrangements())
+@example(arr=b3())
+@example(arr=a4_braid())
+def test_discriminant_matches_signed_minors(arr):
+    """The walk's points are the components of the signed-minor reference,
+    each listed with exactly the hyperplanes that vanish on it."""
+    ctx = MatroidContext(arr)
+    assert discriminant(arr, ctx) == signed_minor_discriminant(arr)
+    assert discriminant(arr) == signed_minor_discriminant(arr)
+    for point, support in ctx.points().items():
+        assert support == tuple(
+            i for i, plane in enumerate(arr.hyperplanes) if plane.evaluate(point) == 0
+        )
+
+
+@settings(max_examples=40, deadline=None)
+@given(arr=small_arrangements())
+@example(arr=b3())
+@example(arr=a4_braid())
+@example(arr=ceva().arrangement)
+def test_fiber_matroid_extends_the_base_walk(arr):
+    """The base context that ``generic_fiber`` extends by the moving
+    hyperplane agrees with a fresh context of the fiber on every rank, point,
+    circuit, broken circuit and nbc set."""
+    fiber, _ = generic_fiber(arr)
+    extended, fresh = fiber.matroid, MatroidContext(fiber.arr)
+    assert extended.arr is fiber.arr
+    for size in range(fiber.arr.size + 1):
+        for subset in itertools.combinations(range(fiber.arr.size), size):
+            assert extended.rank_of(subset) == fresh.rank_of(subset)
+    for subset, rank in extended._rank_cache.items():
+        assert rank == (matrix_rank(fiber.arr.form_rows(subset)) if subset else 0)
+    assert extended.points() == fresh.points()
+    assert extended.circuits() == fresh.circuits()
+    assert extended.broken_circuits() == fresh.broken_circuits()
+    for p in range(arr.n + 2):
+        assert extended.nbc_sets(p) == fresh.nbc_sets(p)
 
 
 @settings(max_examples=40, deadline=None)
