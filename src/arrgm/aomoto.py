@@ -7,7 +7,7 @@ For weights satisfying the genericity conditions its cohomology sits in top
 degree with the nbc monomials of the fixed arrangement as a basis.
 
 * ``FiberContext`` -- one fiber: the extended arrangement, its matroid and
-  Orlik-Solomon context, nbc lists and the wedge-with-omega maps.
+  Orlik-Solomon context, nbc lists, monomial coordinates and wedge maps.
 * ``ClassReducer`` solves g = sum c_J e_J + omega ^ xi exactly, J running
   over the nbc bases of the fixed arrangement, at numeric weights or with
   the weights as indeterminates, and returns the coordinates (c_J) of a
@@ -39,7 +39,7 @@ from .errors import (
 )
 from .exactnum import Rat, exact_quotient, matrix_rank, solve_linear, weight_symbols
 from .matroid import MatroidContext
-from .osalg import ExtElem, OSContext, wedge_monomials
+from .osalg import OSContext, wedge_monomials
 
 QQ0 = Fraction(0)
 
@@ -132,11 +132,11 @@ class FiberContext:
     hyperplane specialized at a rational parameter point.
 
     Carries the extended projective arrangement, its matroid and
-    Orlik-Solomon context, the nbc lists and omega.  The moving hyperplane,
-    when present, has the last index; the base must have an affine chart
-    (:meth:`AffineChart.of`) either way.  The fiber's matroid is that of the
-    base (``matroid``, or a new one) extended in place by the moving
-    hyperplane (``MatroidContext.extend``).
+    Orlik-Solomon context, the nbc lists, the table ``coordinates`` and
+    omega.  The moving hyperplane, when present, has the last index; the
+    base must have an affine chart (:meth:`AffineChart.of`) either way.  The
+    fiber's matroid is that of the base (``matroid``, or a new one) extended
+    in place by the moving hyperplane (``MatroidContext.extend``).
     """
 
     def __init__(
@@ -162,7 +162,8 @@ class FiberContext:
         self.matroid.extend(self.arr)
         self.os = OSContext(self.arr, self.matroid)
         self._nbc_cache: dict[int, list[tuple[int, ...]]] = {}
-        self._wedge_terms: dict[int, list[tuple[int, int, int, Fraction]]] = {}
+        self._rows: dict[tuple[int, ...], int] = {}  # each nbc monomial's index in its degree
+        self._coordinates: dict[tuple[int, ...], list[tuple[int, int]]] = {}
 
     # -- basics -------------------------------------------------------------
 
@@ -177,6 +178,7 @@ class FiberContext:
     def nbc(self, p: int) -> list[tuple[int, ...]]:
         if p not in self._nbc_cache:
             self._nbc_cache[p] = self.matroid.nbc_sets(p)
+            self._rows.update((t, r) for r, t in enumerate(self._nbc_cache[p]))
         return self._nbc_cache[p]
 
     def fixed_nbc(self) -> list[tuple[int, ...]]:
@@ -187,6 +189,15 @@ class FiberContext:
         the rest are the nbc sets of the deletion.
         """
         return [t for t in self.nbc(self.n) if self.moving_index not in t]
+
+    def coordinates(self, t: tuple[int, ...]) -> list[tuple[int, int]]:
+        """The sparse coordinates (r, c) of the normal form of e_t
+        (``OSContext.normal_form_monomial``) on ``nbc(len(t))``, kept per t."""
+        if t not in self._coordinates:
+            self.nbc(len(t))  # fills the rows of the degree
+            terms = self.os.normal_form_monomial(t).terms
+            self._coordinates[t] = [(self._rows[m], c) for m, c in terms]
+        return self._coordinates[t]
 
     # -- omega and wedge maps -------------------------------------------------
 
@@ -204,20 +215,17 @@ class FiberContext:
             out.append((self.moving_index, weights.ah))
         return out
 
-    def wedge_terms(self, p: int) -> list[tuple[int, int, int, Fraction]]:
+    def wedge_terms(self, p: int) -> list[tuple[int, int, int, int]]:
         """The terms (r, col, i, c) of wedge-with-omega from nbc (p-1)-monomials
-        to nbc p-monomials, c the nbc coordinates of e_i ^ e_T; they do not
-        depend on the weights, so they are kept for every solve in this fiber."""
-        if p not in self._wedge_terms:
-            row_index = {t: r for r, t in enumerate(self.nbc(p))}
-            indices = [i for i in (*self.weight_symbol_order(), self.moving_index) if i is not None]
-            terms = self._wedge_terms[p] = []
-            for col, tup in enumerate(self.nbc(p - 1) if p >= 1 else []):
-                for i in indices:
-                    if (merged := wedge_monomials((i,), tup)) is not None:
-                        for out, c in self.os.normal_form_monomial(merged[1]).terms:
-                            terms.append((row_index[out], col, i, merged[0] * c))
-        return self._wedge_terms[p]
+        to nbc p-monomials, c the nbc coordinates of e_i ^ e_T, read from
+        ``coordinates``; they do not depend on the weights."""
+        indices = [i for i in (*self.weight_symbol_order(), self.moving_index) if i is not None]
+        terms = []
+        for col, tup in enumerate(self.nbc(p - 1) if p >= 1 else []):
+            for i in indices:
+                if (merged := wedge_monomials((i,), tup)) is not None:
+                    terms += [(r, col, i, merged[0] * c) for r, c in self.coordinates(merged[1])]
+        return terms
 
     def wedge_omega_matrix(self, weights: Weights, p: int) -> list[list[Fraction]]:
         """Matrix of wedge-with-omega from nbc (p-1)-monomials to nbc p-monomials."""
@@ -250,13 +258,10 @@ class ClassReducer:
     indeterminates, as in the Aomoto complex over the weight ring
     (Cohen-Orlik), sum_k a_k g_k has the class sum_k a_k c_k when one xi
     free of the weights solves g_k = c_k + omega_k ^ xi for every k, so the
-    rows of all blocks make one exact solve.  The system depends only on
-    the fiber's combinatorics, so it also reduces the dlog forms of any
-    other fiber off the discriminant.
-    An inconsistent system raises :class:`NonlinearFitError` when symbolic
-    (the classes are not linear in the weights) and
-    :class:`SampleRejectedError` at numeric weights (resonance, or a
-    discriminant parameter point).
+    rows of all blocks make one exact solve.  An inconsistent system raises
+    :class:`NonlinearFitError` when symbolic (the classes are not linear in
+    the weights) and :class:`SampleRejectedError` at numeric weights
+    (resonance, or a discriminant parameter point).
     """
 
     def __init__(self, fiber: FiberContext, weights: Weights | None):
@@ -300,23 +305,16 @@ class ClassReducer:
         ]
 
     def reduce_batch(
-        self, elems: Sequence[Mapping[str, ExtElem | list[Rat | int]]]
+        self, elems: Sequence[Mapping[str, list[Rat | int]]]
     ) -> list[dict[int, dict[str, Rat | int]]]:
         """The classes of top-degree elements as sparse entries {i: {symbol: c}}
         on ``fiber.fixed_nbc()[i]``.  Each element maps block symbols to its
-        part g_k, an ``ExtElem`` or its coordinates over ``fiber.nbc(n)``; a
-        missing symbol is a zero part.  With xi = y / q from the solve,
+        part g_k, its coordinates over ``fiber.nbc(n)``; a missing symbol is
+        a zero part.  With xi = y / q from the solve,
         c = (q g - omega y) / q is formed in integers when g is integral and
         divided once: c is an ``int`` when q divides it, else a ``Fraction``."""
-        top = self.fiber.nbc(self.fiber.n)
-        zero = [0] * len(top)
-        parts = [
-            [
-                self.fiber.os.nbc_coordinates(g, top) if isinstance(g, ExtElem) else g
-                for g in (elem.get(symbol) or zero for symbol, _ in self.blocks)
-            ]
-            for elem in elems
-        ]
+        zero = [0] * len(self.fiber.nbc(self.fiber.n))
+        parts = [[elem.get(symbol) or zero for symbol, _ in self.blocks] for elem in elems]
         rhs = [[g[r] for g in elem for r in self._moving_rows] for elem in parts]
         try:
             solution = solve_linear(self.rows, rhs)

@@ -20,20 +20,20 @@ the sum of all the others.
 Every residue is homogeneous linear in the weights, A_X = sum_k a_k A_X^(k)
 with a0 eliminated.  The image of e_J is linear in eta_{J,P}, so with
 {J_r} a basis of the span of the local lifts of a component, found by one
-exact elimination, A_X e_J = sum_r c_{J,r} A_X e_{J_r} with c that does
-not depend on the weights, an integer where the elimination's integral
-kernel makes it one: sum_X rank A_X basis columns carry every residue.
-``gm_matrix`` builds once per call the fiber, the c, the nbc coordinates
-of the basis columns' pieces and the wedge-with-omega terms of the class
-solve.  With the weights as indeterminates the image of
-a basis column is sum_k a_k g_k, and one class solve with a weight-free
-xi (``aomoto.ClassReducer``) gives every A_X^(k) of the basis columns at
-once; its consistency certifies that they are linear in the weights.  At
-numeric weights the same solve has one block, weighed by the weights times
-their common denominator D.  Every column is expanded from the basis
-columns.  Stencils, images, classes and expansions stay integers wherever
-their values are (on every symbolic input tried); each output coefficient
-is one ``Fraction``, divided by D.
+exact elimination, A_X e_J = sum_r c_{J,r} A_X e_{J_r} with c free of the
+weights: sum_X rank A_X basis columns carry every residue.  ``gm_matrix``
+builds once per call the fiber, the c and the basis columns' pieces
+d(e_i ^ eta_{J,P}), skipped where every monomial of eta_{J,P} contains i;
+their nbc coordinates and the class solve's wedge-with-omega terms are read
+from one table of normal forms per monomial.  With the weights as
+indeterminates the image of a basis column is sum_k a_k g_k, and one class
+solve with a weight-free xi (``aomoto.ClassReducer``) gives every A_X^(k)
+of the basis columns at once; its consistency certifies that they are
+linear in the weights.  At numeric weights the same solve has one block,
+weighed by the weights times their common denominator D.  Every column is
+expanded from the basis columns.  Stencils, images, classes and expansions
+stay integers wherever their values are (on every symbolic input tried);
+each output coefficient is one ``Fraction``, divided by D.
 
 ``flatness_check`` verifies integrability exactly and completely by Kohno's
 codimension-2 criterion: for every rank-2 flat X of the components and every
@@ -66,7 +66,7 @@ from .exactnum import (
 )
 from .aomoto import ClassReducer, FiberContext, Weights, validate_weights
 from .matroid import MatroidContext
-from .osalg import ExtElem, boundary, wedge, wedge_monomials
+from .osalg import wedge_monomials
 
 QQ0 = Fraction(0)
 
@@ -268,58 +268,61 @@ def _residue_stencils(
 ) -> tuple[list[list[list[tuple[int, Rat | int]]]], list[list[tuple[int, int, Rat | int]]]]:
     """Per form, the expansion of its residue columns; per basis column, its stencil.
 
-    For the component of the point P, S_X holds the hyperplanes through P,
-    infinity included, as the fiber's matroid lists them
-    (``MatroidContext.points``), and the moving one; with a_inf = a0,
+    S_X holds the base hyperplanes through the component's point P, each
+    found by an integer dot product, infinity included, and the moving one;
+    with a_inf = a0 and d(e_i ^ x) = x - e_i ^ d x,
 
         A_X e_J = [lambda_X eta_{J,P} - omega_X ^ d eta_{J,P}]
-                = sum_{i in S_X} a_i [eta_{J,P} - e_i ^ d eta_{J,P}],
+                = sum_{i in S_X} a_i [d(e_i ^ eta_{J,P})],
 
     and B = A_X satisfies B^2 = lambda_X B, as d omega_X = lambda_X and
-    d^2 = 0.  The pivot columns {J_r} of one exact elimination over the
-    local lifts give eta_{J,P} = sum_r c_{J,r} eta_{J_r,P}, with
-    c_{J,r} = -y_r / d read from the elimination's integral kernel
-    (d, y = d v): an ``int`` when d divides y_r.  The expansion
+    d^2 = 0.  One exact elimination over the nonzero local lifts gives
+    eta_{J,P} = sum_r c_{J,r} eta_{J_r,P}, J_r its pivot columns and
+    c_{J,r} = -y_r / d from its integral kernel (d, y = d v).  The expansion
     of (form, J) lists the pairs (k, c_{J,r}), k the index of J_r among the
     basis columns of all forms, and the stencil of a basis column the
-    triples (t, i, c), c the coordinate on ``fiber.nbc(n)[t]`` of its piece
-    at i, without the monomials through infinity, which vanish in the
-    fiber's chart.
+    triples (t, i, c), c the coordinate on ``fiber.nbc(n)[t]``
+    (``fiber.coordinates``) of its piece at i, without the monomials
+    through infinity, which vanish in the fiber's chart.  A monomial that
+    contains i adds nothing to the piece at i, which is zero at each of the
+    n hyperplanes of a normal-crossing point.
     """
-    base, basis, inf = fiber.base, fiber.fixed_nbc(), fiber.base.infinity_index
-    lifts = [boundary(wedge(ExtElem.monomial((inf,)), ExtElem.monomial(J))) for J in basis]
-    through = fiber.matroid.points()
+    base, inf = fiber.base, fiber.base.infinity_index
+    lifts = [dict(_boundary_of_wedge(inf, J)) for J in fiber.fixed_nbc()]
     expansions, stencils = [], []
     for form in forms:
-        support = {fiber.moving_index, *through[form.coeffs]}
-        local = [{t: c for t, c in eta.terms if support.issuperset(t)} for eta in lifts]
+        through = [i for i, plane in enumerate(base.hyperplanes) if not plane.evaluate(form.coeffs)]
+        support = {fiber.moving_index, *through}
+        local = [{t: c for t, c in eta.items() if support.issuperset(t)} for eta in lifts]
+        live = [j for j, eta in enumerate(local) if eta]
         monomials = sorted(set().union(*local))
-        solution = solve_linear([[eta.get(t, 0) for eta in local] for t in monomials])
-        pivots = solution.pivot_cols
-        d, kernel = solution.scaled_kernel
-        free = dict(zip([j for j in range(len(basis)) if j not in pivots], kernel))
-        # local_j = -sum_r (y[J_r] / d) local_{J_r}, y = d v for the kernel vector v of column j
-        expansions.append([
-            [(len(stencils) + pivots.index(j), 1)] if j in pivots else
-            [
-                (len(stencils) + r, exact_quotient(-free[j][col], d))
-                for r, col in enumerate(pivots) if free[j][col]
-            ]
-            for j in range(len(basis))
-        ])
-        for col in pivots:
-            d_eta = boundary(ExtElem.make(local[col])).terms
+        solution = solve_linear([[local[j].get(t, 0) for j in live] for t in monomials])
+        pivots, (d, kernel) = solution.pivot_cols, solution.scaled_kernel
+        free, k = iter(kernel), len(stencils)
+        expansion: list[list[tuple[int, Rat | int]]] = [[] for _ in lifts]
+        for col, j in enumerate(live):
+            # local_j = -sum_r (y[J_r] / d) local_{J_r}, y = d v (v in the kernel) or -d e_col
+            y = [-d * (c == col) for c in range(len(live))] if col in pivots else next(free)
+            expansion[j] = [(k + r, exact_quotient(-y[c], d)) for r, c in enumerate(pivots) if y[c]]
+        expansions.append(expansion)
+        for j in [live[col] for col in pivots]:
             stencil = []
             for i in sorted(support):
-                piece = {t: c for t, c in local[col].items() if inf not in t}
-                for t, c in d_eta:
-                    merged = wedge_monomials((i,), t)
-                    if merged is not None and inf not in merged[1]:
-                        piece[merged[1]] = piece.get(merged[1], 0) - merged[0] * c
-                coords = fiber.os.nbc_coordinates(ExtElem.make(piece), fiber.nbc(base.n))
-                stencil += [(t, i, c) for t, c in enumerate(coords) if c]
+                coords: dict[int, int] = {}
+                for t, c in local[j].items():
+                    for m, sign in _boundary_of_wedge(i, t):
+                        if inf not in m:
+                            for r, v in fiber.coordinates(m):
+                                coords[r] = coords.get(r, 0) + sign * c * v
+                stencil += [(t, i, c) for t, c in sorted(coords.items()) if c]
             stencils.append(stencil)
     return expansions, stencils
+
+
+def _boundary_of_wedge(i: int, t: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
+    """The terms (monomial, sign) of d(e_i ^ e_t); none when i is in t."""
+    sign, m = wedge_monomials((i,), t) or (0, ())
+    return [(m[:j] + m[j + 1 :], sign * (-1) ** j) for j in range(len(m))]
 
 
 def _expand(

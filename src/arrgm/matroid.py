@@ -90,8 +90,7 @@ class MatroidContext:
         # (reduced row, pivot column) of their rows; None until the walk
         self._sets: list[tuple[tuple[int, ...], list[tuple[list[int], int]]]] | None = None
         self._small: list[Circuit] = []  # the circuits of at most n + 1 forms
-        self._points: dict[tuple[int, ...], set[int]] = {}
-        self._pointed = 0  # how many of ``_sets`` ``_points`` has read
+        self._points: dict[tuple[int, ...], tuple[int, ...]] | None = None
         self._circuits: list[Circuit] | None = None
         self._broken: list[BrokenCircuit] | None = None
         self._small_broken: list[BrokenCircuit] | None = None
@@ -202,7 +201,7 @@ class MatroidContext:
             self._position[e] = e
             for members, steps in self._sets[:]:
                 self._visit(members, steps, e, self._small)
-        self._circuits = self._broken = self._small_broken = None
+        self._circuits = self._broken = self._small_broken = self._points = None
 
     def points(self) -> dict[tuple[int, ...], tuple[int, ...]]:
         """The points cut out by n independent forms, sorted, each with the
@@ -212,18 +211,18 @@ class MatroidContext:
         the kernel of its rows, the point, as a primitive integer vector
         with the first nonzero entry positive.  Every hyperplane through a
         point lies in an independent n-set through it, so the hyperplanes
-        through it are the union of those sets.  Each call reads only the
-        sets stored since the last.
+        through it are the union of those sets; kept until ``extend``.
         """
-        self._walk()
-        n = self.arr.n
-        for members, steps in self._sets[self._pointed :]:
-            if len(members) == n:
-                rows, pivots = zip(*steps)
-                _, (kernel,) = echelon_kernel(rows, pivots, n + 1)
-                self._points.setdefault(tuple(primitive(kernel)), set()).update(members)
-        self._pointed = len(self._sets)
-        return {p: tuple(sorted(s)) for p, s in sorted(self._points.items())}
+        if self._points is None:
+            self._walk()
+            n, found = self.arr.n, {}
+            for members, steps in self._sets:
+                if len(members) == n:
+                    rows, pivots = zip(*steps)
+                    _, (kernel,) = echelon_kernel(rows, pivots, n + 1)
+                    found.setdefault(tuple(primitive(kernel)), set()).update(members)
+            self._points = {p: tuple(sorted(s)) for p, s in sorted(found.items())}
+        return self._points
 
     # -- circuits ----------------------------------------------------------
 

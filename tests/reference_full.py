@@ -55,8 +55,9 @@ def reduce_at(fiber: FiberContext, weights: Weights, elems) -> list[list[Fractio
     """The fixed nbc coordinates of the classes of ``elems`` (``ExtElem`` or
     coordinates over the top nbc sets) by a one-block class solve at
     numeric ``weights``."""
-    size = len(fiber.fixed_nbc())
-    columns = ClassReducer(fiber, weights).reduce_batch([{"1": g} for g in elems])
+    size, top = len(fiber.fixed_nbc()), fiber.nbc(fiber.n)
+    parts = [fiber.os.nbc_coordinates(g, top) if isinstance(g, ExtElem) else g for g in elems]
+    columns = ClassReducer(fiber, weights).reduce_batch([{"1": g} for g in parts])
     return [[column.get(i, {}).get("1", QQ0) for i in range(size)] for column in columns]
 
 

@@ -43,6 +43,11 @@ def xpoly(**monomials):
     return WeightPoly.make({((sym, 1),): c for sym, c in monomials.items()})
 
 
+def top_coordinates(fiber: FiberContext, e: ExtElem) -> list:
+    """The coordinates of ``e`` over the fiber's top nbc sets."""
+    return fiber.os.nbc_coordinates(e, fiber.nbc(fiber.n))
+
+
 def point_line() -> FiberContext:
     """n = 1 family: one fixed point x = 0 plus the moving point 1 + l x."""
     arr = validate([P(1, 0), P(0, 1)], 0)
@@ -286,10 +291,10 @@ class TestClassReduction:
         s, inf = fiber.moving_index, fiber.arr.infinity_index
         assert reducer.denominator == 15
         assert reducer.blocks == [("1", {1: 5, s: -3, inf: -2})]
-        e_s = ExtElem.monomial((s,))
+        e_s = top_coordinates(fiber, ExtElem.monomial((s,)))
         [column] = reducer.reduce_batch([{"1": e_s}])
         assert column == {0: {"1": F(5, 3)}} and type(column[0]["1"]) is F
-        [scaled] = reducer.reduce_batch([{"1": e_s.scale(15)}])
+        [scaled] = reducer.reduce_batch([{"1": [15 * c for c in e_s]}])
         assert scaled == {0: {"1": 25}} and type(scaled[0]["1"]) is int
 
     def test_symbolic_class_of_the_moving_point(self):
@@ -297,14 +302,16 @@ class TestClassReduction:
         fiber = point_line()
         reducer = ClassReducer(fiber, None)
         assert [symbol for symbol, _ in reducer.blocks] == ["a1", "ah"]
-        [column] = reducer.reduce_batch([{"ah": ExtElem.monomial((fiber.moving_index,))}])
+        e_s = top_coordinates(fiber, ExtElem.monomial((fiber.moving_index,)))
+        [column] = reducer.reduce_batch([{"ah": e_s}])
         assert column == {0: {"a1": F(-1)}}
 
     def test_symbolic_class_not_linear_in_the_weights(self):
         # a1 e_s = -(a1^2 / ah) e_1: no xi free of the weights
         fiber = point_line()
+        e_s = top_coordinates(fiber, ExtElem.monomial((fiber.moving_index,)))
         with pytest.raises(NonlinearFitError):
-            ClassReducer(fiber, None).reduce_batch([{"a1": ExtElem.monomial((fiber.moving_index,))}])
+            ClassReducer(fiber, None).reduce_batch([{"a1": e_s}])
 
 
 def enumerated_affine_circuits(chart: FiberChart) -> list[AffineCircuit]:

@@ -16,7 +16,7 @@ import mpmath
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from arrgm import gaussmanin, partialfrac
+from arrgm import exactnum, gaussmanin, matroid, partialfrac
 from arrgm.arrangement import (
     AffineChart, AffineForm, ProjForm, bad_loci, discriminant, lattice, validate,
 )
@@ -37,7 +37,7 @@ from arrgm.gaussmanin import (
 )
 from arrgm.matroid import MatroidContext
 from arrgm.monodromy import monodromy
-from arrgm.osalg import ExtElem, boundary, wedge
+from arrgm.osalg import ExtElem, OSContext, boundary, wedge
 from arrgm.partialfrac import RatForm, WeightPoly
 
 from _sampling import RatSampler
@@ -800,6 +800,40 @@ def test_fiber_built_once(monkeypatch, weights):
     })
 
 
+@pytest.mark.parametrize("numeric", [False, True], ids=["symbolic", "numeric"])
+@pytest.mark.parametrize("name", ["ceva", "p3-7"])
+def test_call_reads_no_fiber_points_and_no_extelem_coordinates(monkeypatch, name, numeric):
+    """Structural guard on the stencils: one call makes no
+    ``OSContext.nbc_coordinates`` call, and one ``echelon_kernel`` call per
+    independent n-set of the base (its point), none for a set through the
+    moving hyperplane."""
+    arr = {"ceva": lambda: ceva().arrangement, "p3-7": p3_7}[name]()
+    family = MovingFamily(arr, _weight_settings(arr)[0] if numeric else None)
+    fiber, _ = generic_fiber(arr)
+    independent = [
+        members for members in combinations(range(fiber.arr.size), arr.n)
+        if matrix_rank(fiber.arr.form_rows(members)) == arr.n
+    ]
+    base_sets = [members for members in independent if fiber.moving_index not in members]
+    calls = Counter()
+    real_kernel, real_coordinates = exactnum.echelon_kernel, OSContext.nbc_coordinates
+
+    def echelon_kernel(*args):
+        calls["echelon_kernel"] += 1
+        return real_kernel(*args)
+
+    def nbc_coordinates(*args):
+        calls["nbc_coordinates"] += 1
+        return real_coordinates(*args)
+
+    for module in (exactnum, matroid):
+        monkeypatch.setattr(module, "echelon_kernel", echelon_kernel)
+    monkeypatch.setattr(OSContext, "nbc_coordinates", nbc_coordinates)
+    gm_matrix(family)
+    assert calls == Counter({"echelon_kernel": len(base_sets)})
+    assert len(base_sets) < len(independent)
+
+
 def test_rerank_warning_once_per_call():
     arr = validate([P(0, 1, 0), P(1, 0, 0), P(0, 0, 1), P(1, 1, 1), P(1, -2, 3)], 1)
     for _ in range(2):
@@ -882,8 +916,14 @@ def test_numeric_connection_is_the_symbolic_one_evaluated(arr, data):
     if data is None:
         weights = CEVA_MIXED
     else:
-        value = st.builds(F, st.integers(-20, 20), st.sampled_from([3, 4, 5, 7, 9, 11]))
-        weights = Weights.make({i: data.draw(value) for i in arr.finite_indices}, data.draw(value))
+        # one prime denominator per weight, not dividing its numerator: no sum
+        # over a nonempty set of weights is an integer, so no assume rejects
+        def value(p):
+            return F(data.draw(st.integers(-20, 20).filter(lambda k: k % p)), p)
+
+        primes = iter([3, 5, 7, 11, 13, 17, 19])
+        a = {i: value(next(primes)) for i in arr.finite_indices}
+        weights = Weights.make(a, value(next(primes)))
     assume(len({v.denominator for _, v in weights.a} | {weights.ah.denominator}) > 1)
     fiber, _ = generic_fiber(arr)
     assume(validate_weights(arr, weights).ok)

@@ -1,7 +1,8 @@
 """The integral layers against brute force: circuits, the pruned matroid
 walk, its discriminant and its extension to the fiber, codimension-2 flats,
-Orlik-Solomon normal forms, the symbolic connection in integers, and
-flatness on rank-one factors."""
+Orlik-Solomon normal forms, the symbolic connection in integers, the
+residue stencils against the ``ExtElem`` route, and flatness on rank-one
+factors."""
 
 from __future__ import annotations
 
@@ -13,22 +14,23 @@ from hypothesis import example, given, settings
 
 from arrgm import gaussmanin
 from arrgm.aomoto import ClassReducer
-from arrgm.arrangement import ProjForm, discriminant
+from arrgm.arrangement import AffineChart, AffineForm, ProjForm, discriminant
 from arrgm.exactnum import (
     WeightExpr, first_nonzero_quadratic, integer_coefficients, matrix_rank, nullspace,
 )
-from arrgm.fixtures import ceva
+from arrgm.fixtures import ceva, example1
 from arrgm.gaussmanin import (
     GMComponent, GMConnection, MovingFamily, _codim2_flats, _commutes_with, _rank_one,
-    flatness_check, generic_fiber, gm_matrix,
+    _residue_stencils, flatness_check, generic_fiber, gm_matrix,
 )
 from arrgm.matroid import MatroidContext
 from arrgm.osalg import ExtElem, OSContext
 
 from reference_poly import poly_flatness_check
+from reference_stencils import residue_stencils
 from test_arrangement import signed_minor_discriminant
 from test_gaussmanin import (
-    SYMBOLIC_FAMILIES, generic, small_arrangements, symbolic_connection, with_entries_added,
+    SYMBOLIC_FAMILIES, generic, p3_7, small_arrangements, symbolic_connection, with_entries_added,
 )
 
 
@@ -235,6 +237,39 @@ def test_symbolic_pipeline_stays_in_integers(monkeypatch, name):
     assert numbers and all(type(x) is int for x in numbers)
     entries = [e for comp in conn.components for row in comp.residue for e in row]
     assert all(type(c) is F for e in entries for _, c in e.coeffs)
+
+
+STENCIL_CASES = {
+    "example1": lambda: example1().arrangement,
+    "ceva": lambda: ceva().arrangement,
+    "b3": b3,
+    "a4-braid": a4_braid,
+    "p3-7": p3_7,
+}
+
+
+def assert_stencils_match_the_oracle(arr):
+    """Every expansion and stencil of the affine components, and of h0 on
+    its own, equals that of the ``ExtElem`` route."""
+    fiber, components = generic_fiber(arr)
+    chart = AffineChart.of(arr)
+    forms = [form for form in components if any(chart.affine(form).lin)]
+    h0 = chart.projective(AffineForm.make(1, [0] * arr.n))
+    for chosen in (forms, [h0]):
+        expansions, stencils = _residue_stencils(fiber, chosen)
+        assert stencils and all(stencils)
+        assert (expansions, stencils) == residue_stencils(fiber, chosen)
+
+
+@pytest.mark.parametrize("name", list(STENCIL_CASES))
+def test_stencils_equal_the_extelem_oracle(name):
+    assert_stencils_match_the_oracle(STENCIL_CASES[name]())
+
+
+@settings(max_examples=30, deadline=None)
+@given(arr=small_arrangements())
+def test_stencils_of_small_arrangements_equal_the_extelem_oracle(arr):
+    assert_stencils_match_the_oracle(arr)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,9 @@ rungs, one more per dimension and B4 and A5.  A rung is one symbolic
 ``gm_matrix`` call and one ``flatness_check`` call.  The connection is
 fixed output: the sha256 of ``json.dumps(conn.to_json(), sort_keys=True)``
 must start with the rung's pinned prefix, and the tool exits 1 when any
-differs.
+differs.  After each rung the process's high-water resident set size
+(``ru_maxrss``) is recorded as ``running_peak_rss_mb``: a running peak over
+the rungs so far, digests included, not the rung's own memory.
 
 The library is imported from ``--src`` (default: this checkout's ``src``),
 so one copy of the tool times two source trees.  Results go into ``--out``
@@ -26,6 +28,7 @@ import hashlib
 import json
 import os
 import platform
+import resource
 import sys
 from time import perf_counter
 
@@ -144,14 +147,16 @@ def main(argv: list[str] | None = None) -> int:
         data["cases"][name] = {
             "n": n, "extra_forms": extra, "nbc": size, "components": comps, "sha256_prefix": prefix,
         }
+        peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
         entry = run["rungs"].setdefault(name, {"gm_matrix_s": [], "flatness_check_s": []})
         entry["gm_matrix_s"].append(round(gm_s, 4))
         entry["flatness_check_s"].append(round(flat_s, 4))
+        entry.setdefault("running_peak_rss_mb", []).append(round(peak_mb, 1))
         entry["sha256"] = sha
         if not sha.startswith(prefix):
             mismatched.append(name)
         print(f"{args.label} {name}: gm_matrix {gm_s:.3f} s, flatness_check {flat_s:.3f} s, "
-              f"sha256 {sha[:12]}", flush=True)
+              f"running peak RSS {peak_mb:.1f} MB, sha256 {sha[:12]}", flush=True)
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(data, handle, indent=1, sort_keys=True)
         handle.write("\n")
