@@ -248,13 +248,14 @@ class ClassReducer:
     through s and c = g_fix - (omega ^ xi)_fix.  ``blocks`` lists pairs
     (symbol, a), a an integer weight of each hyperplane index, infinity
     included.  With ``weights`` None there is one block per symbol a1..am,
-    ah, weighing its hyperplane 1 and infinity -1 (a0 is minus the others).
-    At numeric weights there is one block "1", weighing each hyperplane by
-    D a_i, D (``denominator``) the common denominator of the weights; D is
-    1 when symbolic.  The numeric system is D times the one at the weights
-    and its xi 1/D times theirs, so the class of a given element does not
-    change; an image built from the block's weights is D times the image
-    at the weights, and so is its class.  With the weights as
+    ah, weighing its hyperplane 1 and infinity -1 (a0 is minus the
+    others).  At numeric weights there is one block "1", weighing each
+    hyperplane by D a_i, D (``denominator``) the common denominator of the
+    weights; D is 1 when symbolic.  All blocks read ``fiber.wedge_terms(n)``
+    once, by hyperplane.  The numeric system is D times the one at the
+    weights and its xi 1/D times theirs, so the class of a given element
+    does not change; an image built from the block's weights is D times the
+    image at the weights, and so is its class.  With the weights as
     indeterminates, as in the Aomoto complex over the weight ring
     (Cohen-Orlik), sum_k a_k g_k has the class sum_k a_k c_k when one xi
     free of the weights solves g_k = c_k + omega_k ^ xi for every k, so the
@@ -281,28 +282,29 @@ class ClassReducer:
             self.blocks = [
                 ("1", {i: v.numerator * (self.denominator // v.denominator) for i, v in a.items()})
             ]
-        top = fiber.nbc(n)
-        self._moving_rows = [r for r, t in enumerate(top) if s in t]
-        self._fixed_rows = [r for r, t in enumerate(top) if s not in t]
-        # omega of each block as sparse rows {r: {col: value}}
-        omegas: list[dict[int, dict[int, int]]] = []
+        top, ncols = fiber.nbc(n), len(fiber.nbc(n - 1))
+        moving = self._moving_rows = [r for r, t in enumerate(top) if s in t]
+        fixed = self._fixed_rows = [r for r, t in enumerate(top) if s not in t]
+        # each top row's index among the rows through s, or among the others
+        position = {r: k for rows in (moving, fixed) for k, r in enumerate(rows)}
+        # the weight-free terms (r, col, c) of omega by hyperplane index
+        by_index: dict[int, list[tuple[int, int, int]]] = {}
+        for r, col, i, c in fiber.wedge_terms(n):
+            by_index.setdefault(i, []).append((r, col, c))
+        self.rows: list[list[int]] = []
+        # per block, omega on the fixed rows by column {col: {k: value}}
+        self._fixed_omega: list[dict[int, dict[int, int]]] = []
         for _, a in self.blocks:
-            omega: dict[int, dict[int, int]] = {}
-            for r, col, i, c in fiber.wedge_terms(n):
-                if i in a:
-                    row = omega.setdefault(r, {})
-                    row[col] = row.get(col, 0) + c * a[i]
-            omegas.append(omega)
-        ncols = len(fiber.nbc(n - 1))
-        self.rows = [
-            [omega.get(r, {}).get(col, 0) for col in range(ncols)]
-            for omega in omegas
-            for r in self._moving_rows
-        ]
-        # per block, the terms (col, value) of omega on each fixed row
-        self._fixed_omega = [
-            [list(omega.get(r, {}).items()) for r in self._fixed_rows] for omega in omegas
-        ]
+            rows, columns = [[0] * ncols for _ in moving], {}
+            for i, w in a.items():
+                for r, col, c in by_index.get(i, ()):
+                    if s in top[r]:
+                        rows[position[r]][col] += c * w
+                    else:
+                        column = columns.setdefault(col, {})
+                        column[position[r]] = column.get(position[r], 0) + c * w
+            self.rows += rows
+            self._fixed_omega.append(columns)
 
     def reduce_batch(
         self, elems: Sequence[Mapping[str, list[Rat | int]]]
@@ -310,9 +312,9 @@ class ClassReducer:
         """The classes of top-degree elements as sparse entries {i: {symbol: c}}
         on ``fiber.fixed_nbc()[i]``.  Each element maps block symbols to its
         part g_k, its coordinates over ``fiber.nbc(n)``; a missing symbol is
-        a zero part.  With xi = y / q from the solve,
-        c = (q g - omega y) / q is formed in integers when g is integral and
-        divided once: c is an ``int`` when q divides it, else a ``Fraction``."""
+        a zero part.  With xi = y / q from the solve, c = (q g - omega y) / q
+        is formed over the nonzero entries of g and y, in integers when g is,
+        and divided once: an ``int`` when q divides it, else a ``Fraction``."""
         zero = [0] * len(self.fiber.nbc(self.fiber.n))
         parts = [[elem.get(symbol) or zero for symbol, _ in self.blocks] for elem in elems]
         rhs = [[g[r] for g in elem for r in self._moving_rows] for elem in parts]
@@ -326,11 +328,15 @@ class ClassReducer:
             ) from exc
         out = []
         for elem, (q, y) in zip(parts, solution.scaled_solutions):
+            xi = [(col, v) for col, v in enumerate(y) if v]
             column: dict[int, dict[str, Rat | int]] = {}
-            for (symbol, _), g, fixed in zip(self.blocks, elem, self._fixed_omega):
-                for i, (r, terms) in enumerate(zip(self._fixed_rows, fixed)):
-                    if c := q * g[r] - sum(v * y[col] for col, v in terms):
-                        column.setdefault(i, {})[symbol] = exact_quotient(c, q)
+            for (symbol, _), g, columns in zip(self.blocks, elem, self._fixed_omega):
+                acc = {k: q * g[r] for k, r in enumerate(self._fixed_rows) if g[r]}
+                for col, v in xi:
+                    for k, w in columns.get(col, {}).items():
+                        acc[k] = acc.get(k, 0) - w * v
+                for k in filter(acc.get, acc):
+                    column.setdefault(k, {})[symbol] = exact_quotient(acc[k], q)
             out.append(column)
         return out
 

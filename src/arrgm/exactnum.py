@@ -12,14 +12,14 @@ provides
   check of a quadratic matrix identity among them, one pair of symbols at a
   time (flatness commutators, the projector identity A^2 = tr(A) A).
 * ``solve_linear``, ``determinant``, ``matrix_rank``, ``nullspace``,
-  ``integer_kernel`` -- the library's one exact elimination, on lists of
-  rows: rows are cleared to integers and reduced by fraction-free (Bareiss)
-  elimination, one ``bareiss_step`` per row and pivot, skipped where it
-  would return the row unchanged.  ``echelon_kernel`` reads the kernel of
-  an echelon form built elsewhere with ``bareiss_step`` (the matroid walk).
-  The back substitution is fraction-free too (with d the last pivot, d x
-  is integral), so a solve returns particular solutions and, when read, a
-  kernel basis, or reports the failing row of an inconsistent system.
+  ``integer_kernel`` -- the library's one exact elimination: rows are
+  cleared to sparse integer rows {column: value}, right-hand sides as extra
+  columns, and reduced by fraction-free (Bareiss) elimination over their
+  nonzero entries.  ``echelon_kernel`` reads the kernel of a dense echelon
+  form, also the one the matroid walk builds with ``bareiss_step`` on rows
+  of 2n + 3 entries.  The back substitution is fraction-free too (d x is
+  integral, d the last pivot), so a solve returns particular solutions and,
+  when read, a kernel basis, or the failing row of an inconsistent system.
   Both are integer vectors over one integer each, so a caller can stay in
   integers; their ``Fraction`` forms are built only when read.  The kernel
   is d x over d, or made primitive in integers; the determinant is the
@@ -250,18 +250,26 @@ def exact_quotient(a: Rat | int, b: int) -> Rat | int:
     return Fraction(a, b)
 
 
-def _integer_rows(rows: Iterable[Sequence[Rat | int]]) -> tuple[list[list[int]], list[int]]:
-    """Clear denominators row by row: (integer rows, scale of each row).
+def _integer_rows(rows: Iterable[Sequence[Rat | int]], width: int) -> tuple[list[dict], list[int]]:
+    """Clear denominators row by row: (rows {column: int}, scale of each row).
 
     Entries are ``int`` or ``Fraction``; each row is multiplied by the least
-    common denominator of its entries, its scale.
+    common denominator of its entries, its scale.  A row of other than
+    ``width`` entries raises ``ValueError``.
     """
     out, scales = [], []
-    for row in rows:
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise ValueError(f"row {i} has {len(row)} entries, not {width}")
         scale = math.lcm(*[x.denominator for x in row])
-        out.append([x.numerator * (scale // x.denominator) for x in row])
+        out.append({c: x.numerator * (scale // x.denominator) for c, x in enumerate(row) if x})
         scales.append(scale)
     return out, scales
+
+
+def _dense(rows: Iterable[Mapping[int, int]], width: int) -> list[list[int]]:
+    """Sparse rows {column: value} as lists of ``width`` entries."""
+    return [[row.get(j, 0) for j in range(width)] for row in rows]
 
 
 def bareiss_step(row: list[int], top: list[int], c: int, prev_pivot: int) -> list[int]:
@@ -272,37 +280,36 @@ def bareiss_step(row: list[int], top: list[int], c: int, prev_pivot: int) -> lis
     return [(piv * x - factor * y) // prev_pivot for x, y in zip(row, top)]
 
 
-def _bareiss_echelon(rows: list[list[int]], ncols_a: int) -> tuple[list[int], list[int], int]:
-    """Fraction-free (Bareiss) row echelon form of an integer matrix, in place.
+def _bareiss_echelon(rows: list[dict[int, int]], ncols_a: int) -> tuple[list[int], list[int], int]:
+    """Fraction-free (Bareiss) row echelon form of rows {column: nonzero int}, in place.
 
     ``ncols_a`` counts the coefficient columns; pivots are only chosen there.
     Every entry stays integral, and the last pivot is the determinant of the
     pivot rows and columns in echelon order.  Returns (pivot column list,
     original row index per row, parity of the row swaps).
     """
-    origin = list(range(len(rows)))
-    pivots: list[int] = []
-    swaps = 0
-    prev_pivot = 1
-    r = 0
+    origin, pivots = list(range(len(rows))), []
+    swaps, prev, r = 0, 1, 0
     for c in range(ncols_a):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                pivot_row = i
+        for pivot_row in range(r, len(rows)):
+            if c in rows[pivot_row]:
                 break
-        if pivot_row is None:
+        else:
             continue
         if pivot_row != r:
             rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
             origin[r], origin[pivot_row] = origin[pivot_row], origin[r]
             swaps ^= 1
-        top = rows[r]
+        top, piv = rows[r], rows[r][c]
         for i in range(r + 1, len(rows)):
             # a zero in column c under a pivot equal to the last comes back unchanged
-            if rows[i][c] or (top[c] != prev_pivot and any(rows[i])):
-                rows[i] = bareiss_step(rows[i], top, c, prev_pivot)
-        prev_pivot = top[c]
+            row = rows[i]
+            if factor := row.get(c):
+                entries = ((j, piv * row.get(j, 0) - factor * top.get(j, 0)) for j in row | top)
+                rows[i] = {j: v // prev for j, v in entries if v}
+            elif row and piv != prev:
+                rows[i] = {j: piv * x // prev for j, x in row.items()}
+        prev = piv
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -359,41 +366,38 @@ def solve_linear(
     """Solve ``M x = b`` exactly for each right-hand side ``b`` in ``rhs``.
 
     Entries are ``int`` or ``Fraction``.  Elimination is fraction-free
-    (Bareiss) on the integer-cleared augmented matrix, and so is the back
-    substitution: with d the last pivot, d x is integral by Cramer's rule,
-    so every step divides exactly, and each solution is an integer vector
-    over one integer (``LinearSolution.scaled_solutions``).
+    (Bareiss) on the integer-cleared augmented matrix, in sparse rows, and
+    so is the back substitution: with d the last pivot, d x is integral by
+    Cramer's rule, so every step divides exactly, and each solution is an
+    integer vector over one integer (``LinearSolution.scaled_solutions``).
     The coefficient rows are cleared row by row and each right-hand side by
     its own common denominator, so right-hand sides with unrelated
-    denominators do not inflate the coefficient rows.
-    When the system is underdetermined, one particular solution (zero on the
-    free columns) is returned together with a kernel basis, one vector per
-    free column with entry 1 there and 0 on the other free columns.  An
-    unsatisfiable equation raises :class:`InconsistentSystemError` carrying
-    the original row index.
+    denominators do not inflate the coefficient rows.  When the system is
+    underdetermined, one particular solution (zero on the free columns) is
+    returned together with a kernel basis, one vector per free column with
+    entry 1 there and 0 on the other free columns.  An unsatisfiable equation
+    raises :class:`InconsistentSystemError` carrying the original row index;
+    rows of unequal length raise ``ValueError``.
     """
     nrows = len(matrix)
     ncols = len(matrix[0]) if nrows else 0
     rhs_list = list(rhs or [])
-    for b in rhs_list:
-        if len(b) != nrows:
-            raise ValueError("right-hand side length does not match row count")
-    if not nrows:
-        return LinearSolution([(1, []) for _ in rhs_list], 0, [], lambda: (1, []))
-
-    ech, row_scales = _integer_rows(matrix)
-    rhs_ints, rhs_scales = _integer_rows(rhs_list)
-    for i, (row, scale) in enumerate(zip(ech, row_scales)):
-        row.extend(scale * b[i] for b in rhs_ints)
+    if any(len(b) != nrows for b in rhs_list):
+        raise ValueError("right-hand side length does not match row count")
+    ech, row_scales = _integer_rows(matrix, ncols)
+    rhs_ints, rhs_scales = _integer_rows(rhs_list, nrows)
+    for k, b in enumerate(rhs_ints, start=ncols):
+        for i, v in b.items():
+            ech[i][k] = row_scales[i] * v
     pivots, origin, _ = _bareiss_echelon(ech, ncols)
     rank = len(pivots)
     for i in range(rank, nrows):
-        if any(ech[i][:ncols]):
+        if any(j < ncols for j in ech[i]):
             raise AssertionError("echelon rows below rank must vanish on coefficients")
-        if any(ech[i][ncols:]):
+        if ech[i]:
             raise InconsistentSystemError(origin[i])
 
-    d, substitute = _back_substitution(ech, pivots, ncols)
+    d, substitute = _back_substitution(_dense(ech[:rank], ncols + len(rhs_list)), pivots, ncols)
     solutions = [
         (d * scale, substitute([0] * ncols, ncols + k)) for k, scale in enumerate(rhs_scales)
     ]
@@ -407,35 +411,30 @@ def determinant(matrix: Sequence[Sequence[Rat | int]]) -> Rat:
 
     Plus or minus (by the parity of the row swaps) the last Bareiss pivot
     over the product of the row scales; 0 when the matrix is singular and 1
-    for the empty matrix.
+    for the empty matrix.  A matrix that is not square raises ``ValueError``.
     """
     n = len(matrix)
-    if any(len(row) != n for row in matrix):
-        raise ValueError("determinant needs a square matrix")
     if n == 0:
         return QQ1
-    rows, scales = _integer_rows(matrix)
+    rows, scales = _integer_rows(matrix, n)
     pivots, _, swaps = _bareiss_echelon(rows, n)
     if len(pivots) < n:
         return QQ0
-    last = rows[-1][-1]
+    last = rows[-1][n - 1]
     return Fraction(-last if swaps else last, math.prod(scales))
 
 
 def matrix_rank(matrix: Sequence[Sequence[Rat | int]]) -> int:
-    if not matrix or not matrix[0]:
-        return 0
-    rows, _ = _integer_rows(matrix)
-    pivots, _, _ = _bareiss_echelon(rows, len(rows[0]))
-    return len(pivots)
+    ncols = len(matrix[0]) if matrix else 0
+    return len(_bareiss_echelon(_integer_rows(matrix, ncols)[0], ncols)[0])
 
 
 def _scaled_kernel(matrix: Sequence[Sequence[Rat | int]]) -> tuple[int, list[list[int]]]:
     """(d, d times the kernel basis of :func:`solve_linear`), in integers."""
-    rows, _ = _integer_rows(matrix)
-    ncols = len(rows[0])
+    ncols = len(matrix[0])
+    rows, _ = _integer_rows(matrix, ncols)
     pivots, _, _ = _bareiss_echelon(rows, ncols)
-    return echelon_kernel(rows, pivots, ncols)
+    return echelon_kernel(_dense(rows[: len(pivots)], ncols), pivots, ncols)
 
 
 def echelon_kernel(

@@ -33,7 +33,7 @@ linear in the weights.  At numeric weights the same solve has one block,
 weighed by the weights times their common denominator D.  Every column is
 expanded from the basis columns.  Stencils, images, classes and expansions
 stay integers wherever their values are (on every symbolic input tried);
-each output coefficient is one ``Fraction``, divided by D.
+equal output entries are one ``WeightExpr``, its ``Fraction``s divided by D.
 
 ``flatness_check`` verifies integrability exactly and completely by Kohno's
 codimension-2 criterion: for every rank-2 flat X of the components and every
@@ -67,8 +67,6 @@ from .exactnum import (
 from .aomoto import ClassReducer, FiberContext, Weights, validate_weights
 from .matroid import MatroidContext
 from .osalg import wedge_monomials
-
-QQ0 = Fraction(0)
 
 
 # ---------------------------------------------------------------------------
@@ -138,20 +136,18 @@ class GMConnection:
     def to_json(self) -> dict:
         """The basis and every component's form and residue entries.
 
-        Each distinct ``WeightExpr`` is rendered once per call: equal
-        entries share one dict, so a caller that edits an entry of the
-        result edits every equal entry with it.
+        Each ``WeightExpr`` object is rendered once per call, memoized by
+        identity; equal entries of a ``gm_matrix`` connection are one object
+        and share one dict, so editing one edits every equal entry with it.
         """
-        rendered: dict[WeightExpr, dict] = {}
+        exprs = {id(e): e for comp in self.components for row in comp.residue for e in row}
+        rendered = {key: e.to_json() for key, e in exprs.items()}
         return {
             "basis": [list(b) for b in self.basis],
             "components": [
                 {
                     "form": comp.form.to_json(),
-                    "residue": [
-                        [rendered.get(e) or rendered.setdefault(e, e.to_json()) for e in row]
-                        for row in comp.residue
-                    ],
+                    "residue": [[rendered[id(e)] for e in row] for row in comp.residue],
                 }
                 for comp in self.components
             ],
@@ -245,21 +241,16 @@ def _assemble(
     """The connection from lifted columns and the expansions of ``forms``.
 
     ``lifted[k]`` holds ``denominator`` times column k as sparse entries
-    {row: {symbol: coefficient}}, symbol "1" at numeric weights, and column
-    j of the residue along ``forms[p]`` is the sum of c times column k over
-    the pairs (k, c) of ``expansions[p][j]``.  Components are put in
-    canonical form order, and the h0 residue, minus the sum of the others,
-    goes last.
+    {row: {symbol: coefficient}}, symbol "1" at numeric weights, and
+    ``expansions[p]`` gives the residue along ``forms[p]`` from them
+    (``_weight_matrices``).  Components are put in canonical form order,
+    and the h0 residue, minus the sum of the others, goes last.
     """
     nbasis = len(basis)
-    comps = [
-        GMComponent(form, _weight_matrix(_expand(lifted, expansion), nbasis, denominator))
-        for form, expansion in zip(forms, expansions)
-    ]
-    comps.sort(key=lambda c: c.form.coeffs)
     h0_expansion = [[(k, -c) for e in expansions for k, c in e[j]] for j in range(nbasis)]
-    h0_entries = _expand(lifted, h0_expansion)
-    comps.append(GMComponent(h0, _weight_matrix(h0_entries, nbasis, denominator)))
+    *matrices, last = _weight_matrices(lifted, [*expansions, h0_expansion], nbasis, denominator)
+    comps = sorted(map(GMComponent, forms, matrices), key=lambda c: c.form.coeffs)
+    comps.append(GMComponent(h0, last))
     return GMConnection(tuple(basis), tuple(comps), tuple(family.base.finite_indices))
 
 
@@ -325,33 +316,37 @@ def _boundary_of_wedge(i: int, t: tuple[int, ...]) -> list[tuple[tuple[int, ...]
     return [(m[:j] + m[j + 1 :], sign * (-1) ** j) for j in range(len(m))]
 
 
-def _expand(
-    lifted: list[dict[int, dict[str, Rat | int]]], expansion: list[list[tuple[int, Rat | int]]]
-) -> dict[tuple[int, int], dict[str, Rat | int]]:
-    """Entries {(i, j): {symbol: coefficient}} of the matrix whose column j is
-    the sum of c times lifted column k over the pairs (k, c) of ``expansion[j]``."""
-    entries: dict[tuple[int, int], dict[str, Rat | int]] = {}
-    for j, terms in enumerate(expansion):
-        for k, c in terms:
-            for i, coeffs in lifted[k].items():
-                target = entries.setdefault((i, j), {})
-                for s, v in coeffs.items():
-                    target[s] = target.get(s, 0) + c * v
-    return entries
+def _weight_matrices(
+    lifted: Sequence[dict], expansions: Sequence[list], size: int, denominator: int = 1
+) -> list[tuple[tuple[WeightExpr, ...], ...]]:
+    """Per expansion, the ``WeightExpr`` matrix whose column j is the sum of
+    c times lifted column k over the pairs (k, c) of ``expansion[j]``, each
+    coefficient divided by ``denominator`` ("1" is the constant part).
+    Equal entries of all the matrices are one object, interned by their
+    nonzero (symbol, coefficient) pairs: each makes its ``Fraction``s once."""
+    interned: dict[tuple, WeightExpr] = {}
 
+    def intern(coeffs: dict[str, Rat | int]) -> WeightExpr:
+        key = tuple(sorted((s, c) for s, c in coeffs.items() if c))
+        if key not in interned:
+            terms = tuple((s, Fraction(c, denominator)) for s, c in key if s != "1")
+            interned[key] = WeightExpr(Fraction(coeffs.get("1", 0), denominator), terms)
+        return interned[key]
 
-def _weight_matrix(
-    entries: dict[tuple[int, int], dict[str, Rat | int]], size: int, denominator: int = 1
-) -> tuple[tuple[WeightExpr, ...], ...]:
-    """The ``WeightExpr`` matrix of sparse entries ("1" is the constant part),
-    each coefficient divided by ``denominator``: one ``Fraction`` per term."""
-    rows = [[WeightExpr(QQ0, ())] * size for _ in range(size)]
-    for (i, j), coeffs in entries.items():
-        terms = tuple(
-            sorted((s, Fraction(c, denominator)) for s, c in coeffs.items() if c and s != "1")
-        )
-        rows[i][j] = WeightExpr(Fraction(coeffs.get("1", 0), denominator), terms)
-    return tuple(tuple(row) for row in rows)
+    out = []
+    for expansion in expansions:
+        rows = [[intern({})] * size for _ in range(size)]
+        for j, terms in enumerate(expansion):
+            column: dict[int, dict[str, Rat | int]] = {}
+            for k, c in terms:
+                for i, coeffs in lifted[k].items():
+                    target = column.setdefault(i, {})
+                    for s, v in coeffs.items():
+                        target[s] = target.get(s, 0) + c * v
+            for i, coeffs in column.items():
+                rows[i][j] = intern(coeffs)
+        out.append(tuple(tuple(row) for row in rows))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from _sampling import RatSampler
 from arrgm.errors import InconsistentSystemError
@@ -24,6 +25,7 @@ from arrgm.exactnum import (
     solve_linear,
 )
 from arrgm.partialfrac import WeightPoly
+from reference_dense import dense_determinant, dense_rank, dense_solve
 
 
 def test_rat_literals_round_trip():
@@ -223,6 +225,78 @@ class TestSolveRectangular:
         with pytest.raises(InconsistentSystemError) as info:
             solve_linear(m, [[1, 2], [1, 3]])
         assert info.value.row == 1
+
+    @pytest.mark.parametrize("call", [
+        # the extra entry of row 1 was once read as its right-hand side
+        lambda: solve_linear([[1, 0], [0, 1, 5]], [[1, 2]]),
+        lambda: matrix_rank([[1, 0], [0, 0, 1]]),
+        lambda: solve_linear([[1, 0, 0], [0, 1]], [[1, 2]]),
+        lambda: nullspace([[1, 0], [0, 0, 1]]),
+        lambda: integer_kernel([[1, 0, 0], [0, 1]]),
+    ])
+    def test_ragged_rows_are_rejected(self, call):
+        with pytest.raises(ValueError, match="row 1 has"):
+            call()
+
+
+ENTRY = st.one_of(st.just(0), st.integers(-4, 4), st.fractions(-3, 3, max_denominator=6))
+
+
+@st.composite
+def systems(draw):
+    """A small matrix of ``int`` and ``Fraction`` entries with right-hand
+    sides: zero, single-entry, repeated and combined rows make it rank
+    deficient, and a right-hand side is either M x or drawn freely, so it
+    may be inconsistent."""
+    ncols = draw(st.integers(1, 5))
+    rows: list[list] = []
+    for _ in range(draw(st.integers(0, 7))):
+        kind = draw(st.sampled_from(["zero", "single", "repeat", "combine", "dense"]))
+        if kind == "zero":
+            rows.append([0] * ncols)
+        elif kind == "single":
+            row = [0] * ncols
+            row[draw(st.integers(0, ncols - 1))] = draw(ENTRY.filter(bool))
+            rows.append(row)
+        elif kind == "repeat" and rows:
+            rows.append(list(draw(st.sampled_from(rows))))
+        elif kind == "combine" and len(rows) >= 2:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(ENTRY), draw(ENTRY)
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+        else:
+            rows.append(draw(st.lists(ENTRY, min_size=ncols, max_size=ncols)))
+    rhs = []
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            x = draw(st.lists(ENTRY, min_size=ncols, max_size=ncols))
+            rhs.append([sum((a * b for a, b in zip(row, x)), 0) for row in rows])
+        else:
+            rhs.append(draw(st.lists(ENTRY, min_size=len(rows), max_size=len(rows))))
+    return rows, rhs
+
+
+@settings(max_examples=400, deadline=None)
+@given(system=systems())
+def test_sparse_echelon_matches_the_dense_oracle(system):
+    """Every result of the sparse elimination is the dense one's, exactly:
+    solutions, rank, pivots, kernel, the failing row, rank and determinant."""
+    matrix, rhs = system
+    try:
+        expected = dense_solve(matrix, rhs)
+    except InconsistentSystemError as exc:
+        with pytest.raises(InconsistentSystemError) as info:
+            solve_linear(matrix, rhs)
+        assert info.value.row == exc.row
+    else:
+        result = solve_linear(matrix, rhs)
+        got = (result.scaled_solutions, result.rank, result.pivot_cols, result.scaled_kernel)
+        assert got == expected
+        assert all(type(v) is int for _, y in got[0] for v in y)
+    assert matrix_rank(matrix) == dense_rank(matrix)
+    k = min(len(matrix), len(matrix[0]) if matrix else 0)
+    square = [row[:k] for row in matrix[:k]]
+    assert determinant(square) == dense_determinant(square)
 
 
 class TestIntegralResults:

@@ -28,9 +28,8 @@ from arrgm.gaussmanin import (
     GMComponent,
     GMConnection,
     MovingFamily,
-    _expand,
     _residue_stencils,
-    _weight_matrix,
+    _weight_matrices,
     flatness_check,
     generic_fiber,
     gm_matrix,
@@ -514,12 +513,18 @@ def symbolic_connection(name: str) -> GMConnection:
 
 
 def test_to_json_renders_each_distinct_entry_once():
-    """Equal residue entries share one rendered dict, equal to the entry's own."""
-    conn = symbolic_connection("ceva")
-    exprs = [e for comp in conn.components for row in comp.residue for e in row]
-    rendered = [e for comp in conn.to_json()["components"] for row in comp["residue"] for e in row]
-    assert rendered == [e.to_json() for e in exprs]
-    assert len({id(e) for e in rendered}) == len(set(exprs)) < len(exprs)
+    """Equal residue entries of a ``gm_matrix`` connection, symbolic or
+    numeric, are one object, and share one rendered dict, equal to the
+    entry's own."""
+    weights = Weights.make({i: F(i, 11) for i in range(1, 6)}, F(3, 7))
+    for conn in [symbolic_connection("ceva"), gm_matrix(MovingFamily(ceva().arrangement, weights))]:
+        exprs = [e for comp in conn.components for row in comp.residue for e in row]
+        assert len({id(e) for e in exprs}) == len(set(exprs)) < len(exprs)
+        rendered = [
+            e for comp in conn.to_json()["components"] for row in comp["residue"] for e in row
+        ]
+        assert rendered == [e.to_json() for e in exprs]
+        assert len({id(e) for e in rendered}) == len(set(exprs))
 
 
 @pytest.mark.parametrize("name", ["example1", "ceva", "p2-6"])
@@ -692,17 +697,13 @@ class TestBatchedChecks:
     def test_lift_recovers_expressions(self):
         columns, settings, order, matrices = self.lift_data()
         lifted = _lift(columns, settings, order)
-        assert [
-            _weight_matrix(_expand(lifted, expansion), 2) for expansion in identity_expansions(2, 2)
-        ] == matrices
+        assert _weight_matrices(lifted, identity_expansions(2, 2), 2) == matrices
         assert all("1" not in coeffs for column in lifted for coeffs in column.values())
 
     def test_numeric_lift_is_the_constant_part(self):
         columns, settings, order, _ = self.lift_data()
         lifted = _lift(columns[:1], settings[:1], order)
-        assert [
-            _weight_matrix(_expand(lifted, expansion), 2) for expansion in identity_expansions(2, 2)
-        ] == [
+        assert _weight_matrices(lifted, identity_expansions(2, 2), 2) == [
             tuple(tuple(WeightExpr.constant(columns[0][p * 2 + j][i]) for j in range(2)) for i in range(2))
             for p in range(2)
         ]
@@ -774,8 +775,8 @@ def test_closed_form_call_structure(monkeypatch):
     ids=["symbolic", "numeric"],
 )
 def test_fiber_built_once(monkeypatch, weights):
-    """Structural guard on the shared fiber: one matroid, one fiber context
-    and one class reduction per call."""
+    """Structural guard on the shared fiber: one matroid, one fiber context,
+    one class reduction and one read of its wedge table per call."""
     calls = Counter()
 
     def count(cls, name):
@@ -791,12 +792,14 @@ def test_fiber_built_once(monkeypatch, weights):
     count(FiberContext, "__init__")
     count(ClassReducer, "__init__")
     count(ClassReducer, "reduce_batch")
+    count(FiberContext, "wedge_terms")
     gm_matrix(MovingFamily(ceva().arrangement, weights))
     assert calls == Counter({
         "MatroidContext.__init__": 1,
         "FiberContext.__init__": 1,
         "ClassReducer.__init__": 1,
         "ClassReducer.reduce_batch": 1,
+        "FiberContext.wedge_terms": 1,
     })
 
 
@@ -971,18 +974,24 @@ def test_connection_independent_of_fiber(monkeypatch, name):
 
 
 @pytest.mark.parametrize("symbol", ["a1", "a3", "a5"])
-@pytest.mark.parametrize("row", [0, -1])
+@pytest.mark.parametrize("row", [0, -1, "vanishing"])
 def test_perturbed_symbol_block_fails_the_class_solve(monkeypatch, symbol, row):
     """A +1 on one coordinate of one symbol block, in a row through the
     moving index, leaves no weight-free xi: the symbolic class solve is
     inconsistent and says the residues are not linear in the weights.
-    The ah block is left out: ah e_K ^ e_s = +-(omega ^ e_K - sum_i a_i
-    e_i ^ e_K) has a class linear in the weights, so a +1 there is not
-    detectable."""
+    "vanishing" takes the first stacked row whose coefficients vanish in
+    the block (20 of the 30 on ceva), which only the consistency check
+    sees.  The ah block is left out: ah e_K ^ e_s = +-(omega ^ e_K -
+    sum_i a_i e_i ^ e_K) has a class linear in the weights, so a +1 there
+    is not detectable."""
     real = ClassReducer.reduce_batch
 
     def perturbed(self, elems):
-        target = self._moving_rows[row]
+        moving, block = self._moving_rows, [s for s, _ in self.blocks].index(symbol)
+        stacked = self.rows[block * len(moving) : (block + 1) * len(moving)]
+        target = moving[row] if row != "vanishing" else next(
+            r for r, coefficients in zip(moving, stacked) if not any(coefficients)
+        )
         elems[0] = {**elems[0], symbol: list(elems[0][symbol])}
         elems[0][symbol][target] += 1
         return real(self, elems)

@@ -13,7 +13,10 @@ fixed output: the sha256 of ``json.dumps(conn.to_json(), sort_keys=True)``
 must start with the rung's pinned prefix, and the tool exits 1 when any
 differs.  After each rung the process's high-water resident set size
 (``ru_maxrss``) is recorded as ``running_peak_rss_mb``: a running peak over
-the rungs so far, digests included, not the rung's own memory.
+the rungs so far, digests included, not the rung's own memory.  A second,
+untimed pass runs every rung again under ``tracemalloc`` and records its
+own peak of traced Python memory as ``traced_peak_mb``: the peak is reset
+before the rung and read after its digest.  The timed pass is untraced.
 
 The library is imported from ``--src`` (default: this checkout's ``src``),
 so one copy of the tool times two source trees.  Results go into ``--out``
@@ -30,6 +33,7 @@ import os
 import platform
 import resource
 import sys
+import tracemalloc
 from time import perf_counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -157,6 +161,14 @@ def main(argv: list[str] | None = None) -> int:
             mismatched.append(name)
         print(f"{args.label} {name}: gm_matrix {gm_s:.3f} s, flatness_check {flat_s:.3f} s, "
               f"running peak RSS {peak_mb:.1f} MB, sha256 {sha[:12]}", flush=True)
+    tracemalloc.start()
+    for name in RUNGS:
+        tracemalloc.reset_peak()
+        time_rung(arrgm, name)
+        traced_mb = tracemalloc.get_traced_memory()[1] / 2**20
+        run["rungs"][name].setdefault("traced_peak_mb", []).append(round(traced_mb, 2))
+        print(f"{args.label} {name}: traced peak {traced_mb:.2f} MB", flush=True)
+    tracemalloc.stop()
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(data, handle, indent=1, sort_keys=True)
         handle.write("\n")
