@@ -22,8 +22,8 @@ combinatorics of the fiber (matroid, Orlik-Solomon normal forms, nbc lists)
 does not depend on the point, so a class reduction computed in one such
 fiber holds in all of them.  ``gaussmanin.gm_matrix`` builds one such fiber
 (``gaussmanin.generic_fiber``) and reduces its closed-form residue images
-there.  The paper's partial-fraction reduction of rational forms lives in
-``partialfrac``.
+there.  The paper's partial-fraction reduction of rational forms is kept
+only as a test oracle, ``tests/reference_partialfrac.py``.
 """
 
 from __future__ import annotations
@@ -77,9 +77,10 @@ class Weights:
         return total
 
     def symbol_assignment(self, finite_order: Sequence[int]) -> dict[str, Fraction]:
-        """Map a1..am (in the given finite-index order) and ah to values."""
+        """Map a1..am (in the given finite-index order) and ah to values; a
+        symbol without a value is left out, for ``WeightExpr.evaluate`` to name."""
         values = self.a_dict
-        out = {f"a{k}": values[idx] for k, idx in enumerate(finite_order, start=1)}
+        out = {f"a{k}": values[idx] for k, idx in enumerate(finite_order, start=1) if idx in values}
         if self.ah is not None:
             out["ah"] = self.ah
         return out

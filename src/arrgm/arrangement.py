@@ -7,7 +7,7 @@ equality, deduplication and golden outputs are deterministic.
 
 The module computes the intersection semi-lattice (all nonempty projective
 intersections, ordered by reverse inclusion), the non-normal-crossing flats
-(``bad_loci``), coning/deconing between affine and projective descriptions,
+(``bad_loci``), the affine chart of the infinity hyperplane and coning,
 and the discriminant of a moving extra hyperplane in the dual coordinates
 ``h0..hn``: one linear component for every independent n-subset of the fixed
 hyperplanes, whose coefficients span the kernel of their n coefficient rows.
@@ -140,7 +140,7 @@ def validate(forms: Sequence[ProjForm], infinity_index: int, n: int | None = Non
 
 
 # ---------------------------------------------------------------------------
-# coning and deconing
+# the affine chart and coning
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -201,16 +201,6 @@ def cone(n: int, affine_forms: Sequence[AffineForm]) -> Arrangement:
     for f in affine_forms:
         forms.append(ProjForm.make([f.constant, *f.lin]))
     return validate(forms, 0, n=n)
-
-
-def decone(arr: Arrangement) -> list[AffineForm]:
-    """Affine forms of the finite hyperplanes in the chart of the infinity hyperplane.
-
-    The affine coordinates are the remaining z_i in order, scaled by 1/z_j
-    for the infinity hyperplane z_j = 0 (:meth:`AffineChart.of`).
-    """
-    chart = AffineChart.of(arr)
-    return [chart.affine(arr.hyperplanes[i]) for i in arr.finite_indices]
 
 
 # ---------------------------------------------------------------------------

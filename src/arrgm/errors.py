@@ -40,10 +40,6 @@ class NonlinearFitError(ArrgmError):
         super().__init__("nonlinear in weights")
 
 
-class NotLogarithmicError(ArrgmError):
-    """A rational form cannot be written as a logarithmic combination."""
-
-
 class ResonantWeightsError(ArrgmError):
     """Numeric weights violate the genericity conditions."""
 

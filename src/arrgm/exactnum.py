@@ -15,9 +15,10 @@ provides
   ``integer_kernel`` -- the library's one exact elimination: rows are
   cleared to sparse integer rows {column: value}, right-hand sides as extra
   columns, and reduced by fraction-free (Bareiss) elimination over their
-  nonzero entries.  ``echelon_kernel`` reads the kernel of a dense echelon
-  form, also the one the matroid walk builds with ``bareiss_step`` on rows
-  of 2n + 3 entries.  The back substitution is fraction-free too (d x is
+  nonzero entries.  ``echelon_kernel`` reads the kernel of an echelon form
+  in the same sparse rows, also of the one the matroid walk builds with
+  ``bareiss_step`` on dense rows of 2n + 3 entries.  The back substitution
+  reads the sparse rows as they are and is fraction-free too (d x is
   integral, d the last pivot), so a solve returns particular solutions and,
   when read, a kernel basis, or the failing row of an inconsistent system.
   Both are integer vectors over one integer each, so a caller can stay in
@@ -41,7 +42,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import InconsistentSystemError
+from .errors import ArrgmError, InconsistentSystemError
 
 Rat = Fraction
 
@@ -176,10 +177,12 @@ class WeightExpr:
         return WeightExpr.make(self.const * f, {s: c * f for s, c in self.coeffs})
 
     def evaluate(self, assignment: Mapping[str, Rat]) -> Rat:
+        """The value at ``assignment``; :class:`ArrgmError` naming the first
+        symbol of the expression that it leaves unassigned."""
         total = self.const
         for s, c in self.coeffs:
             if s not in assignment:
-                raise KeyError(f"no value assigned to weight symbol {s}")
+                raise ArrgmError(f"no value assigned to weight symbol {s}")
             total += c * assignment[s]
         return total
 
@@ -267,11 +270,6 @@ def _integer_rows(rows: Iterable[Sequence[Rat | int]], width: int) -> tuple[list
     return out, scales
 
 
-def _dense(rows: Iterable[Mapping[int, int]], width: int) -> list[list[int]]:
-    """Sparse rows {column: value} as lists of ``width`` entries."""
-    return [[row.get(j, 0) for j in range(width)] for row in rows]
-
-
 def bareiss_step(row: list[int], top: list[int], c: int, prev_pivot: int) -> list[int]:
     """``row`` after one fraction-free (Bareiss) step against the pivot row
     ``top`` at column c, ``prev_pivot`` the pivot of the step before (1 at
@@ -318,9 +316,10 @@ def _bareiss_echelon(rows: list[dict[int, int]], ncols_a: int) -> tuple[list[int
 
 
 def _back_substitution(
-    ech: list[list[int]], pivots: list[int], ncols: int
+    ech: Sequence[Mapping[int, int]], pivots: Sequence[int], ncols: int
 ) -> tuple[int, Callable[[list[int], int | None], list[int]]]:
-    """(d, substitute) for a Bareiss echelon form with ``ncols`` coefficient columns.
+    """(d, substitute) for the rows {column: value} of a Bareiss echelon
+    form with ``ncols`` coefficient columns.
 
     d is the last pivot, so d x is integral by Cramer's rule.
     ``substitute(y, column)`` fills in y = d x on the pivot columns, in
@@ -330,14 +329,11 @@ def _back_substitution(
     """
     rank = len(pivots)
     d = ech[rank - 1][pivots[rank - 1]] if rank else 1
-    tails = [
-        [(j, a) for j, a in enumerate(ech[r][c + 1 : ncols], start=c + 1) if a]
-        for r, c in enumerate(pivots)
-    ]
+    tails = [[(j, a) for j, a in row.items() if c < j < ncols] for row, c in zip(ech, pivots)]
 
     def substitute(y: list[int], column: int | None) -> list[int]:
         for r in range(rank - 1, -1, -1):
-            s = d * ech[r][column] if column is not None else 0
+            s = d * ech[r].get(column, 0) if column is not None else 0
             for j, a in tails[r]:
                 s -= a * y[j]
             y[pivots[r]] = s // ech[r][pivots[r]]
@@ -397,7 +393,7 @@ def solve_linear(
         if ech[i]:
             raise InconsistentSystemError(origin[i])
 
-    d, substitute = _back_substitution(_dense(ech[:rank], ncols + len(rhs_list)), pivots, ncols)
+    d, substitute = _back_substitution(ech, pivots, ncols)
     solutions = [
         (d * scale, substitute([0] * ncols, ncols + k)) for k, scale in enumerate(rhs_scales)
     ]
@@ -434,14 +430,15 @@ def _scaled_kernel(matrix: Sequence[Sequence[Rat | int]]) -> tuple[int, list[lis
     ncols = len(matrix[0])
     rows, _ = _integer_rows(matrix, ncols)
     pivots, _, _ = _bareiss_echelon(rows, ncols)
-    return echelon_kernel(_dense(rows[: len(pivots)], ncols), pivots, ncols)
+    return echelon_kernel(rows, pivots, ncols)
 
 
 def echelon_kernel(
-    ech: Sequence[Sequence[int]], pivots: Sequence[int], ncols: int
+    ech: Sequence[Mapping[int, int]], pivots: Sequence[int], ncols: int
 ) -> tuple[int, list[list[int]]]:
     """(d, d times the kernel basis) of the first ``ncols`` columns of a
-    Bareiss echelon form with the given pivot column of each row.
+    Bareiss echelon form, rows {column: value}, with the given pivot column
+    of each row; rows past ``len(pivots)`` are not read.
 
     The pivot columns need not increase, as long as each row is zero on the
     pivot columns of the rows above it and before its own: the echelon form

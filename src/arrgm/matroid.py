@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arrangement import Arrangement
-from .exactnum import Rat, bareiss_step, echelon_kernel, integer_kernel, primitive, rat_to_str
+from .exactnum import Rat, bareiss_step, echelon_kernel, primitive, rat_to_str
 
 
 @dataclass(frozen=True)
@@ -57,14 +57,6 @@ class BrokenCircuit:
 
     support: tuple[int, ...]
     princ: int
-
-
-@dataclass(frozen=True)
-class NbcBasis:
-    """Sorted n-subset of finite indices whose cone with infinity is independent
-    and which contains no broken circuit."""
-
-    support: tuple[int, ...]
 
 
 class MatroidContext:
@@ -207,8 +199,9 @@ class MatroidContext:
         """The points cut out by n independent forms, sorted, each with the
         hyperplanes through it.
 
-        One back substitution on the echelon of an independent n-set gives
-        the kernel of its rows, the point, as a primitive integer vector
+        One back substitution on the echelon of an independent n-set, its
+        dense rows cut to the form columns and made sparse once, gives the
+        kernel of its rows, the point, as a primitive integer vector
         with the first nonzero entry positive.  Every hyperplane through a
         point lies in an independent n-set through it, so the hyperplanes
         through it are the union of those sets; kept until ``extend``.
@@ -219,7 +212,8 @@ class MatroidContext:
             for members, steps in self._sets:
                 if len(members) == n:
                     rows, pivots = zip(*steps)
-                    _, (kernel,) = echelon_kernel(rows, pivots, n + 1)
+                    sparse = [{j: x for j, x in enumerate(row[: n + 1]) if x} for row in rows]
+                    _, (kernel,) = echelon_kernel(sparse, pivots, n + 1)
                     found.setdefault(tuple(primitive(kernel)), set()).update(members)
             self._points = {p: tuple(sorted(s)) for p, s in sorted(found.items())}
         return self._points
@@ -315,31 +309,9 @@ def _normalize_dependency(vec: list[int]) -> tuple[Fraction, ...]:
     return tuple(Fraction(x, lead) for x in vec)
 
 
-def is_dependent(arr: Arrangement, indices: tuple[int, ...]) -> tuple[bool, tuple[Rat, ...] | None]:
-    """Linear dependence of the cone forms of ``indices``, with certificate.
-
-    Returns ``(dependent, dependency)`` where the dependency vector (aligned
-    with the sorted index tuple, normalized to leading coefficient 1) spans
-    the relation space when the set is a circuit, and is any nonzero relation
-    otherwise.
-    """
-    kernel = integer_kernel(list(zip(*arr.form_rows(sorted(indices)))))
-    if not kernel:
-        return False, None
-    return True, _normalize_dependency(kernel[0])
-
-
 def circuits(arr: Arrangement) -> list[Circuit]:
     return MatroidContext(arr).circuits()
 
 
-def broken_circuits(arr: Arrangement) -> list[BrokenCircuit]:
-    return MatroidContext(arr).broken_circuits()
-
-
 def nbc_sets(arr: Arrangement, p: int) -> list[tuple[int, ...]]:
     return MatroidContext(arr).nbc_sets(p)
-
-
-def nbc_bases(arr: Arrangement) -> list[NbcBasis]:
-    return [NbcBasis(s) for s in MatroidContext(arr).nbc_sets(arr.n)]

@@ -11,12 +11,13 @@ agree modulo the relations implemented here:
 * d(e_C) = 0 for every central circuit C, where d is the boundary operator
   with sign (-1)^(i-1) on deletion of the i-th factor.
 
-``normal_form`` rewrites any element onto the nbc monomials by eliminating,
-for each contained broken circuit, the lexicographically largest monomial of
-the corresponding circuit boundary; the substitutes are lexicographically
-smaller, so the rewriting terminates.  ``relation_basis`` returns the
-standard basis of the degree-p relation space: dependent monomials e_B plus
-boundaries d(e_{B u princ}) for independent non-nbc subsets B.
+``OSContext.normal_form`` rewrites any element onto the nbc monomials by
+eliminating, for each contained broken circuit, the lexicographically
+largest monomial of the corresponding circuit boundary; the substitutes are
+lexicographically smaller, so the rewriting terminates.
+``OSContext.relation_basis`` returns the standard basis of the degree-p
+relation space: dependent monomials e_B plus boundaries d(e_{B u princ})
+for independent non-nbc subsets B.
 
 The algebra is defined over Z, and the nbc monomials are a Z-basis of it
 (Bjorner, "On the homology of geometric lattices", 1982; Orlik-Terao,
@@ -196,16 +197,6 @@ class OSContext:
                 acc[t] = acc.get(t, 0) + c * v
         return ExtElem.make(acc)
 
-    def nbc_coordinates(self, e: ExtElem, basis: list[IndexTuple]) -> list[Rat | int]:
-        nf = self.normal_form(e)
-        index = {t: i for i, t in enumerate(basis)}
-        coords: list[Rat | int] = [0] * len(basis)
-        for tup, c in nf.terms:
-            if tup not in index:
-                raise ValueError(f"normal form contains non-basis monomial {tup}")
-            coords[index[tup]] = c
-        return coords
-
     def relation_basis(self, p: int | None = None) -> list[RelationGenerator]:
         """Basis of the degree-p relation space (default p = n).
 
@@ -229,11 +220,3 @@ class OSContext:
                 RelationGenerator(boundary(ExtElem.monomial(extended)), "boundary", subset)
             )
         return out
-
-
-def normal_form(e: ExtElem, arr: Arrangement) -> ExtElem:
-    return OSContext(arr).normal_form(e)
-
-
-def relation_basis_Jn(arr: Arrangement) -> list[RelationGenerator]:
-    return OSContext(arr).relation_basis()

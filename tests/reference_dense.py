@@ -5,9 +5,10 @@ oracle keeps every row as a full list, the right-hand sides appended to it,
 and runs one ``bareiss_step`` per row below each pivot, with the same pivot
 rule (the first row at or below the current one that is nonzero in the
 column) and the same skip rule (a zero in the pivot column under a pivot
-equal to the one before comes back unchanged).  Both are exact, so every
-result must agree with the library's bit for bit.  The back substitution of
-the echelon is the library's own, which reads dense rows.
+equal to the one before comes back unchanged).  The back substitution
+reads the dense rows too.  Both are exact, so every result must agree with
+the library's bit for bit.  The oracle shares no code with the library: its
+``bareiss_step`` and back substitution are its own.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from arrgm.errors import InconsistentSystemError
-from arrgm.exactnum import _back_substitution, _kernel_columns, bareiss_step
 
 
 def _integer_rows(rows):
@@ -28,6 +28,16 @@ def _integer_rows(rows):
         out.append([x.numerator * (scale // x.denominator) for x in row])
         scales.append(scale)
     return out, scales
+
+
+def bareiss_step(row: list[int], top: list[int], c: int, prev_pivot: int) -> list[int]:
+    """top[c] * row - row[c] * top, divided exactly by the previous pivot."""
+    out = []
+    for x, y in zip(row, top):
+        q, r = divmod(top[c] * x - row[c] * y, prev_pivot)
+        assert r == 0
+        out.append(q)
+    return out
 
 
 def _bareiss_echelon(rows: list[list[int]], ncols_a: int) -> tuple[list[int], list[int], int]:
@@ -59,6 +69,36 @@ def _bareiss_echelon(rows: list[list[int]], ncols_a: int) -> tuple[list[int], li
         if r == len(rows):
             break
     return pivots, origin, swaps
+
+
+def _back_substitution(ech: list[list[int]], pivots: list[int], ncols: int):
+    """(d, substitute): d the last pivot, and substitute(y, column) fills in
+    y = d x on the pivot columns, bottom row first, given y on the free
+    columns and the right-hand side in ``column`` (None: homogeneous)."""
+    rank = len(pivots)
+    d = ech[rank - 1][pivots[rank - 1]] if rank else 1
+
+    def substitute(y: list[int], column):
+        for r in range(rank - 1, -1, -1):
+            c = pivots[r]
+            s = d * ech[r][column] if column is not None else 0
+            s -= sum(ech[r][j] * y[j] for j in range(c + 1, ncols))
+            assert s % ech[r][c] == 0
+            y[c] = s // ech[r][c]
+        return y
+
+    return d, substitute
+
+
+def _kernel_columns(ncols: int, pivots: list[int], d: int, substitute) -> list[list[int]]:
+    """d times the kernel basis, one vector per free column."""
+    out = []
+    for fc in range(ncols):
+        if fc not in pivots:
+            y = [0] * ncols
+            y[fc] = d
+            out.append(substitute(y, None))
+    return out
 
 
 def dense_solve(matrix: Sequence[Sequence], rhs: Sequence[Sequence]):

@@ -24,6 +24,8 @@ from arrgm.errors import NonlinearFitError
 from arrgm.gaussmanin import GMConnection, MovingFamily, _assemble, generic_fiber
 from arrgm.osalg import ExtElem, boundary, wedge, wedge_monomials
 
+from reference_stencils import nbc_coordinates
+
 QQ0 = Fraction(0)
 
 
@@ -56,7 +58,7 @@ def reduce_at(fiber: FiberContext, weights: Weights, elems) -> list[list[Fractio
     coordinates over the top nbc sets) by a one-block class solve at
     numeric ``weights``."""
     size, top = len(fiber.fixed_nbc()), fiber.nbc(fiber.n)
-    parts = [fiber.os.nbc_coordinates(g, top) if isinstance(g, ExtElem) else g for g in elems]
+    parts = [nbc_coordinates(fiber.os, g, top) if isinstance(g, ExtElem) else g for g in elems]
     columns = ClassReducer(fiber, weights).reduce_batch([{"1": g} for g in parts])
     return [[column.get(i, {}).get("1", QQ0) for i in range(size)] for column in columns]
 

@@ -1,4 +1,5 @@
-"""The paper's partial-fraction route from rational forms to dlog forms.
+"""The paper's partial-fraction route from rational forms to dlog forms
+(test-only oracle).
 
 Aomoto-Kita obtain the Gauss-Manin connection by differentiating twisted
 forms against the parameters and reducing the derivatives, rational
@@ -6,7 +7,7 @@ n-forms with simple poles along the fiber's hyperplanes, to dlog wedge
 monomials by partial fractions.  The library computes the residues in
 closed form in the Orlik-Solomon algebra instead (``gaussmanin``), so this
 module is the route kept as an independent check of it
-(``tests/reference_sampled.py``, acceptance criterion 8).
+(``reference_sampled.py``, acceptance criterion 8).
 
 * ``WeightPoly`` -- sparse multivariate polynomials over ``Rat`` with
   string symbols, the numerators of rational forms in x1..xn.
@@ -21,9 +22,7 @@ module is the route kept as an independent check of it
   denominators by the exact Jacobian factor.  Each step strictly decreases
   (pole count, numerator degree), so it terminates; pieces that cannot be
   logarithmic on their own are parked and must cancel exactly, otherwise
-  the input was not logarithmic and a typed error is raised.
-
-Nothing in ``aomoto``, ``gaussmanin``, ``monodromy`` or ``cli`` imports it.
+  the input was not logarithmic and :class:`NotLogarithmicError` is raised.
 """
 
 from __future__ import annotations
@@ -33,14 +32,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .aomoto import FiberContext
-from .arrangement import AffineForm, decone
-from .errors import NotLogarithmicError
-from .exactnum import Rat, determinant, nullspace, solve_linear
-from .osalg import ExtElem
+from arrgm.aomoto import FiberContext
+from arrgm.arrangement import AffineChart, AffineForm
+from arrgm.errors import ArrgmError
+from arrgm.exactnum import Rat, determinant, nullspace, solve_linear
+from arrgm.osalg import ExtElem
 
 QQ0 = Fraction(0)
 QQ1 = Fraction(1)
+
+
+class NotLogarithmicError(ArrgmError):
+    """A rational form cannot be written as a logarithmic combination."""
 
 
 # ---------------------------------------------------------------------------
@@ -154,16 +157,17 @@ class FiberChart:
     """A fiber's finite forms in the affine chart of its infinity hyperplane.
 
     ``affine`` maps every finite index of the fiber to its affine form: the
-    deconed fixed forms and, in a family fiber, the moving form
-    1 + sum l_i x_i at the fiber's parameter point.  Frame inverses and the
+    fixed forms in the chart of ``AffineChart.of`` and, in a family fiber,
+    the moving form 1 + sum l_i x_i at the fiber's parameter point.  Frame inverses and the
     affine circuit table are kept per chart.
     """
 
     def __init__(self, fiber: FiberContext):
         self.fiber = fiber
-        self.affine: dict[int, AffineForm] = dict(
-            zip(fiber.base.finite_indices, decone(fiber.base))
-        )
+        chart = AffineChart.of(fiber.base)
+        self.affine: dict[int, AffineForm] = {
+            i: chart.affine(fiber.base.hyperplanes[i]) for i in fiber.base.finite_indices
+        }
         if fiber.moving_index is not None:
             self.affine[fiber.moving_index] = AffineForm.make(1, fiber.params)
         self._affine_circuits: list[AffineCircuit] | None = None

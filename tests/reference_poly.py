@@ -14,7 +14,8 @@ from fractions import Fraction
 from arrgm.arrangement import format_linear
 from arrgm.exactnum import WeightExpr
 from arrgm.gaussmanin import FlatnessReport, GMConnection, _codim2_flats
-from arrgm.partialfrac import WeightPoly
+
+from reference_partialfrac import WeightPoly
 
 
 def to_poly(expr: WeightExpr) -> WeightPoly:

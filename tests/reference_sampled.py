@@ -6,7 +6,7 @@ computation.  Differentiating a basis class e_J against the parameter l_k
 produces the coefficient a_h (x_k / x_s) e_J; ``raw_derivative`` returns the
 form without a_h.  At each rational parameter sample the raw derivatives are
 reduced to dlog forms by partial fractions in the fiber there
-(``arrgm.partialfrac.reduce_rational_form``), and their
+(``reference_partialfrac.reduce_rational_form``), and their
 classes over the nbc basis are taken at every weight setting of
 ``reference_full``.  The sampled coordinate functions are fitted as
 sum_p r_p dlog f_p over the affine discriminant components by one exact
@@ -25,10 +25,10 @@ from arrgm.aomoto import FiberContext, Weights
 from arrgm.errors import ArrgmError, InconsistentSystemError, SampleRejectedError
 from arrgm.exactnum import determinant, matrix_rank, solve_linear
 from arrgm.gaussmanin import GMConnection, MovingFamily, _assemble
-from arrgm.partialfrac import FiberChart, RatForm, WeightPoly, reduce_rational_form
 
 from _sampling import RatSampler
 from reference_full import _lift, _weight_settings, identity_expansions, reduce_at
+from reference_partialfrac import FiberChart, RatForm, WeightPoly, reduce_rational_form
 
 QQ0 = Fraction(0)
 SEED = 987654321  # any seed gives the same connection

@@ -1,11 +1,11 @@
 """Test-only oracle for ``gaussmanin._residue_stencils``: the ``ExtElem`` route.
 
 Each piece is eta - e_i ^ d eta, built from ``ExtElem`` operations with the
-monomials through infinity dropped, and its coordinates come from
-``OSContext.nbc_coordinates``.  The local elimination runs over every basis
-column, zero local lifts included, and its kernel is read as ``Fraction``s.
-The support of a component is the set of hyperplanes that vanish at its
-point.
+monomials through infinity dropped, and its coordinates are those of its
+Orlik-Solomon normal form (``nbc_coordinates``).  The local elimination
+runs over every basis column, zero local lifts included, and its kernel is
+read as ``Fraction``s.  The support of a component is the set of
+hyperplanes that vanish at its point.
 """
 
 from __future__ import annotations
@@ -15,7 +15,19 @@ from typing import Sequence
 from arrgm.aomoto import FiberContext
 from arrgm.arrangement import ProjForm
 from arrgm.exactnum import solve_linear
-from arrgm.osalg import ExtElem, boundary, wedge
+from arrgm.osalg import ExtElem, OSContext, boundary, wedge
+
+
+def nbc_coordinates(os_ctx: OSContext, e: ExtElem, basis: Sequence[tuple[int, ...]]) -> list:
+    """The coordinates of the normal form of ``e`` over ``basis``, a list of
+    nbc monomials; ``ValueError`` when the normal form leaves it."""
+    index = {t: i for i, t in enumerate(basis)}
+    coords = [0] * len(basis)
+    for tup, c in os_ctx.normal_form(e).terms:
+        if tup not in index:
+            raise ValueError(f"normal form contains non-basis monomial {tup}")
+        coords[index[tup]] = c
+    return coords
 
 
 def _without(e: ExtElem, index: int) -> ExtElem:
@@ -49,7 +61,7 @@ def residue_stencils(fiber: FiberContext, forms: Sequence[ProjForm]):
             eta, stencil = local[col], []
             for i in sorted(support):
                 piece = _without(eta - wedge(ExtElem.monomial((i,)), boundary(eta)), inf)
-                coords = fiber.os.nbc_coordinates(piece, top)
+                coords = nbc_coordinates(fiber.os, piece, top)
                 stencil += [(t, i, c) for t, c in enumerate(coords) if c]
             stencils.append(stencil)
     return expansions, stencils

@@ -11,6 +11,10 @@ A^2 = lambda_X A of ``test_eigenvalue_rule_oracle``, which every computed
 residue satisfies and the published residues break on exactly the erratum's
 components, and the n = 1 period oracles (criterion 5 here,
 ``test_hypergeometric_period_oracle`` in ``tests/test_gaussmanin.py``).
+
+Criterion 8 checks the paper's partial-fraction reduction, which is kept as
+a test oracle of the closed form (``reference_partialfrac.py``), not as
+library code: 200 random rational forms, each at 3 exact points.
 """
 
 from __future__ import annotations
@@ -32,12 +36,12 @@ from arrgm.gaussmanin import MovingFamily, flatness_check, gm_matrix
 from arrgm.matroid import MatroidContext
 from arrgm.monodromy import monodromy, projector_structure
 from arrgm.osalg import ExtElem, OSContext, boundary
-from arrgm.partialfrac import (
-    FiberChart, RatForm, WeightPoly, log_comb_evaluate, reduce_rational_form,
-)
 
 from _sampling import RatSampler
 from reference_expm import expm_reference, max_gap
+from reference_partialfrac import (
+    FiberChart, RatForm, WeightPoly, log_comb_evaluate, reduce_rational_form,
+)
 from reference_poly import to_poly
 
 

@@ -1,33 +1,37 @@
-"""Weight validation, wedge maps, partial-fraction reduction, class reduction."""
+"""Weight validation, wedge maps, partial-fraction reduction, class reduction,
+and the library as the pipeline."""
 
 from __future__ import annotations
 
 import ast
-import importlib
 import itertools
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import arrgm
 from arrgm.arrangement import AffineChart, ProjForm, discriminant, validate
 from arrgm.aomoto import ClassReducer, FiberContext, Weights, cohomology_dims, validate_weights
-from arrgm.errors import NonlinearFitError, NotLogarithmicError, ResonantWeightsError
+from arrgm.errors import NonlinearFitError, ResonantWeightsError
 from arrgm.exactnum import matrix_rank, solve_linear
 from arrgm.fixtures import ceva, example1
 from arrgm.osalg import ExtElem, wedge
-from arrgm.partialfrac import (
+
+from _sampling import RatSampler
+from reference_full import reduce_at
+from reference_partialfrac import (
     AffineCircuit,
     FiberChart,
+    NotLogarithmicError,
     RatForm,
     WeightPoly,
     _poly_affine,
     log_comb_evaluate,
     reduce_rational_form,
 )
-
-from _sampling import RatSampler
-from reference_full import reduce_at
 from reference_sampled import sample_parameter_points
+from reference_stencils import nbc_coordinates
 
 
 def P(*coeffs):
@@ -45,7 +49,7 @@ def xpoly(**monomials):
 
 def top_coordinates(fiber: FiberContext, e: ExtElem) -> list:
     """The coordinates of ``e`` over the fiber's top nbc sets."""
-    return fiber.os.nbc_coordinates(e, fiber.nbc(fiber.n))
+    return nbc_coordinates(fiber.os, e, fiber.nbc(fiber.n))
 
 
 def point_line() -> FiberContext:
@@ -397,20 +401,41 @@ def test_fiber_combinatorics_constant_off_discriminant(name):
         assert combinatorics(FiberContext(arr, on)) != shared
 
 
-@pytest.mark.parametrize("module", ["aomoto", "gaussmanin", "monodromy", "cli"])
-def test_partial_fractions_stay_out_of_the_pipeline(module):
-    """The closed-form pipeline never reaches the paper's partial-fraction
-    route: none of its modules imports ``partialfrac``, and ``FiberContext``
-    holds only the fiber's combinatorics and omega."""
-    path = importlib.import_module(f"arrgm.{module}").__file__
-    imported = set()
-    for node in ast.walk(ast.parse(open(path, encoding="utf-8").read())):
-        if isinstance(node, ast.ImportFrom):
-            imported.add(node.module or "")
-            imported.update(f"{node.module or ''}.{alias.name}" for alias in node.names)
-        elif isinstance(node, ast.Import):
-            imported.update(alias.name for alias in node.names)
-    assert not any("partialfrac" in name.split(".") for name in imported)
+def imported_names(path: Path) -> set[str]:
+    """The dotted names a source file imports, relative imports resolved
+    in ``arrgm``: each module, and each module plus an imported name."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = ("arrgm." * bool(node.level) + (node.module or "")).rstrip(".")
+            names.add(module)
+            names.update(f"{module}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_the_library_is_the_pipeline():
+    """Every module under ``src/arrgm`` is one the CLI loads: the imports of
+    ``arrgm.cli``, followed module by module without the package's
+    ``__init__``, reach all of them.  No library module imports a test
+    module, so the oracles in ``tests`` stay out of the pipeline, and
+    ``FiberContext`` holds only the fiber's combinatorics and omega."""
+    package = Path(arrgm.__file__).parent
+    modules = {path.stem for path in package.glob("*.py")} - {"__init__"}
+    reached, frontier = set(), ["cli"]
+    while frontier:
+        name = frontier.pop()
+        if name not in reached:
+            reached.add(name)
+            imported = imported_names(package / f"{name}.py")
+            frontier += [m for m in modules if f"arrgm.{m}" in imported]
+    assert reached == modules
+
+    tests = {path.stem for path in Path(__file__).parent.glob("*.py")} | {"tests"}
+    for path in package.glob("*.py"):
+        assert not {name.split(".")[0] for name in imported_names(path)} & tests, path.name
+
     moved = {
         "affine", "lin_rows", "jacobian_det", "frame_inverse", "affine_circuits",
         "circuit_in", "_affine_circuits", "_frame_inverse",

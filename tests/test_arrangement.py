@@ -13,7 +13,6 @@ from arrgm.arrangement import (
     ProjForm,
     bad_loci,
     cone,
-    decone,
     discriminant,
     lattice,
     validate,
@@ -81,7 +80,9 @@ class TestConeDecone:
             AffineForm.make(0, [0, 1]),
             AffineForm.make(1, [1, 1]),
         ]
-        again = decone(cone(2, affine))
+        coned = cone(2, affine)
+        chart = AffineChart.of(coned)
+        again = [chart.affine(coned.hyperplanes[i]) for i in coned.finite_indices]
         assert [(f.constant, f.lin) for f in again] == [
             (F(0), (F(1), F(0))),
             (F(0), (F(0), F(1))),
@@ -94,7 +95,6 @@ class TestConeDecone:
         chart = AffineChart.of(arr)
         assert chart.drop == 2
         assert chart.affine(P(1, 2, -3)) == AffineForm.make(-3, [1, 2])
-        assert decone(arr) == [chart.affine(arr.hyperplanes[i]) for i in arr.finite_indices]
         for h in arr.hyperplanes:
             assert chart.projective(chart.affine(h)) == h
 

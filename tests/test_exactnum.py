@@ -24,8 +24,8 @@ from arrgm.exactnum import (
     rat_to_str,
     solve_linear,
 )
-from arrgm.partialfrac import WeightPoly
 from reference_dense import dense_determinant, dense_rank, dense_solve
+from reference_partialfrac import WeightPoly
 
 
 def test_rat_literals_round_trip():

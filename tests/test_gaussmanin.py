@@ -1,22 +1,26 @@
-"""Connection assembly: closed-form residues, the sampled oracle, flatness."""
+"""Connection assembly: closed-form residues, the sampled oracle, flatness,
+the rank and trace of each residue from the lattice."""
 
 from __future__ import annotations
 
 import cmath
 import functools
 import hashlib
+import importlib.util
 import itertools
 import json
 import warnings
 from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations
+from pathlib import Path
 
 import mpmath
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from arrgm import exactnum, gaussmanin, matroid, partialfrac
+import arrgm.fixtures
+from arrgm import exactnum, gaussmanin, matroid
 from arrgm.arrangement import (
     AffineChart, AffineForm, ProjForm, bad_loci, discriminant, lattice, validate,
 )
@@ -36,11 +40,11 @@ from arrgm.gaussmanin import (
 )
 from arrgm.matroid import MatroidContext
 from arrgm.monodromy import monodromy
-from arrgm.osalg import ExtElem, OSContext, boundary, wedge
-from arrgm.partialfrac import RatForm, WeightPoly
+from arrgm.osalg import ExtElem, boundary, wedge
 
 from _sampling import RatSampler
 from reference_full import _lift, _weight_settings, full_closed_form, identity_expansions, reduce_at
+from reference_partialfrac import RatForm, WeightPoly
 from reference_poly import poly_flatness_check
 from reference_sampled import (
     ConnectionFitError,
@@ -737,9 +741,8 @@ class TestBatchedChecks:
 
 
 def test_closed_form_call_structure(monkeypatch):
-    """Structural guard on the closed form: no partial fractions, and one
-    generic fiber, one set of stencils and one class reduction per call,
-    symbolic and numeric."""
+    """Structural guard on the closed form: one generic fiber, one set of
+    stencils and one class reduction per call, symbolic and numeric."""
     calls = Counter()
 
     def counting(module, name, count=lambda result: 1):
@@ -752,7 +755,6 @@ def test_closed_form_call_structure(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    counting(partialfrac, "reduce_rational_form")
     counting(gaussmanin, "generic_fiber")
     counting(FiberContext, "__init__")
     counting(ClassReducer, "reduce_batch")
@@ -806,10 +808,11 @@ def test_fiber_built_once(monkeypatch, weights):
 @pytest.mark.parametrize("numeric", [False, True], ids=["symbolic", "numeric"])
 @pytest.mark.parametrize("name", ["ceva", "p3-7"])
 def test_call_reads_no_fiber_points_and_no_extelem_coordinates(monkeypatch, name, numeric):
-    """Structural guard on the stencils: one call makes no
-    ``OSContext.nbc_coordinates`` call, and one ``echelon_kernel`` call per
-    independent n-set of the base (its point), none for a set through the
-    moving hyperplane."""
+    """Structural guard on the stencils: one call makes one
+    ``echelon_kernel`` call per independent n-set of the base (its point),
+    none for a set through the moving hyperplane.  The ``ExtElem``
+    coordinate route it replaced lives only in the tests
+    (``reference_stencils.nbc_coordinates``)."""
     arr = {"ceva": lambda: ceva().arrangement, "p3-7": p3_7}[name]()
     family = MovingFamily(arr, _weight_settings(arr)[0] if numeric else None)
     fiber, _ = generic_fiber(arr)
@@ -819,19 +822,14 @@ def test_call_reads_no_fiber_points_and_no_extelem_coordinates(monkeypatch, name
     ]
     base_sets = [members for members in independent if fiber.moving_index not in members]
     calls = Counter()
-    real_kernel, real_coordinates = exactnum.echelon_kernel, OSContext.nbc_coordinates
+    real_kernel = exactnum.echelon_kernel
 
     def echelon_kernel(*args):
         calls["echelon_kernel"] += 1
         return real_kernel(*args)
 
-    def nbc_coordinates(*args):
-        calls["nbc_coordinates"] += 1
-        return real_coordinates(*args)
-
     for module in (exactnum, matroid):
         monkeypatch.setattr(module, "echelon_kernel", echelon_kernel)
-    monkeypatch.setattr(OSContext, "nbc_coordinates", nbc_coordinates)
     gm_matrix(family)
     assert calls == Counter({"echelon_kernel": len(base_sets)})
     assert len(base_sets) < len(independent)
@@ -1104,3 +1102,108 @@ def test_lattice_and_bad_loci_of_small_arrangements(arr):
     """The flats grown by integer ranks are those of closing every subset."""
     assert {f.support: f.rank for f in lattice(arr).flats} == brute_force_flats(arr)
     assert bad_loci(arr) == dependent_flats(arr)
+
+
+# ---------------------------------------------------------------------------
+# the rank and trace of each residue from the lattice
+# ---------------------------------------------------------------------------
+
+def _load_ladder():
+    path = Path(__file__).resolve().parents[1] / "tools" / "ladder.py"
+    spec = importlib.util.spec_from_file_location("ladder", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+ladder = _load_ladder()
+
+
+def local_betti(arr) -> dict[tuple[int, ...], int]:
+    """|mu(0, X)| for every flat X of ``lattice(arr)``, by support, infinity
+    included: mu(0, 0) = 1 and mu(0, X) = -sum of mu(0, Y) over Y < X.  At a
+    point P it is b_P, the top Betti number of the central arrangement of
+    the hyperplanes through P (Orlik-Terao, *Arrangements of Hyperplanes*)."""
+    mu: dict[tuple[int, ...], int] = {}
+    for flat in lattice(arr).flats:  # by rank: every Y < X comes first
+        support = set(flat.support)
+        mu[flat.support] = -sum(m for s, m in mu.items() if set(s) < support) if support else 1
+    return {s: abs(m) for s, m in mu.items()}
+
+
+def point_support(arr, form) -> tuple[int, ...]:
+    """The base hyperplanes through the point P of the component ``form``."""
+    return tuple(i for i, plane in enumerate(arr.hyperplanes) if plane.evaluate(form.coeffs) == 0)
+
+
+def lattice_trace_violations(arr, residues, order) -> set[ProjForm]:
+    """The components other than h0 whose residue breaks tr A_X = b_P lambda_X.
+
+    lambda_X is the weight sum over the base hyperplanes through P and the
+    moving one, with a0 eliminated; ``order`` lists the finite indices
+    behind a1..am.  Exact, as an identity in the weights.
+    """
+    chart = AffineChart.of(arr)
+    betti = local_betti(arr)
+    symbol = {i: f"a{k}" for k, i in enumerate(order, start=1)}
+    symbol[arr.infinity_index] = "a0"
+    out = set()
+    for form, residue in residues.items():
+        if not any(chart.affine(form).lin):
+            continue
+        through = point_support(arr, form)
+        lam = WeightExpr.build(0, {**{symbol[i]: 1 for i in through}, "ah": 1}, len(order))
+        trace = sum((residue[i][i] for i in range(len(residue))), WeightExpr.constant(0))
+        if trace != lam.scale(betti[through]):
+            out.add(form)
+    return out
+
+
+def assert_lattice_oracle(arr):
+    """Per component X other than h0, ``_residue_stencils`` reduces b_P
+    basis columns, and the residue's trace is b_P lambda_X."""
+    fiber, components = generic_fiber(arr)
+    chart = AffineChart.of(arr)
+    forms = [form for form in components if any(chart.affine(form).lin)]
+    expansions, _ = _residue_stencils(fiber, forms)
+    betti = local_betti(arr)
+    for form, expansion in zip(forms, expansions):
+        columns = {k for terms in expansion for k, _ in terms}
+        assert len(columns) == betti[point_support(arr, form)]
+    conn = gm_matrix(MovingFamily(arr))
+    residues = {comp.form: comp.residue for comp in conn.components}
+    assert lattice_trace_violations(arr, residues, conn.weight_symbol_order) == set()
+
+
+@pytest.mark.parametrize("name", list(ladder.RUNGS))
+def test_residue_rank_and_trace_from_the_lattice(name):
+    assert_lattice_oracle(ladder.rung_arrangement(arrgm, name))
+
+
+@settings(max_examples=30, deadline=None)
+@given(arr=small_arrangements())
+def test_residue_rank_and_trace_from_the_lattice_of_small_arrangements(arr):
+    assert_lattice_oracle(arr)
+
+
+def test_lattice_trace_identity_fails_on_a_perturbed_diagonal(ceva_connection):
+    """+1 on one diagonal entry of one component breaks the trace identity
+    there and nowhere else."""
+    conn = ceva_connection
+    bad = with_entries_added(conn, {2: {(1, 1): W(1)}})
+    residues = {comp.form: comp.residue for comp in bad.components}
+    violations = lattice_trace_violations(ceva().arrangement, residues, conn.weight_symbol_order)
+    assert violations == {conn.components[2].form}
+
+
+@pytest.mark.parametrize("name, count", [("example1", 2), ("ceva", 3)])
+def test_lattice_trace_identity_on_the_published_tables(name, count):
+    """The published residues break the trace identity on exactly the
+    components other than h0 that their erratum names."""
+    fixture = {"example1": example1, "ceva": ceva}[name]()
+    arr = fixture.arrangement
+    chart = AffineChart.of(arr)
+    named = {form for form, _, _ in fixture.known_deviations if any(chart.affine(form).lin)}
+    assert len(named) == count
+    violations = lattice_trace_violations(arr, fixture.residues, arr.finite_indices)
+    assert violations == named

@@ -10,14 +10,7 @@ import pytest
 
 from arrgm.arrangement import ProjForm, validate
 from arrgm.fixtures import ceva, example1
-from arrgm.matroid import (
-    MatroidContext,
-    broken_circuits,
-    circuits,
-    is_dependent,
-    nbc_bases,
-    nbc_sets,
-)
+from arrgm.matroid import MatroidContext, circuits, nbc_sets
 
 
 def P(*coeffs):
@@ -28,20 +21,24 @@ def boolean3():
     return validate([P(1, 0, 0), P(0, 1, 0), P(0, 0, 1)], 0)
 
 
+def circuit_on(ctx, support):
+    """The circuit of the context's arrangement with this support."""
+    return next(c for c in ctx.circuits() if c.support == support)
+
+
 class TestDependence:
     def test_ceva_parallel_pair_with_infinity(self):
-        dependent, dep = is_dependent(ceva().arrangement, (0, 1, 3))
-        assert dependent
-        assert dep == (F(1), F(-1), F(-1))  # z0 - z1 - z3 = 0
+        ctx = MatroidContext(ceva().arrangement)
+        assert not ctx.is_independent((0, 1, 3))
+        assert circuit_on(ctx, (0, 1, 3)).dependency == (F(1), F(-1), F(-1))  # z0 - z1 - z3
 
     def test_ceva_central_triple(self):
-        dependent, dep = is_dependent(ceva().arrangement, (1, 2, 5))
-        assert dependent
-        assert dep == (F(1), F(-1), F(-1))  # z1 - z2 - z5 = 0
+        ctx = MatroidContext(ceva().arrangement)
+        assert not ctx.is_independent((1, 2, 5))
+        assert circuit_on(ctx, (1, 2, 5)).dependency == (F(1), F(-1), F(-1))  # z1 - z2 - z5
 
     def test_boolean_pair_independent(self):
-        dependent, dep = is_dependent(boolean3(), (0, 1))
-        assert not dependent and dep is None
+        assert MatroidContext(boolean3()).is_independent((0, 1))
 
 
 class TestCircuits:
@@ -97,17 +94,18 @@ class TestCircuits:
 
 class TestBrokenCircuits:
     def test_ceva(self):
-        got = {(b.support, b.princ) for b in broken_circuits(ceva().arrangement)}
+        got = {(b.support, b.princ) for b in MatroidContext(ceva().arrangement).broken_circuits()}
         assert ((2, 5), 1) in got
         assert ((4, 5), 3) in got
         assert ((1, 3), 0) in got and ((2, 4), 0) in got
 
     def test_example1(self):
-        got = [(b.support, b.princ) for b in broken_circuits(example1().arrangement)]
+        broken = MatroidContext(example1().arrangement).broken_circuits()
+        got = [(b.support, b.princ) for b in broken]
         assert ((1, 2, 3), 0) in got
 
     def test_boolean_none(self):
-        assert broken_circuits(boolean3()) == []
+        assert MatroidContext(boolean3()).broken_circuits() == []
 
 
 class TestNbc:
@@ -121,11 +119,6 @@ class TestNbc:
 
     def test_boolean_single_basis(self):
         assert nbc_sets(boolean3(), 2) == [(1, 2)]
-
-    def test_nbc_bases_wrapper(self):
-        assert [b.support for b in nbc_bases(ceva().arrangement)] == nbc_sets(
-            ceva().arrangement, 2
-        )
 
     def test_cone_with_infinity_independent(self):
         for arr in (ceva().arrangement, example1().arrangement):

@@ -8,6 +8,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from arrgm.aomoto import Weights
 from arrgm.arrangement import ProjForm, validate
 from arrgm.errors import ArrgmError, ResonantResidueError, UnknownComponentError
 from arrgm.exactnum import WeightExpr
@@ -61,6 +62,17 @@ class TestResidueOf:
         with pytest.raises(UnknownComponentError) as info:
             residue_of(connection, [1, 5, 0])
         assert "h0+5*h1" in str(info.value)
+
+
+def test_missing_weight_is_a_typed_error(connection):
+    """A weight left out is an ``ArrgmError`` that names its symbol, from
+    ``monodromy`` and from ``GMConnection.evaluate``, not a ``KeyError``."""
+    with pytest.raises(ArrgmError, match=r"no value assigned to weight symbol (a\d|ah)$"):
+        monodromy(residue_of(connection, P(0, 1, 0)), {})
+    with pytest.raises(ArrgmError, match="weight symbol ah$"):
+        connection.evaluate(Weights.make({1: F(1, 3), 2: F(1, 7), 3: F(1, 5)}))
+    with pytest.raises(ArrgmError, match="weight symbol a3$"):
+        connection.evaluate(Weights.make({1: F(1, 3), 2: F(1, 7)}, F(-1, 2)))
 
 
 class TestProjectorStructure:
