@@ -419,8 +419,7 @@ def test_the_library_is_the_pipeline():
     """Every module under ``src/arrgm`` is one the CLI loads: the imports of
     ``arrgm.cli``, followed module by module without the package's
     ``__init__``, reach all of them.  No library module imports a test
-    module, so the oracles in ``tests`` stay out of the pipeline, and
-    ``FiberContext`` holds only the fiber's combinatorics and omega."""
+    module, so the oracles in ``tests`` stay out of the pipeline."""
     package = Path(arrgm.__file__).parent
     modules = {path.stem for path in package.glob("*.py")} - {"__init__"}
     reached, frontier = set(), ["cli"]
@@ -435,6 +434,16 @@ def test_the_library_is_the_pipeline():
     tests = {path.stem for path in Path(__file__).parent.glob("*.py")} | {"tests"}
     for path in package.glob("*.py"):
         assert not {name.split(".")[0] for name in imported_names(path)} & tests, path.name
+
+
+@pytest.mark.parametrize("module", ["aomoto", "gaussmanin", "monodromy", "cli"])
+def test_partial_fractions_stay_out_of_the_pipeline(module):
+    """The closed-form pipeline never reaches the paper's partial-fraction
+    route: none of its modules imports a ``partialfrac`` module (the route
+    lives in ``tests/reference_partialfrac.py``), and ``FiberContext`` holds
+    only the fiber's combinatorics and omega."""
+    imported = imported_names(Path(arrgm.__file__).parent / f"{module}.py")
+    assert not any("partialfrac" in part for name in imported for part in name.split("."))
 
     moved = {
         "affine", "lin_rows", "jacobian_det", "frame_inverse", "affine_circuits",
