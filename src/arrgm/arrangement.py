@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import ArrgmError, DuplicateHyperplaneError, LeadingFrameError
-from .exactnum import Rat, format_terms, matrix_rank, rat_from_str, rat_to_str
+from .exactnum import Rat, format_terms, matrix_rank, primitive, rat_from_str, rat_to_str
 
 
 @dataclass(frozen=True)
@@ -40,18 +40,8 @@ class ProjForm:
         values = [rat_from_str(c) if isinstance(c, str) else Fraction(c) for c in coeffs]
         if all(v == 0 for v in values):
             raise ArrgmError("zero form is not a hyperplane")
-        denom = 1
-        for v in values:
-            denom = denom * v.denominator // math.gcd(denom, v.denominator)
-        ints = [int(v * denom) for v in values]
-        g = 0
-        for x in ints:
-            g = math.gcd(g, x)
-        ints = [x // g for x in ints]
-        first = next(x for x in ints if x != 0)
-        if first < 0:
-            ints = [-x for x in ints]
-        return ProjForm(tuple(ints))
+        denom = math.lcm(*(v.denominator for v in values))
+        return ProjForm(tuple(primitive([int(v * denom) for v in values])))
 
     def evaluate(self, point: Sequence[Rat | int]) -> Rat | int:
         """The value at ``point``, an ``int`` when every coordinate is one."""

@@ -38,8 +38,9 @@ equal output entries are one ``WeightExpr``, its ``Fraction``s divided by D.
 ``flatness_check`` verifies integrability exactly and completely by Kohno's
 codimension-2 criterion: for every rank-2 flat X of the components and every
 p in X, [A_p, sum_{q in X} A_q] = 0 as a polynomial identity in the weights,
-checked on the rank-one factors of the residues where they have them and
-otherwise one pair of coefficient matrices at a time.  No point is sampled
+checked on exact factors delta A_p = B E of every residue but h0's, E
+constant with rank A_p rows; only a commutator they leave uncertified is
+expanded, one pair of coefficient matrices at a time.  No point is sampled
 and no size is exempt.
 """
 
@@ -374,23 +375,21 @@ def flatness_check(connection: GMConnection, base: Arrangement) -> FlatnessRepor
     the residues' coefficient matrices; the witness is its first nonzero
     entry, and ``base`` supplies n for its h-names.
 
-    Most residues have rank one, A = b c^T with c constant and b linear in
-    the weights (``_rank_one``).  On a flat of two such residues,
-    [A_p, A_q] = (c_p . b_q) b_p c_q^T - (c_q . b_p) b_q c_p^T, so the pair
-    commutes when both linear forms c_p . b_q and c_q . b_p vanish
-    identically.  On any other flat where at most one residue lacks rank-one
-    factors, [A_p, S_X] = b_p (c_p^T S_X) - (S_X b_p) c_p^T is tested for
-    every other member (``_commutes_with``), the one left out being
-    implied.  A flat that neither test certifies takes the full check in
-    member order, which names the witness.
+    Every residue but the last, h0, is factored as delta A = B E with E
+    constant (``_factors``).  A flat of two of them commutes when E_p B_q
+    and E_q B_p vanish identically.  On any other flat the commutators with
+    S_X sum to [S_X, S_X] = 0, so the last member's (h0's, if in X) is
+    implied, and every other one is tested on its factors
+    (``_commutes_with``); a member left uncertified takes the full check.
     """
     comps = connection.components
     residues = integer_coefficients([c.residue for c in comps])
-    factors = [_rank_one(r) for r in residues]
+    factors = [_factors(r) for r in residues[:-1]]
     size = connection.size
     names = [f"h{i}" for i in range(base.n + 1)]
     for flat in _codim2_flats([c.form for c in comps]):
-        if len(flat) == 2 and _pair_commutes(factors[flat[0]], factors[flat[1]]):
+        p, q = flat[0], flat[-1]
+        if len(flat) == 2 and q < len(factors) and _pair_commutes(factors[p], factors[q]):
             continue
         total: CoeffMatrix = {}
         for q in flat:
@@ -398,18 +397,11 @@ def flatness_check(connection: GMConnection, base: Arrangement) -> FlatnessRepor
                 for acc, row in zip(total.setdefault(s, [{} for _ in rows]), rows):
                     for j, v in row.items():
                         acc[j] = acc.get(j, 0) + v
-        # the commutators with S_X sum to [S_X, S_X] = 0, so one of them is
-        # implied: the one member without rank-one factors, or the last
-        rank_one = [p for p in flat if factors[p] is not None]
-        if len(rank_one) >= len(flat) - 1 and all(
-            _commutes_with(factors[p], total) for p in rank_one[: len(flat) - 1]
-        ):
-            continue
         for p in flat[:-1]:
-            entry = first_nonzero_quadratic(
-                [(1, residues[p], total), (-1, total, residues[p])], size
-            )
-            if entry is not None:
+            if _commutes_with(factors[p], total):
+                continue
+            products = [(1, residues[p], total), (-1, total, residues[p])]
+            if (entry := first_nonzero_quadratic(products, size)) is not None:
                 forms = ", ".join(format_linear(comps[q].form.coeffs, names) for q in flat)
                 return FlatnessReport(
                     False,
@@ -419,80 +411,98 @@ def flatness_check(connection: GMConnection, base: Arrangement) -> FlatnessRepor
     return FlatnessReport(True)
 
 
-# A = b c^T as (c, {symbol k: b^(k)}), c sparse {column: value}, b^(k) sparse {row: value}
-RankOne = tuple[dict[int, int], dict[str, dict[int, int]]]
+# (delta, pivots P, rows of E {column: value}, {symbol k: columns of B^(k), {row: value}})
+_Factors = tuple[int, list[int], list[dict[int, int]], dict[str, list[dict[int, int]]]]
 
 
-def _rank_one(residue: CoeffMatrix) -> RankOne | None:
-    """The factors of A = sum_k a_k A^(k) when every nonzero row of every
-    A^(k) is a multiple of one row c; None otherwise (A = 0 included).
+def _factors(residue: CoeffMatrix) -> _Factors:
+    """delta A^(k) = B^(k) E for every k, A = sum_k a_k A^(k), with E constant.
 
-    With j the first column of c, A^(k) = b^(k) c^T / c_j where b^(k) is
-    column j of A^(k); the factor 1/c_j is dropped, which keeps every
-    vanishing test exact and integral.
+    Each nonzero row of each A^(k) is reduced against the rows of E kept so
+    far (``_reduce``); one that survives is kept, its first column its
+    pivot, cleared from the others.  Row l of E is delta at its pivot P_l
+    and 0 at the other pivots, so delta v = sum_l v[P_l] E_l for every row
+    v, and B^(k) is the columns P of A^(k).  delta is the determinant of the
+    kept rows at P and E delta times their reduced echelon form (Bareiss),
+    so every division is exact.  At rank one this is the proportionality
+    test: E = c^T is the first nonzero row and delta = c_j its first entry.
     """
-    c: dict[int, int] | None = None
-    for rows in residue.values():
-        for row in rows:
-            if not row:
-                continue
-            if c is None:
-                c, j = row, min(row)
-            elif row.keys() != c.keys() or any(v * c[j] != c[t] * row[j] for t, v in row.items()):
-                return None
-    if c is None:
-        return None
-    b = {s: {r: row[j] for r, row in enumerate(rows) if row} for s, rows in residue.items()}
-    return c, b
+    delta, pivots, rows = 1, [], []
+    for row in itertools.chain(*residue.values()):
+        # with no row kept yet, delta = 1 and the row is kept as it is
+        if row and (w := _reduce(row, delta, pivots, rows) if rows else row):
+            j = min(w)
+            # E_l becomes (w_j E_l - E_l[j] w) / delta
+            rows = [{t: v // delta for t, v in _reduce(e, w[j], [j], [w]).items()} for e in rows]
+            rows.append(w)
+            delta = w[j]
+            pivots.append(j)
+    b = {s: [{r: v for r, row in enumerate(a) if (v := row.get(j))} for j in pivots]
+         for s, a in residue.items()}
+    return delta, pivots, rows, b
 
 
-def _pair_commutes(p: RankOne | None, q: RankOne | None) -> bool:
-    """True when both residues have rank one and c_p . b_q and c_q . b_p
-    vanish identically, so that [A_p, A_q] = 0; False means undecided."""
-    if p is None or q is None:
-        return False
-    return all(
-        not sum(v * bk.get(t, 0) for t, v in c.items())
-        for (c, _), (_, b) in ((p, q), (q, p))
-        for bk in b.values()
+def _reduce(row: dict[int, int], delta: int, pivots: list[int], rows: list) -> dict[int, int]:
+    """delta row - sum_l row[P_l] E_l without zeros: empty iff ``row`` is in the span of E."""
+    out = {t: delta * v for t, v in row.items()}
+    for p, e in zip(pivots, rows):
+        if x := row.get(p):
+            for t, v in e.items():
+                out[t] = out.get(t, 0) - x * v
+    return {t: v for t, v in out.items() if v} if any(out.values()) else {}
+
+
+def _pair_commutes(p: _Factors, q: _Factors) -> bool:
+    """True when E_p B_q and E_q B_p vanish identically, so that
+    delta_p delta_q A_p A_q = B_p (E_p B_q) E_q and its mirror are 0 and
+    [A_p, A_q] = 0; False means undecided."""
+    return not any(
+        sum(v * column.get(t, 0) for t, v in e.items())
+        for (_, _, rows, _), (*_, b) in ((p, q), (q, p))
+        for e in rows for columns in b.values() for column in columns
     )
 
 
-def _commutes_with(factor: RankOne, total: CoeffMatrix) -> bool:
-    """Whether A = b c^T of rank one commutes with S, as a polynomial identity.
+def _commutes_with(factors: _Factors, total: CoeffMatrix) -> bool:
+    """Whether A = B E / delta commutes with S, as a polynomial identity.
 
-    [A, S] = b (c^T S) - (S b) c^T vanishes, b being nonzero, exactly when
-    c^T S = lambda c^T and S b = lambda b for one lambda linear in the
-    weights; with j the first column of c, lambda = (c^T S)_j / c_j.  Both
-    are checked per symbol and symbol pair, scaled by c_j to stay integral.
+    If E S = Lambda E and S B = B Lambda for one r x r Lambda linear in the
+    weights, delta [A, S] = B (E S) - (S B) E = 0; when B has full column
+    rank the converse holds with Lambda = (E S)_P / delta, the columns P of
+    E S.  Both are checked per symbol and symbol pair on L = delta Lambda in
+    integers: each row of E S^(k) reduces to zero against E (``_reduce``),
+    and delta S^(k) B^(l) - B^(l) L^(k) plus its mirror vanishes.
     """
-    c, b = factor
-    j = min(c)
-    lam = {}  # symbol k -> c_j lambda^(k)
-    for k, rows in total.items():
-        u: dict[int, int] = {}
-        for t, ct in c.items():
-            for col, v in rows[t].items():
-                u[col] = u.get(col, 0) + ct * v
-        lam[k] = u.get(j, 0)
-        if any(u.get(t, 0) * c[j] != lam[k] * c.get(t, 0) for t in u.keys() | c.keys()):
-            return False
-    # the coefficient of a_k a_l in c_j (S b - lambda b), from S^(k) b^(l) and S^(l) b^(k)
-    acc: dict[tuple[str, str], dict[int, int]] = {}
-    support = set().union(*b.values())
-    for k, rows in total.items():
+    delta, pivots, rows, b = factors
+    lam = {k: [] for k in total}  # symbol k -> L^(k) by rows, L^(k)[l][m] = (E_l S^(k))[P_m]
+    for k, s_rows in total.items():
+        for e in rows:
+            u: dict[int, int] = {}
+            for t, et in e.items():
+                for col, v in s_rows[t].items():
+                    u[col] = u.get(col, 0) + et * v
+            if _reduce(u, delta, pivots, rows):
+                return False
+            lam[k].append([u.get(p, 0) for p in pivots])
+    # column m of the coefficient of a_k a_l in delta S B - B L, from S^(k) B^(l) and S^(l) B^(k)
+    acc: dict[tuple[str, str, int], dict[int, int]] = {}
+    support = set().union(*(column for columns in b.values() for column in columns))
+    for k, s_rows in total.items():
         columns: dict[int, list[tuple[int, int]]] = {t: [] for t in support}
-        for r, row in enumerate(rows):
+        for r, row in enumerate(s_rows):
             for t, v in row.items():
                 if t in support:
-                    columns[t].append((r, c[j] * v))
+                    columns[t].append((r, delta * v))
         for l, bl in b.items():
-            target = acc.setdefault((k, l) if k <= l else (l, k), {})
-            for r, v in bl.items():
-                target[r] = target.get(r, 0) - lam[k] * v
-            for t, bt in bl.items():
-                for r, v in columns[t]:
-                    target[r] = target.get(r, 0) + v * bt
+            for m, bm in enumerate(bl):
+                target = acc.setdefault((k, l, m) if k <= l else (l, k, m), {})
+                for column, lam_row in zip(bl, lam[k]):
+                    if x := lam_row[m]:
+                        for r, v in column.items():
+                            target[r] = target.get(r, 0) - x * v
+                for t, bt in bm.items():
+                    for r, v in columns[t]:
+                        target[r] = target.get(r, 0) + v * bt
     return not any(v for target in acc.values() for v in target.values())
 
 

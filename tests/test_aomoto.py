@@ -18,6 +18,7 @@ from arrgm.exactnum import matrix_rank, solve_linear
 from arrgm.fixtures import ceva, example1
 from arrgm.osalg import ExtElem, wedge
 
+from _ladder import rung
 from _sampling import RatSampler
 from reference_full import reduce_at
 from reference_partialfrac import (
@@ -341,20 +342,8 @@ def enumerated_affine_circuits(chart: FiberChart) -> list[AffineCircuit]:
     return out
 
 
-def generic(n, extra):
-    """The coordinate frame of P^n (z0 at infinity) plus the given forms."""
-    frame = [[int(i == j) for j in range(n + 1)] for i in range(n + 1)]
-    return validate([P(*row) for row in frame + extra], 0)
-
-
-LADDER = {
-    "example1": lambda: example1().arrangement,
-    "ceva": lambda: ceva().arrangement,
-    "p2-6": lambda: generic(2, [[1, 1, 1], [1, 2, -3], [2, -1, 3]]),
-    "p3-6": lambda: generic(3, [[1, 1, 1, 1], [1, 2, -3, -1]]),
-    # planes {0, 1, 5, 6} meet in a point: not normal crossing
-    "p3-7": lambda: generic(3, [[1, 1, 1, 1], [1, 2, -3, -1], [2, -1, 3, 1]]),
-}
+# rungs of the ladder of arrangements (tools/ladder.py); p3-7 is not normal crossing
+LADDER_RUNGS = ["example1", "ceva", "p2-6", "p3-6", "p3-7"]
 
 
 def affine_discriminant_and_samples(arr):
@@ -368,19 +357,19 @@ def affine_discriminant_and_samples(arr):
 def test_affine_circuits_match_enumeration(name):
     """The circuits derived from the cone matroid equal a direct enumeration,
     at the fixed fiber and at fresh fibers sampled off the discriminant."""
-    arr = LADDER[name]()
+    arr = rung(name)
     _, points = affine_discriminant_and_samples(arr)
     for params in [None] + points:
         chart = FiberChart(FiberContext(arr, params))
         assert chart.affine_circuits() == enumerated_affine_circuits(chart)
 
 
-@pytest.mark.parametrize("name", list(LADDER))
+@pytest.mark.parametrize("name", LADDER_RUNGS)
 def test_fiber_combinatorics_constant_off_discriminant(name):
     """The premise of reducing classes in one fiber: every fiber off the
     discriminant has the circuit supports and nbc lists of the shared one,
     and a fiber moved onto a visible discriminant component does not."""
-    arr = LADDER[name]()
+    arr = rung(name)
     components, points = affine_discriminant_and_samples(arr)
 
     def combinatorics(fiber):

@@ -21,6 +21,8 @@ from arrgm.errors import DuplicateHyperplaneError, LeadingFrameError
 from arrgm.exactnum import determinant, matrix_rank, nullspace
 from arrgm.fixtures import ceva, example1
 
+from _ladder import RUNGS, rung
+
 
 def P(*coeffs):
     return ProjForm.make(list(coeffs))
@@ -287,25 +289,9 @@ def signed_minor_discriminant(arr):
     return sorted(out, key=lambda f: f.coeffs)
 
 
-def generic(n, extra):
-    """The coordinate frame of P^n (z0 at infinity) plus the given forms."""
-    frame = [[int(i == j) for j in range(n + 1)] for i in range(n + 1)]
-    return validate([P(*row) for row in frame + extra], 0)
-
-
-LADDER = {
-    "example1": lambda: example1().arrangement,
-    "ceva": lambda: ceva().arrangement,
-    "p2-6": lambda: generic(2, [[1, 1, 1], [1, 2, -3], [2, -1, 3]]),
-    "p2-7": lambda: generic(2, [[1, 1, 1], [1, 2, -3], [2, -1, 3], [3, 1, -2]]),
-    "p3-6": lambda: generic(3, [[1, 1, 1, 1], [1, 2, -3, -1]]),
-    "p3-7": lambda: generic(3, [[1, 1, 1, 1], [1, 2, -3, -1], [2, -1, 3, 1]]),
-}
-
-
-@pytest.mark.parametrize("name", list(LADDER))
+@pytest.mark.parametrize("name", RUNGS)
 def test_discriminant_matches_signed_minors(name):
-    arr = LADDER[name]()
+    arr = rung(name)
     assert discriminant(arr) == signed_minor_discriminant(arr)
 
 

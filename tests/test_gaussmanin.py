@@ -6,20 +6,17 @@ from __future__ import annotations
 import cmath
 import functools
 import hashlib
-import importlib.util
 import itertools
 import json
 import warnings
 from collections import Counter
 from fractions import Fraction as F
 from itertools import combinations
-from pathlib import Path
 
 import mpmath
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-import arrgm.fixtures
 from arrgm import exactnum, gaussmanin, matroid
 from arrgm.arrangement import (
     AffineChart, AffineForm, ProjForm, bad_loci, discriminant, lattice, validate,
@@ -42,6 +39,7 @@ from arrgm.matroid import MatroidContext
 from arrgm.monodromy import monodromy
 from arrgm.osalg import ExtElem, boundary, wedge
 
+from _ladder import RUNGS, rung
 from _sampling import RatSampler
 from reference_full import _lift, _weight_settings, full_closed_form, identity_expansions, reduce_at
 from reference_partialfrac import RatForm, WeightPoly
@@ -376,7 +374,7 @@ class TestFlatness:
 
     def test_exact_above_size_eight(self):
         """Generic P^2 with 6 lines: 10 nbc elements, certified exactly."""
-        arr = p2_6()
+        arr = rung("p2-6")
         conn = oracle_family_connection("p2-6-numeric")
         assert conn.size == 10
         assert flatness_check(conn, arr).ok
@@ -385,7 +383,7 @@ class TestFlatness:
     @pytest.mark.parametrize("name", ["example1", "ceva", "p2-6", "p3-6"])
     def test_agrees_with_polynomial_oracle(self, name):
         """Coefficient-matrix flatness = the ``WeightPoly`` expansion, witness included."""
-        base = SYMBOLIC_FAMILIES[name]().base
+        base = rung(name)
         conn = symbolic_connection(name)
         assert flatness_check(conn, base) == poly_flatness_check(conn, base)
 
@@ -400,7 +398,7 @@ class TestFlatness:
         for trial in range(30):
             name = ("example1", "ceva")[trial % 2]
             conn = symbolic_connection(name)
-            base = SYMBOLIC_FAMILIES[name]().base
+            base = rung(name)
             size, last = conn.size, len(conn.components) - 1
             comp = sampler.integer(0, last - 1)
             delta = W(
@@ -457,31 +455,6 @@ def generic(n, extra):
     return validate([P(*row) for row in frame + extra], 0)
 
 
-def p2_6():
-    return generic(2, [[1, 1, 1], [1, 2, -3], [2, -1, 3]])
-
-
-def p3_6():
-    return generic(3, [[1, 1, 1, 1], [1, 2, -3, -1]])
-
-
-def p3_7():
-    """Planes {0, 1, 5, 6} meet in a point: not normal crossing."""
-    return generic(3, [[1, 1, 1, 1], [1, 2, -3, -1], [2, -1, 3, 1]])
-
-
-# the generic rungs of the ladder of arrangements (tools/ladder.py)
-LADDER = {
-    "p2-6": p2_6,
-    "p2-7": lambda: generic(2, [[1, 1, 1], [1, 2, -3], [2, -1, 3], [3, 1, -2]]),
-    "p3-6": p3_6,
-    "p3-7": p3_7,
-    "p3-8": lambda: generic(3, [[1, 1, 1, 1], [1, 2, -3, -1], [2, -1, 3, 1], [3, 1, -2, 2]]),
-    "p4-7": lambda: generic(4, [[1, 1, 1, 1, 1], [1, 2, -3, -1, 2]]),
-    "p4-8": lambda: generic(4, [[1, 1, 1, 1, 1], [1, 2, -3, -1, 2], [2, -1, 3, 1, -3]]),
-}
-
-
 # numeric weights off every resonance of their arrangement
 P2_6_WEIGHTS = Weights.make(
     {1: F(2, 7), 2: F(-3, 11), 3: F(5, 13), 4: F(-1, 9), 5: F(3, 17)}, F(4, 15)
@@ -493,8 +466,8 @@ P3_7_WEIGHTS = Weights.make(
 ORACLE_FAMILIES = {
     "example1": lambda: MovingFamily(example1().arrangement),
     "ceva": lambda: MovingFamily(ceva().arrangement),
-    "p2-6-numeric": lambda: MovingFamily(p2_6(), P2_6_WEIGHTS),
-    "p3-7-numeric": lambda: MovingFamily(p3_7(), P3_7_WEIGHTS),
+    "p2-6-numeric": lambda: MovingFamily(rung("p2-6"), P2_6_WEIGHTS),
+    "p3-7-numeric": lambda: MovingFamily(rung("p3-7"), P3_7_WEIGHTS),
 }
 
 
@@ -503,17 +476,10 @@ def oracle_family_connection(name: str) -> GMConnection:
     return gm_matrix(ORACLE_FAMILIES[name]())
 
 
-SYMBOLIC_FAMILIES = {
-    "example1": lambda: MovingFamily(example1().arrangement),
-    "ceva": lambda: MovingFamily(ceva().arrangement),
-    "p2-6": lambda: MovingFamily(p2_6()),
-    "p3-6": lambda: MovingFamily(p3_6()),
-}
-
-
 @functools.cache
 def symbolic_connection(name: str) -> GMConnection:
-    return gm_matrix(SYMBOLIC_FAMILIES[name]())
+    """The symbolic connection of the ladder rung ``name``, built once per run."""
+    return gm_matrix(MovingFamily(rung(name)))
 
 
 def test_to_json_renders_each_distinct_entry_once():
@@ -561,11 +527,11 @@ class TestByteIdentity:
                 "b83f85e434f3b5028b4a878ccf810f2af41939baa2e880b7f869cb380a18b9a4",
             ),
             (
-                lambda: MovingFamily(p2_6()),
+                lambda: MovingFamily(rung("p2-6")),
                 "ca60a3cf44e3db7f1a7a6bd2ab505aa1ad928b86e81758e727678727acfeb045",
             ),
             (
-                lambda: MovingFamily(p3_7()),
+                lambda: MovingFamily(rung("p3-7")),
                 "215110e2b753f1af9430a973590adc4a7640cfb5d1a4a2e70837c661b532f429",
             ),
         ],
@@ -813,7 +779,7 @@ def test_call_reads_no_fiber_points_and_no_extelem_coordinates(monkeypatch, name
     none for a set through the moving hyperplane.  The ``ExtElem``
     coordinate route it replaced lives only in the tests
     (``reference_stencils.nbc_coordinates``)."""
-    arr = {"ceva": lambda: ceva().arrangement, "p3-7": p3_7}[name]()
+    arr = rung(name)
     family = MovingFamily(arr, _weight_settings(arr)[0] if numeric else None)
     fiber, _ = generic_fiber(arr)
     independent = [
@@ -865,7 +831,7 @@ def small_arrangements(draw):
 @settings(max_examples=30, deadline=None)
 @given(arr=small_arrangements(), data=st.data())
 @example(arr=ceva().arrangement, data=None)
-@example(arr=p3_7(), data=None)
+@example(arr=rung("p3-7"), data=None)
 def test_fiber_and_weight_settings_generic_by_construction(arr, data):
     """Every weight setting passes the genericity checks on the base and on
     the extended fiber, and the fiber point lies off every component and has
@@ -967,7 +933,7 @@ def test_connection_independent_of_fiber(monkeypatch, name):
         return FiberContext(base, curve_point(base.n, t)), components
 
     monkeypatch.setattr(gaussmanin, "generic_fiber", next_fiber)
-    assert gm_matrix(SYMBOLIC_FAMILIES[name]()) == symbolic_connection(name)
+    assert gm_matrix(MovingFamily(rung(name))) == symbolic_connection(name)
     assert used == Counter({"fiber": 1})
 
 
@@ -999,23 +965,11 @@ def test_perturbed_symbol_block_fails_the_class_solve(monkeypatch, symbol, row):
         gm_matrix(MovingFamily(ceva().arrangement))
 
 
-def b3():
-    """The B3 reflection arrangement in P^2: x_i + x_j and x_i - x_j."""
-    return generic(2, [[1, 1, 0], [1, -1, 0], [1, 0, 1], [1, 0, -1], [0, 1, 1], [0, 1, -1]])
-
-
-def a4_braid():
-    """The A4 braid arrangement in P^3: x_i - x_j for i < j."""
-    return generic(3, [
-        [1, -1, 0, 0], [1, 0, -1, 0], [1, 0, 0, -1], [0, 1, -1, 0], [0, 1, 0, -1], [0, 0, 1, -1],
-    ])
-
-
 @settings(max_examples=20, deadline=None)
 @given(arr=small_arrangements())
 @example(arr=ceva().arrangement)
-@example(arr=b3())
-@example(arr=a4_braid())
+@example(arr=rung("b3"))
+@example(arr=rung("a4-braid"))
 def test_basis_columns_equal_the_full_closed_form(arr):
     """Reducing, lifting and expanding a basis of each component's local
     lifts gives the connection of the closed form on all N x comps columns,
@@ -1056,7 +1010,7 @@ def test_right_hand_sides_are_the_residue_ranks(monkeypatch, family, rhs):
 def test_expansion_rebuilds_every_local_lift():
     """eta_{J,P} = sum_r c_{J,r} eta_{J_r,P} on every component, with the
     basis columns J_r independent."""
-    arr = p3_7()
+    arr = rung("p3-7")
     fiber, components = generic_fiber(arr)
     chart = AffineChart.of(arr)
     forms = [form for form in components if any(chart.affine(form).lin)]
@@ -1087,11 +1041,11 @@ def dependent_flats(arr):
     return [f for f in lattice(arr).flats if len(f.support) > f.rank]
 
 
-@pytest.mark.parametrize("name", ["example1", "ceva", *LADDER])
+@pytest.mark.parametrize("name", RUNGS)
 def test_bad_loci_are_the_dependent_flats(name):
     """The flats grown from closed circuits are the lattice's dependent
     flats, also from the fiber's matroid."""
-    arr = {"example1": lambda: example1().arrangement, "ceva": lambda: ceva().arrangement, **LADDER}[name]()
+    arr = rung(name)
     assert bad_loci(arr) == dependent_flats(arr)
     assert bad_loci(arr, generic_fiber(arr)[0].matroid) == dependent_flats(arr)
 
@@ -1107,17 +1061,6 @@ def test_lattice_and_bad_loci_of_small_arrangements(arr):
 # ---------------------------------------------------------------------------
 # the rank and trace of each residue from the lattice
 # ---------------------------------------------------------------------------
-
-def _load_ladder():
-    path = Path(__file__).resolve().parents[1] / "tools" / "ladder.py"
-    spec = importlib.util.spec_from_file_location("ladder", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-ladder = _load_ladder()
-
 
 def local_betti(arr) -> dict[tuple[int, ...], int]:
     """|mu(0, X)| for every flat X of ``lattice(arr)``, by support, infinity
@@ -1175,9 +1118,9 @@ def assert_lattice_oracle(arr):
     assert lattice_trace_violations(arr, residues, conn.weight_symbol_order) == set()
 
 
-@pytest.mark.parametrize("name", list(ladder.RUNGS))
+@pytest.mark.parametrize("name", RUNGS)
 def test_residue_rank_and_trace_from_the_lattice(name):
-    assert_lattice_oracle(ladder.rung_arrangement(arrgm, name))
+    assert_lattice_oracle(rung(name))
 
 
 @settings(max_examples=30, deadline=None)

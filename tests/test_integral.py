@@ -1,8 +1,8 @@
 """The integral layers against brute force: circuits, the pruned matroid
 walk, its discriminant and its extension to the fiber, codimension-2 flats,
 Orlik-Solomon normal forms, the symbolic connection in integers, the
-residue stencils against the ``ExtElem`` route, and flatness on rank-one
-factors."""
+residue stencils against the ``ExtElem`` route, and flatness on the
+residues' rank-r factors."""
 
 from __future__ import annotations
 
@@ -18,31 +18,22 @@ from arrgm.arrangement import AffineChart, AffineForm, ProjForm, discriminant
 from arrgm.exactnum import (
     WeightExpr, first_nonzero_quadratic, integer_coefficients, matrix_rank, nullspace,
 )
-from arrgm.fixtures import ceva, example1
+from arrgm.fixtures import ceva
 from arrgm.gaussmanin import (
-    GMComponent, GMConnection, MovingFamily, _codim2_flats, _commutes_with, _rank_one,
-    _residue_stencils, flatness_check, generic_fiber, gm_matrix,
+    GMComponent, GMConnection, MovingFamily, _codim2_flats, _commutes_with, _factors,
+    _pair_commutes, _residue_stencils, flatness_check, generic_fiber, gm_matrix,
 )
 from arrgm.matroid import MatroidContext
 from arrgm.osalg import ExtElem, OSContext
 
+from _ladder import RUNGS, rung
 from reference_poly import poly_flatness_check
 from reference_stencils import residue_stencils
 from test_arrangement import signed_minor_discriminant
 from test_gaussmanin import (
-    SYMBOLIC_FAMILIES, generic, p3_7, small_arrangements, symbolic_connection, with_entries_added,
+    generic, local_betti, point_support, small_arrangements, symbolic_connection,
+    with_entries_added,
 )
-
-
-def b3():
-    """The B3 reflection arrangement: the frame of P^2 and x_i +- x_j."""
-    return generic(2, [[1, 1, 0], [1, -1, 0], [1, 0, 1], [1, 0, -1], [0, 1, 1], [0, 1, -1]])
-
-
-def a4_braid():
-    """The A4 braid arrangement: the frame of P^3 and x_i - x_j."""
-    return generic(3, [[1, -1, 0, 0], [1, 0, -1, 0], [1, 0, 0, -1], [0, 1, -1, 0], [0, 1, 0, -1],
-                       [0, 0, 1, -1]])
 
 
 def brute_force_circuits(arr):
@@ -65,8 +56,8 @@ def brute_force_circuits(arr):
 
 @settings(max_examples=40, deadline=None)
 @given(arr=small_arrangements())
-@example(arr=b3())
-@example(arr=a4_braid())
+@example(arr=rung("b3"))
+@example(arr=rung("a4-braid"))
 @example(arr=ceva().arrangement)
 def test_circuits_are_the_minimal_dependent_subsets(arr):
     """The fundamental circuits are every circuit once, with the kernel of
@@ -92,8 +83,8 @@ def contained_broken(broken_circuits, subset, order_key):
 
 @settings(max_examples=40, deadline=None)
 @given(arr=small_arrangements())
-@example(arr=b3())
-@example(arr=a4_braid())
+@example(arr=rung("b3"))
+@example(arr=rung("a4-braid"))
 @example(arr=ceva().arrangement)
 def test_pruned_walk_answers_before_the_full_listing(arr):
     """The walk stops at independent sets of n forms, yet before the circuits
@@ -123,8 +114,8 @@ def test_pruned_walk_answers_before_the_full_listing(arr):
 
 @settings(max_examples=40, deadline=None)
 @given(arr=small_arrangements())
-@example(arr=b3())
-@example(arr=a4_braid())
+@example(arr=rung("b3"))
+@example(arr=rung("a4-braid"))
 def test_discriminant_matches_signed_minors(arr):
     """The walk's points are the components of the signed-minor reference,
     each listed with exactly the hyperplanes that vanish on it."""
@@ -139,8 +130,8 @@ def test_discriminant_matches_signed_minors(arr):
 
 @settings(max_examples=40, deadline=None)
 @given(arr=small_arrangements())
-@example(arr=b3())
-@example(arr=a4_braid())
+@example(arr=rung("b3"))
+@example(arr=rung("a4-braid"))
 @example(arr=ceva().arrangement)
 def test_fiber_matroid_extends_the_base_walk(arr):
     """The base context that ``generic_fiber`` extends by the moving
@@ -163,8 +154,8 @@ def test_fiber_matroid_extends_the_base_walk(arr):
 
 @settings(max_examples=40, deadline=None)
 @given(arr=small_arrangements())
-@example(arr=b3())
-@example(arr=a4_braid())
+@example(arr=rung("b3"))
+@example(arr=rung("a4-braid"))
 def test_codim2_flats_are_the_rank_two_closures(arr):
     """The flats bucketed in integers are the closures of every pair, in
     lexicographic order."""
@@ -179,8 +170,8 @@ def test_codim2_flats_are_the_rank_two_closures(arr):
 
 @settings(max_examples=30, deadline=None)
 @given(arr=small_arrangements())
-@example(arr=b3())
-@example(arr=a4_braid())
+@example(arr=rung("b3"))
+@example(arr=rung("a4-braid"))
 def test_normal_forms_of_integer_elements_are_integral(arr):
     """The nbc monomials are a Z-basis: every integer element has an
     integer normal form, supported on the nbc sets."""
@@ -200,14 +191,7 @@ def test_normal_forms_of_integer_elements_are_integral(arr):
 # the symbolic connection in integers
 # ---------------------------------------------------------------------------
 
-INTEGRAL_FAMILIES = {
-    **SYMBOLIC_FAMILIES,
-    "b3": lambda: MovingFamily(b3()),
-    "a4-braid": lambda: MovingFamily(a4_braid()),
-}
-
-
-@pytest.mark.parametrize("name", list(INTEGRAL_FAMILIES))
+@pytest.mark.parametrize("name", ["example1", "ceva", "p2-6", "p3-6", "b3", "a4-braid"])
 def test_symbolic_pipeline_stays_in_integers(monkeypatch, name):
     """Every stencil and expansion coefficient, every image entry and every
     lifted class coefficient of symbolic ``gm_matrix`` is an ``int``; the
@@ -225,7 +209,7 @@ def test_symbolic_pipeline_stays_in_integers(monkeypatch, name):
 
     recording(gaussmanin, "_residue_stencils")
     recording(ClassReducer, "reduce_batch")
-    conn = gm_matrix(INTEGRAL_FAMILIES[name]())
+    conn = gm_matrix(MovingFamily(rung(name)))
     _, (expansions, stencils) = seen["_residue_stencils"]
     (_, images), lifted = seen["reduce_batch"]
     numbers = [
@@ -237,15 +221,6 @@ def test_symbolic_pipeline_stays_in_integers(monkeypatch, name):
     assert numbers and all(type(x) is int for x in numbers)
     entries = [e for comp in conn.components for row in comp.residue for e in row]
     assert all(type(c) is F for e in entries for _, c in e.coeffs)
-
-
-STENCIL_CASES = {
-    "example1": lambda: example1().arrangement,
-    "ceva": lambda: ceva().arrangement,
-    "b3": b3,
-    "a4-braid": a4_braid,
-    "p3-7": p3_7,
-}
 
 
 def assert_stencils_match_the_oracle(arr):
@@ -261,9 +236,9 @@ def assert_stencils_match_the_oracle(arr):
         assert (expansions, stencils) == residue_stencils(fiber, chosen)
 
 
-@pytest.mark.parametrize("name", list(STENCIL_CASES))
+@pytest.mark.parametrize("name", ["example1", "ceva", "b3", "a4-braid", "p3-7"])
 def test_stencils_equal_the_extelem_oracle(name):
-    assert_stencils_match_the_oracle(STENCIL_CASES[name]())
+    assert_stencils_match_the_oracle(rung(name))
 
 
 @settings(max_examples=30, deadline=None)
@@ -273,7 +248,7 @@ def test_stencils_of_small_arrangements_equal_the_extelem_oracle(arr):
 
 
 # ---------------------------------------------------------------------------
-# flatness on rank-one factors
+# flatness on rank-r factors
 # ---------------------------------------------------------------------------
 
 def W(const=0, **coeffs):
@@ -281,28 +256,75 @@ def W(const=0, **coeffs):
 
 
 def factors_of(conn):
-    """The rank-one factors of each residue of ``conn``, or None."""
-    return [_rank_one(r) for r in integer_coefficients([c.residue for c in conn.components])]
+    """The factors of each residue of ``conn`` but the last, as ``flatness_check`` takes them."""
+    return [_factors(r) for r in integer_coefficients([c.residue for c in conn.components])[:-1]]
+
+
+@pytest.mark.parametrize("name", RUNGS)
+def test_factors_rebuild_each_residue_at_its_local_betti_rank(name):
+    """For every residue but h0 and every symbol k, delta A^(k) = B^(k) E
+    exactly, row l of E is delta at its pivot P_l and 0 at the other
+    pivots, and E has b_P = |mu(0, P)| rows, P the component's point."""
+    conn, arr = symbolic_connection(name), rung(name)
+    betti = local_betti(arr)
+    residues = integer_coefficients([c.residue for c in conn.components])
+    for comp, residue in zip(conn.components[:-1], residues):
+        delta, pivots, rows, b = _factors(residue)
+        assert len(pivots) == len(rows) == betti[point_support(arr, comp.form)]
+        assert [[e.get(p, 0) for p in pivots] for e in rows] == [
+            [delta * (l == m) for m in range(len(pivots))] for l in range(len(pivots))
+        ]
+        for k, a in residue.items():
+            rebuilt = [{} for _ in a]
+            for column, e in zip(b[k], rows):
+                for r, x in column.items():
+                    for t, v in e.items():
+                        rebuilt[r][t] = rebuilt[r].get(t, 0) + x * v
+            assert [{t: v for t, v in row.items() if v} for row in rebuilt] == [
+                {t: delta * v for t, v in row.items()} for row in a
+            ]
 
 
 def commuting_rank_one_pair(conn):
-    """A pair flat {p, q} of two rank-one residues of ``conn``."""
+    """A pair flat {p, q} of two rank-one residues of ``conn``, h0 not in it."""
     factors = factors_of(conn)
+    ranks = [len(pivots) for _, pivots, _, _ in factors]
     flats = _codim2_flats([c.form for c in conn.components])
-    return next(f for f in flats if len(f) == 2 and None not in (factors[f[0]], factors[f[1]]))
+    return next(
+        f for f in flats if len(f) == 2 and f[1] < len(ranks) and ranks[f[0]] == ranks[f[1]] == 1
+    )
 
 
 @pytest.mark.parametrize("name", ["example1", "p2-6"])
 def test_rank_one_pair_made_non_commuting_fails_as_the_oracle(name):
     """A_p + a1 e_r c_p^T keeps rank one, and with c_q[r] != 0 the pair
-    {p, q} no longer commutes; the witness is that of the polynomial oracle."""
-    conn, base = symbolic_connection(name), SYMBOLIC_FAMILIES[name]().base
+    {p, q} no longer commutes: the pair test that certified it rejects it,
+    and the witness is that of the polynomial oracle."""
+    conn, base = symbolic_connection(name), rung(name)
     p, q = commuting_rank_one_pair(conn)
     factors = factors_of(conn)
-    (c_p, _), (c_q, _) = factors[p], factors[q]
+    (c_p,), (c_q,) = factors[p][2], factors[q][2]
     r = min(c_q)
     bad = with_entries_added(conn, {p: {(r, j): W(a1=v) for j, v in c_p.items()}})
-    assert _rank_one(integer_coefficients([bad.components[p].residue])[0]) is not None
+    bad_p = _factors(integer_coefficients([bad.components[p].residue])[0])
+    assert len(bad_p[1]) == 1
+    assert _pair_commutes(factors[p], factors[q]) and not _pair_commutes(bad_p, factors[q])
+    report = flatness_check(bad, base)
+    assert not report.ok
+    assert report == poly_flatness_check(bad, base)
+
+
+@pytest.mark.parametrize("name", ["ceva", "b3"])
+def test_rank_two_residue_made_non_commuting_fails_as_the_oracle(name):
+    """A_p + a1 e_r E_0, r the second pivot of a rank-2 residue A_p, keeps
+    its rows' span and so its two rows of factors, and makes the connection
+    curved; the report, witness included, is that of the polynomial oracle."""
+    conn, base = symbolic_connection(name), rung(name)
+    factors = factors_of(conn)
+    p = next(p for p, (_, pivots, _, _) in enumerate(factors) if len(pivots) == 2)
+    _, (_, r), (e, _), _ = factors[p]
+    bad = with_entries_added(conn, {p: {(r, j): W(a1=v) for j, v in e.items()}})
+    assert len(_factors(integer_coefficients([bad.components[p].residue])[0])[1]) == 2
     report = flatness_check(bad, base)
     assert not report.ok
     assert report == poly_flatness_check(bad, base)
@@ -310,7 +332,8 @@ def test_rank_one_pair_made_non_commuting_fails_as_the_oracle(name):
 
 def test_commuting_rank_one_pair_makes_no_quadratic_check(monkeypatch):
     """Two rank-one residues b c^T with c_p . b_q = c_q . b_p = 0 form the
-    one flat of P^1; the pair test certifies it without expanding."""
+    one flat of P^1; the second is last, so the member test on the first
+    certifies the flat without expanding."""
     calls = []
     monkeypatch.setattr(gaussmanin, "first_nonzero_quadratic", lambda *a: calls.append(a))
     zero = W()
@@ -328,25 +351,26 @@ def test_commuting_rank_one_pair_makes_no_quadratic_check(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("name", ["example1", "p2-6", "p3-6"])
+@pytest.mark.parametrize("name", RUNGS)
 def test_generic_connections_need_no_quadratic_check(monkeypatch, name):
-    """On these connections every flat is certified by rank-one factors."""
+    """On every rung of the ladder every flat is certified on the factors."""
     calls = []
     monkeypatch.setattr(gaussmanin, "first_nonzero_quadratic", lambda *a: calls.append(a))
-    assert flatness_check(symbolic_connection(name), SYMBOLIC_FAMILIES[name]().base).ok
+    assert flatness_check(symbolic_connection(name), rung(name)).ok
     assert calls == []
 
 
-@pytest.mark.parametrize("name", ["example1", "ceva", "p2-6"])
+@pytest.mark.parametrize("name", ["example1", "ceva", "p2-6", "b3", "a4-braid"])
 @pytest.mark.parametrize("delta", [W(1), W(a1=1, ah=-2)], ids=["one", "a1-2ah"])
 @pytest.mark.parametrize("moved", ["none", "entry", "scalar"])
 def test_rank_one_commutator_test_is_exact(name, delta, moved):
-    """For every flat X and rank-one A_p in it, ``_commutes_with`` agrees
-    with the expanded [A_p, S_X]: as computed, with delta added to the last
-    row's first entry of S_X (which commutes with some A_p on p2-6 and with
-    none elsewhere), or with delta I added (which commutes with all)."""
+    """For every flat X and every A_p in it, h0 included, ``_commutes_with``
+    on the factors of A_p agrees with the expanded [A_p, S_X]: as computed,
+    with delta added to the last row's first entry of S_X (which commutes
+    with some A_p on p2-6 and with none elsewhere), or with delta I added
+    (which commutes with all).  The residues have rank one on example1 and
+    p2-6 but for h0, and up to 3 (b3) and 6 (a4-braid) elsewhere."""
     conn = symbolic_connection(name)
-    factors = factors_of(conn)
     size = conn.size
     for flat in _codim2_flats([c.form for c in conn.components]):
         s_x = [
@@ -356,7 +380,7 @@ def test_rank_one_commutator_test_is_exact(name, delta, moved):
         entries = {"none": [], "entry": [(size - 1, 0)], "scalar": [(i, i) for i in range(size)]}
         for i, j in entries[moved]:
             s_x[i][j] = s_x[i][j] + delta
-        for p in (p for p in flat if factors[p] is not None):
+        for p in flat:
             a_p, total = integer_coefficients([conn.components[p].residue, s_x])
             expected = first_nonzero_quadratic([(1, a_p, total), (-1, total, a_p)], size) is None
-            assert _commutes_with(_rank_one(a_p), total) is expected
+            assert _commutes_with(_factors(a_p), total) is expected
